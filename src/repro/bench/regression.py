@@ -1,10 +1,14 @@
 """The tier-2 performance-regression runner behind ``repro-bench``.
 
-The suite mirrors ``benchmarks/test_bench_micro.py``: each scenario
-exercises one kernel that dominates the library's wall-clock — the
-chassis RK4 transient, the steady-state fixed point, the vectorized
-cluster tick, a fluid-mode simulated day, and an event-mode simulated
-day. Scenarios run with observability collection on, so every result
+Each scenario exercises one component that dominates the library's
+wall-clock — the chassis RK4 transient and steady-state fixed point,
+the solver's right-hand-side kernels and backends, the vectorized
+cluster tick, fluid- and event-mode simulated days, the control loop,
+and the service front (:data:`SCENARIOS` lists them all). Scenarios
+that compare a reference path against a fast one time the two
+interleaved and score each on its best chunk
+(:func:`_interleaved_rhs_best` for the solver kernels). Scenarios run
+with observability collection on, so every result
 carries the run's deterministic work counters (RK4 steps, events
 processed) alongside its wall-clock:
 
@@ -380,31 +384,39 @@ def _fig7_sweep(quick: bool, jobs: int) -> Callable[[], object]:
     return lambda: run(quick=quick, jobs=jobs)
 
 
-def _solver_rhs(quick: bool, jobs: int) -> Callable[[], object]:
+def _interleaved_rhs_best(
+    network,
+    paths: Sequence[Callable[[object, float], object]],
+    n_steps: int,
+    seed: int,
+) -> tuple[Callable[[], list[float]], int, int]:
+    """Best-of-chunk timing of several right-hand-side paths, interleaved.
+
+    Each of five chunks replays ``n_steps // 5`` RK4 steps' worth of
+    evaluations through each path in turn; the four substage (time
+    offset, state) pairs of one step use seeded perturbations of the
+    initial state to stand in for the integrator's intermediate stages,
+    so every path sees the solver's real call pattern. Scoring each path
+    on its best chunk keeps a scheduler hiccup hitting one path from
+    masquerading as a kernel speedup (or regression).
+
+    Returns ``(measure, evals, total_evals)``: ``measure()`` gives each
+    path's best chunk in seconds, ``evals`` is the evaluations in one
+    chunk and ``total_evals`` those one ``measure()`` makes per path.
+    """
     import numpy as np
 
-    from repro.server.chassis import constant_utilization
-    from repro.server.configs import one_u_commodity
-    from repro.thermal.solver import _CompiledNetwork, stable_step_s
+    from repro.thermal.solver import stable_step_s
 
-    network = one_u_commodity().chassis.build_network(
-        constant_utilization(0.8), with_wax=True
-    )
-    compiled = _CompiledNetwork(network)
     base = network.initial_state()
     dt = stable_step_s(network)
-    n_steps = 40 if quick else 200
-    # The four substage (time offset, state) pairs of one RK4 step; the
-    # perturbed states stand in for the integrator's intermediate stages
-    # so both paths see the solver's real call pattern.
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     stages = [
         (0.0, base),
         (0.5, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
         (0.5, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
         (1.0, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
     ]
-
     n_chunks = 5
     chunk_steps = max(1, n_steps // n_chunks)
 
@@ -416,27 +428,42 @@ def _solver_rhs(quick: bool, jobs: int) -> Callable[[], object]:
                 evaluate(state, t0 + offset * dt)
         return time.perf_counter() - start
 
-    def run() -> dict[str, float]:
-        # Interleave the two paths chunk by chunk and score each on its
-        # best chunk, so a scheduler hiccup hitting one path does not
-        # masquerade as a kernel speedup (or regression).
-        reference_chunks: list[float] = []
-        vectorized_chunks: list[float] = []
+    def measure() -> list[float]:
+        chunks: list[list[float]] = [[] for _ in paths]
         for chunk in range(n_chunks):
-            reference_chunks.append(
-                timed_chunk(network.state_derivative, chunk)
-            )
-            vectorized_chunks.append(timed_chunk(compiled.rhs, chunk))
-        reference_s = min(reference_chunks)
-        vectorized_s = min(vectorized_chunks)
-        evals = 4 * chunk_steps
+            for times, evaluate in zip(chunks, paths):
+                times.append(timed_chunk(evaluate, chunk))
+        return [min(times) for times in chunks]
+
+    evals = 4 * chunk_steps
+    return measure, evals, evals * n_chunks
+
+
+def _solver_rhs(quick: bool, jobs: int) -> Callable[[], object]:
+    from repro.server.chassis import constant_utilization
+    from repro.server.configs import one_u_commodity
+    from repro.thermal.solver import _CompiledNetwork
+
+    network = one_u_commodity().chassis.build_network(
+        constant_utilization(0.8), with_wax=True
+    )
+    compiled = _CompiledNetwork(network)
+    measure, evals, total_evals = _interleaved_rhs_best(
+        network,
+        (network.state_derivative, compiled.rhs),
+        n_steps=40 if quick else 200,
+        seed=7,
+    )
+
+    def run() -> dict[str, float]:
+        reference_s, vectorized_s = measure()
         speedup = (
             reference_s / vectorized_s if vectorized_s > 0 else float("inf")
         )
         obs = get_registry()
         if obs.enabled:
-            obs.count("solver.bench.reference_evals", evals * n_chunks)
-            obs.count("solver.bench.vectorized_evals", evals * n_chunks)
+            obs.count("solver.bench.reference_evals", total_evals)
+            obs.count("solver.bench.vectorized_evals", total_evals)
             obs.count("solver.bench.speedup_ge_3x", int(speedup >= 3.0))
         return {
             "reference_us_per_eval": reference_s / evals * 1e6,
@@ -458,10 +485,8 @@ def _fig7_batched(quick: bool, jobs: int) -> Callable[[], object]:
 
 
 def _solver_backend_sparse(quick: bool, jobs: int) -> Callable[[], object]:
-    import numpy as np
-
     from repro.thermal.backends import SparseBackend
-    from repro.thermal.solver import _CompiledNetwork, stable_step_s
+    from repro.thermal.solver import _CompiledNetwork
     from repro.thermal.synthetic import RACK_SCALE_SERVERS, rack_scale_network
 
     servers = 170 if quick else RACK_SCALE_SERVERS
@@ -469,40 +494,12 @@ def _solver_backend_sparse(quick: bool, jobs: int) -> Callable[[], object]:
     dense = _CompiledNetwork(network)
     sparse = _CompiledNetwork(network)
     sparse.set_backend(SparseBackend())
-    base = network.initial_state()
-    dt = stable_step_s(network)
-    n_steps = 10 if quick else 25
-    rng = np.random.default_rng(11)
-    stages = [
-        (0.0, base),
-        (0.5, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
-        (0.5, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
-        (1.0, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
-    ]
-
-    n_chunks = 5
-    chunk_steps = max(1, n_steps // n_chunks)
-
-    def timed_chunk(evaluate, chunk: int) -> float:
-        start = time.perf_counter()
-        for step in range(chunk * chunk_steps, (chunk + 1) * chunk_steps):
-            t0 = step * dt
-            for offset, state in stages:
-                evaluate(state, t0 + offset * dt)
-        return time.perf_counter() - start
+    measure, evals, _ = _interleaved_rhs_best(
+        network, (dense.rhs, sparse.rhs), n_steps=10 if quick else 25, seed=11
+    )
 
     def run() -> dict[str, float]:
-        # Interleaved chunk timing, best-of-chunk per path — same
-        # protocol as solver_rhs, so scheduler noise cannot fake a
-        # backend speedup.
-        dense_chunks: list[float] = []
-        sparse_chunks: list[float] = []
-        for chunk in range(n_chunks):
-            dense_chunks.append(timed_chunk(dense.rhs, chunk))
-            sparse_chunks.append(timed_chunk(sparse.rhs, chunk))
-        dense_s = min(dense_chunks)
-        sparse_s = min(sparse_chunks)
-        evals = 4 * chunk_steps
+        dense_s, sparse_s = measure()
         speedup = dense_s / sparse_s if sparse_s > 0 else float("inf")
         obs = get_registry()
         if obs.enabled:

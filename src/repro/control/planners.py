@@ -7,17 +7,17 @@ already passed through the fault injector's sensor path
 noisy or frozen readings during sensor faults, never ground truth — and
 asks the active planner for a :class:`~repro.control.actions.
 ControlAction`. Plant-side readings (room temperature, remaining plant
-capacity) come off the room model exactly as the legacy throttling
-policies read them; an active cooling fault derates the capacity the
-planner sees.
+capacity) come off the room model exactly as the policies of
+:mod:`repro.dcsim.throttling` read them; an active cooling fault derates
+the capacity the planner sees.
 
 Shipped planners:
 
 * :class:`GreedyThrottlePolicy` — the paper's Section 5.2 reactive
-  mechanism: a room-temperature hysteresis latch, with the former
-  :class:`~repro.dcsim.throttling.FaultResponsePolicy` overrides folded
-  in as first-class behaviour (min-DVFS on sensor dropout, preemptive
-  throttle on severe cooling loss). Decision-identical to the old
+  mechanism as a planner: an adapter over the single implementation in
+  :mod:`repro.dcsim.throttling` (room-temperature hysteresis latch,
+  min-DVFS on sensor dropout, preemptive throttle on severe cooling
+  loss). Decision-identical to the
   ``FaultResponsePolicy(RoomTemperaturePolicy(room))`` stack.
 * :class:`MPCPolicy` — receding-horizon search over candidate DVFS
   sequences, scored by batched forward rollouts on a
@@ -40,7 +40,12 @@ from repro.dcsim.thermal_coupling import (
     BatchedClusterThermalState,
     ClusterThermalState,
 )
-from repro.dcsim.throttling import _shed_cap, projected_release_w
+from repro.dcsim.throttling import (
+    _shed_cap,
+    fault_override,
+    hysteresis_decision,
+    projected_release_w,
+)
 from repro.errors import ControlError
 from repro.tco.energy import (
     AmbientAwarePlant,
@@ -57,7 +62,7 @@ class Observation:
     ``work_rate`` is the per-server offered work in nominal capacity
     units *after* the fault injector's sensor path; ``fault_effects`` is
     the injector's currently active composite effects (or ``None``) —
-    the same duck-typed view the legacy ``FaultResponsePolicy`` used.
+    the same duck-typed view ``FaultResponsePolicy`` reads.
     ``state`` grants read access to the thermal state for release
     previews; planners must not mutate it.
     """
@@ -121,14 +126,16 @@ class NoOpPlanner(Planner):
 
 
 class GreedyThrottlePolicy(Planner):
-    """Reactive hysteresis throttle with fault overrides folded in.
+    """The Section 5.2 reactive throttle, as a :class:`Planner`.
 
-    Port of :class:`~repro.dcsim.throttling.RoomTemperaturePolicy` with
-    the :class:`~repro.dcsim.throttling.FaultResponsePolicy` wrapper's
-    overrides as first-class branches, in the same precedence order:
-    sensor dropout -> severe cooling loss -> temperature latch. On
-    override ticks the latch is deliberately not updated, matching the
-    legacy wrapper (which never consulted the base policy then).
+    An adapter over :mod:`repro.dcsim.throttling`: each tick runs
+    :func:`~repro.dcsim.throttling.fault_override` (sensor dropout, then
+    severe cooling loss) and, when no fault forces a decision,
+    :func:`~repro.dcsim.throttling.hysteresis_decision` on the observed
+    room temperature — the same helpers behind
+    ``FaultResponsePolicy(RoomTemperaturePolicy(room))``, so the two are
+    decision-identical. On override ticks the latch is not updated,
+    matching the wrapper (which never consults its base policy then).
     """
 
     name = "greedy"
@@ -153,47 +160,29 @@ class GreedyThrottlePolicy(Planner):
         self._throttled = False
 
     def plan(self, obs: Observation) -> ControlAction:
-        state = obs.state
-        work_rate = obs.work_rate
-        nominal = obs.nominal_frequency_ghz
-        minimum = obs.min_frequency_ghz
-        capacity = obs.cooling_capacity_w
-
-        effects = obs.fault_effects
-        if effects is not None:
-            if effects.sensor_dropout:
-                return ControlAction(frequency_ghz=minimum, limited=True)
-            if (
-                effects.cooling_capacity_factor
-                < self.emergency_capacity_factor
-            ):
-                if projected_release_w(state, work_rate, minimum) > capacity:
-                    cap = _shed_cap(state, work_rate, minimum, capacity)
-                    return ControlAction(
-                        frequency_ghz=minimum,
-                        utilization_cap=cap,
-                        limited=True,
-                    )
-                return ControlAction(frequency_ghz=minimum, limited=True)
-
-        if not self._throttled and (
-            obs.room_temperature_c >= obs.room_max_temperature_c
-        ):
-            self._throttled = True
-        elif self._throttled and (
-            obs.room_temperature_c
-            <= obs.room_max_temperature_c - self.deadband_c
-            and projected_release_w(state, work_rate, nominal) <= capacity
-        ):
-            self._throttled = False
-
-        if not self._throttled:
-            return ControlAction(frequency_ghz=nominal)
-        if projected_release_w(state, work_rate, minimum) <= capacity:
-            return ControlAction(frequency_ghz=minimum, limited=True)
-        cap = _shed_cap(state, work_rate, minimum, capacity)
+        decision = None
+        if obs.fault_effects is not None:
+            decision = fault_override(
+                obs.fault_effects,
+                obs.state,
+                obs.work_rate,
+                self.emergency_capacity_factor,
+                obs.cooling_capacity_w,
+            )
+        if decision is None:
+            self._throttled, decision = hysteresis_decision(
+                self._throttled,
+                obs.state,
+                obs.work_rate,
+                obs.room_temperature_c,
+                obs.room_max_temperature_c,
+                self.deadband_c,
+                obs.cooling_capacity_w,
+            )
         return ControlAction(
-            frequency_ghz=minimum, utilization_cap=cap, limited=True
+            frequency_ghz=decision.frequency_ghz,
+            utilization_cap=decision.utilization_cap,
+            limited=decision.limited,
         )
 
 

@@ -280,8 +280,9 @@ class _FluidLoop:
             return i
         # Faults activate at the first tick with start_s <= t, so every
         # tick strictly before the next boundary after the previously
-        # processed tick is quiet.
-        after = float(self.ticks[i - 1]) if i > 0 else 0.0
+        # processed tick is quiet. The first tick has no predecessor, so
+        # a fault starting at t = 0 still bounds the stretch.
+        after = float(self.ticks[i - 1]) if i > 0 else -math.inf
         boundary = injector.next_boundary(after)
         if math.isinf(boundary):
             return len(self.ticks)

@@ -93,6 +93,72 @@ def _shed_cap(
     return low * float(np.max(busy)) if len(busy) else 0.0
 
 
+def throttled_decision(
+    state: ClusterThermalState, work_rate: np.ndarray, capacity_w: float
+) -> ThrottleDecision:
+    """Minimum DVFS, shedding work if even that releases over capacity."""
+    minimum = state.power_model.min_frequency_ghz
+    if projected_release_w(state, work_rate, minimum) <= capacity_w:
+        return ThrottleDecision(frequency_ghz=minimum, limited=True)
+    cap = _shed_cap(state, work_rate, minimum, capacity_w)
+    return ThrottleDecision(
+        frequency_ghz=minimum, utilization_cap=cap, limited=True
+    )
+
+
+def hysteresis_decision(
+    throttled: bool,
+    state: ClusterThermalState,
+    work_rate: np.ndarray,
+    room_temperature_c: float,
+    room_max_temperature_c: float,
+    deadband_c: float,
+    capacity_w: float,
+) -> tuple[bool, ThrottleDecision]:
+    """One tick of the room-temperature latch: (next latch, decision).
+
+    The latch sets once the room reaches its limit and releases only
+    once the room has cooled by ``deadband_c`` AND full clocks would fit
+    the plant again. While set, the cluster runs :func:`throttled_decision`.
+    """
+    nominal = state.power_model.nominal_frequency_ghz
+    if not throttled:
+        throttled = room_temperature_c >= room_max_temperature_c
+    elif (
+        room_temperature_c <= room_max_temperature_c - deadband_c
+        and projected_release_w(state, work_rate, nominal) <= capacity_w
+    ):
+        throttled = False
+    if not throttled:
+        return False, ThrottleDecision(frequency_ghz=nominal)
+    return True, throttled_decision(state, work_rate, capacity_w)
+
+
+def fault_override(
+    effects,
+    state: ClusterThermalState,
+    work_rate: np.ndarray,
+    emergency_capacity_factor: float,
+    capacity_w: float | None,
+) -> ThrottleDecision | None:
+    """The decision a live fault forces, or ``None`` to defer to the latch.
+
+    ``effects`` is a fault injector's active composite effects (duck-typed:
+    ``sensor_dropout`` and ``cooling_capacity_factor``). Sensor dropout
+    forces minimum DVFS; a cooling loss below ``emergency_capacity_factor``
+    forces :func:`throttled_decision` against the derated ``capacity_w``
+    (plain minimum DVFS when the plant capacity is unknown).
+    """
+    minimum = state.power_model.min_frequency_ghz
+    if effects.sensor_dropout:
+        return ThrottleDecision(frequency_ghz=minimum, limited=True)
+    if effects.cooling_capacity_factor < emergency_capacity_factor:
+        if capacity_w is None:
+            return ThrottleDecision(frequency_ghz=minimum, limited=True)
+        return throttled_decision(state, work_rate, capacity_w)
+    return None
+
+
 class NoThermalLimit:
     """Unconstrained datacenter: always nominal frequency, no cap."""
 
@@ -149,16 +215,10 @@ class ThermalLimitPolicy:
         full clocks, else the minimum DVFS state, else shed work."""
         limit = self.capacity_w * (1.0 + self.tolerance)
         nominal = state.power_model.nominal_frequency_ghz
-        minimum = state.power_model.min_frequency_ghz
 
         if projected_release_w(state, work_rate, nominal) <= limit:
             return ThrottleDecision(frequency_ghz=nominal)
-        if projected_release_w(state, work_rate, minimum) <= limit:
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
-        cap = _shed_cap(state, work_rate, minimum, limit)
-        return ThrottleDecision(
-            frequency_ghz=minimum, utilization_cap=cap, limited=True
-        )
+        return throttled_decision(state, work_rate, limit)
 
 
 class FaultResponsePolicy:
@@ -183,16 +243,11 @@ class FaultResponsePolicy:
     the base policy unchanged, so a run with no active fault is
     decision-identical to running the base policy alone.
 
-    .. deprecated::
-        New control logic should target the
-        :class:`repro.control.Planner` interface instead;
-        :class:`repro.control.GreedyThrottlePolicy` is the
-        decision-identical replacement for this wrapper around
-        :class:`RoomTemperaturePolicy` inside a
-        :class:`repro.control.ControlLoop` (which adds actuator
-        clamping, divergence fallback, and tournament scoring). This
-        class remains for the paper-faithful figures and the fidelity
-        suite; see ``docs/CONTROL.md``.
+    The overrides live in :func:`fault_override` and the latch in
+    :func:`hysteresis_decision`, which
+    :class:`repro.control.GreedyThrottlePolicy` also calls: the planner
+    is the :class:`repro.control.Planner` adapter over this wrapper
+    around :class:`RoomTemperaturePolicy` (see ``docs/CONTROL.md``).
     """
 
     def __init__(
@@ -228,25 +283,16 @@ class FaultResponsePolicy:
     ) -> ThrottleDecision:
         """Override on dropout or severe cooling loss; else delegate."""
         effects = self.injector.current
-        if effects is None:
-            return self.base.decide(state, work_rate)
-        if effects.sensor_dropout:
-            return ThrottleDecision(
-                frequency_ghz=state.power_model.min_frequency_ghz,
-                limited=True,
+        if effects is not None:
+            override = fault_override(
+                effects,
+                state,
+                work_rate,
+                self.emergency_capacity_factor,
+                self._capacity_w(),
             )
-        if effects.cooling_capacity_factor < self.emergency_capacity_factor:
-            minimum = state.power_model.min_frequency_ghz
-            capacity = self._capacity_w()
-            if (
-                capacity is not None
-                and projected_release_w(state, work_rate, minimum) > capacity
-            ):
-                cap = _shed_cap(state, work_rate, minimum, capacity)
-                return ThrottleDecision(
-                    frequency_ghz=minimum, utilization_cap=cap, limited=True
-                )
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
+            if override is not None:
+                return override
         return self.base.decide(state, work_rate)
 
 
@@ -285,23 +331,13 @@ class RoomTemperaturePolicy:
         """Nominal clocks until the room hits its limit; then downclock
         (and shed if the plant still cannot keep up)."""
         room = self.room
-        nominal = state.power_model.nominal_frequency_ghz
-        minimum = state.power_model.min_frequency_ghz
-        capacity = room.cooling_capacity_w
-
-        if not self._throttled and room.over_limit:
-            self._throttled = True
-        elif self._throttled and (
-            room.temperature_c <= room.max_temperature_c - self.deadband_c
-            and projected_release_w(state, work_rate, nominal) <= capacity
-        ):
-            self._throttled = False
-
-        if not self._throttled:
-            return ThrottleDecision(frequency_ghz=nominal)
-        if projected_release_w(state, work_rate, minimum) <= capacity:
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
-        cap = _shed_cap(state, work_rate, minimum, capacity)
-        return ThrottleDecision(
-            frequency_ghz=minimum, utilization_cap=cap, limited=True
+        self._throttled, decision = hysteresis_decision(
+            self._throttled,
+            state,
+            work_rate,
+            room.temperature_c,
+            room.max_temperature_c,
+            self.deadband_c,
+            room.cooling_capacity_w,
         )
+        return decision

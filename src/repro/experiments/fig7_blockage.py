@@ -57,14 +57,13 @@ def _solve_platform(
 
 
 def blockage_sweep(
-    platform: str, fractions: np.ndarray, jobs: int = 1, backend: str = "auto"
+    platform: str, fractions: np.ndarray, jobs: int = 1
 ) -> dict[str, np.ndarray]:
     """Steady outlet and (hottest) CPU temperatures across a grille sweep.
 
-    ``backend`` is forwarded to
-    :func:`~repro.thermal.steady_state.solve_steady_state_batch`; chassis
-    networks are far below the sparse thresholds, so ``"auto"`` keeps the
-    bit-identical dict sweep.
+    One :func:`~repro.thermal.steady_state.solve_steady_state_batch` call;
+    chassis networks are far below the sparse thresholds, so ``"auto"``
+    keeps the bit-identical dict sweep.
     """
     del jobs  # one batched solve; kept for call-site compatibility
     spec = PLATFORM_BUILDERS[platform]()
@@ -76,7 +75,7 @@ def blockage_sweep(
     ]
     outlet: list[float] = []
     cpu: list[float] = []
-    for steady in solve_steady_state_batch(networks, backend=backend):
+    for steady in solve_steady_state_batch(networks):
         outlet.append(steady.outlet_temperature_c())
         cpu.append(
             max(

@@ -408,6 +408,7 @@ def run_schedule(
             result,
             clearance_s=max(schedule.last_clearance_s, config.quiet_from_s),
             relax_s=config.relax_s,
+            thermal_mass_j_per_k=simulator.room.thermal_mass_j_per_k,
         )
     obs = get_registry()
     if obs.enabled:

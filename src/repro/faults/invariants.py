@@ -175,14 +175,22 @@ def check_monotone_recovery(
     clearance_s: float,
     relax_s: float = hours(4.0),
     tolerance_c: float = 0.05,
+    *,
+    thermal_mass_j_per_k: float,
 ) -> list[Violation]:
     """After faults clear and the system relaxes, no new thermal peak.
 
     From ``clearance_s + relax_s`` onward the room temperature must never
     exceed its value at the start of that window by more than
-    ``tolerance_c`` — the wax may still be refreezing (releasing heat),
-    but a recovering system cannot climb to a fresh peak. Vacuously true
-    when the run has no room model or the window is empty.
+    ``tolerance_c`` — a recovering system cannot climb to a fresh peak.
+    The wax may still be refreezing, though, and the heat it releases
+    legitimately warms the room: given the room's
+    ``thermal_mass_j_per_k``, each sample's allowance grows by the
+    refreeze heat released since the window opened (the integral of
+    ``max(-wax_heat_w, 0)``) divided by that mass. That credit can lift
+    the allowance back toward the room's peak before the window, never
+    past it, so a true new peak always fails. Vacuously true when the
+    run has no room model or the window is empty.
     """
     room = result.room_temperature_c
     if room is None:
@@ -192,15 +200,25 @@ def check_monotone_recovery(
         return []
     temps = room[window]
     start = float(temps[0])
-    peak = float(np.max(temps))
-    if peak > start + tolerance_c:
-        index = int(np.argmax(temps))
+    refreeze_w = np.maximum(-np.asarray(result.wax_heat_w)[window], 0.0)
+    released_j = np.concatenate(
+        ([0.0], np.cumsum(refreeze_w[1:] * np.diff(result.times_s[window])))
+    )
+    base = start + tolerance_c
+    earlier_peak = float(room[~window].max()) if not np.all(window) else start
+    allowance = np.minimum(
+        base + released_j / thermal_mass_j_per_k, max(earlier_peak, base)
+    )
+    excess = temps - allowance
+    index = int(np.argmax(excess))
+    if excess[index] > 0.0:
         when = result.times_s[window][index]
         return [
             Violation(
                 "monotone_recovery",
-                f"room reached {peak:.3f} C at t={when:.0f}s, above the "
-                f"recovery-window start {start:.3f} C + {tolerance_c} C",
+                f"room reached {temps[index]:.3f} C at t={when:.0f}s, above "
+                f"the recovery-window start {start:.3f} C + {tolerance_c} C "
+                f"+ refreeze credit {allowance[index] - base:.3f} C",
             )
         ]
     return []

@@ -25,7 +25,6 @@ from repro.thermal.backends import (
     SPARSE_AUTO_MAX_DENSITY,
     SPARSE_AUTO_MIN_STATE,
     SolverBackend,
-    available_backends,
     resolve_backend,
 )
 from repro.thermal.convection import ConvectiveCoupling, flow_scaled_conductance
@@ -45,7 +44,6 @@ __all__ = [
     "SPARSE_AUTO_MAX_DENSITY",
     "SPARSE_AUTO_MIN_STATE",
     "SolverBackend",
-    "available_backends",
     "resolve_backend",
     "rack_scale_network",
     "AirPath",

@@ -14,7 +14,8 @@ bit-identical to an unfaulted one.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import (
@@ -36,7 +37,9 @@ from repro.faults.chaos import (
     result_fingerprint,
     run_schedule,
 )
+from repro.dcsim.simulator import SimulationResult
 from repro.faults.injector import FaultInjector
+from repro.faults.invariants import check_monotone_recovery
 from repro.units import hours
 
 #: Scaled-down chaos scenario so simulation-backed properties stay cheap
@@ -222,6 +225,9 @@ class TestScheduleAlgebra:
 class TestSimulationInvariants:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
+    # A fan derate leaves the wax molten; its refreeze heat warms the
+    # room inside the recovery window without any fresh peak.
+    @example(seed=476)
     def test_generated_schedules_hold_all_invariants(self, seed):
         """Finite traces, melt in [0,1], energy closure, recovery."""
         run = run_schedule(random_schedule(seed, SMALL), SMALL)
@@ -253,6 +259,69 @@ class TestSimulationInvariants:
         )
         faulted = build_simulator(SMALL, FaultInjector(dormant)).run()
         assert result_fingerprint(faulted) == _plain_fingerprint()
+
+
+def _recovery_result(room_c, wax_heat_w) -> SimulationResult:
+    """A synthetic run whose only populated traces are room and wax."""
+    n = len(room_c)
+    zeros = np.zeros(n)
+    return SimulationResult(
+        times_s=np.arange(1, n + 1) * 60.0,
+        demand=zeros,
+        utilization=zeros,
+        frequency_ghz=zeros,
+        power_w=zeros,
+        cooling_load_w=zeros,
+        wax_heat_w=np.asarray(wax_heat_w, dtype=float),
+        melt_fraction=zeros,
+        throughput=zeros,
+        queue_length=zeros,
+        shed_work=zeros,
+        room_temperature_c=np.asarray(room_c, dtype=float),
+    )
+
+
+class TestMonotoneRecovery:
+    """The first sample (t = 60 s) precedes the window opening at 120 s."""
+
+    MASS_J_PER_K = 60_000.0
+
+    def violated(self, room_c, wax_heat_w) -> list[str]:
+        result = _recovery_result(room_c, wax_heat_w)
+        violations = check_monotone_recovery(
+            result, 120.0, 0.0, thermal_mass_j_per_k=self.MASS_J_PER_K
+        )
+        return [v.invariant for v in violations]
+
+    def test_refreeze_heat_is_credited(self):
+        # 500 W of refreeze heat over two 60 s ticks: 1.0 C of credit.
+        room = [30.0, 27.0, 27.4, 27.9]
+        assert self.violated(room, [0.0, 0.0, -500.0, -500.0]) == []
+        assert self.violated(room, [0.0, 0.0, 0.0, 0.0]) == [
+            "monotone_recovery"
+        ]
+
+    def test_fresh_peak_still_fails(self):
+        # The wax is absorbing, not refreezing, so nothing is credited.
+        room = [30.0, 27.0, 27.4, 27.9]
+        assert self.violated(room, [0.0, 0.0, 500.0, 500.0]) == [
+            "monotone_recovery"
+        ]
+
+    def test_rise_beyond_the_credit_fails(self):
+        # 50 W over two ticks credits 0.1 C; the room rises 0.9 C.
+        room = [30.0, 27.0, 27.4, 27.9]
+        assert self.violated(room, [0.0, 0.0, -50.0, -50.0]) == [
+            "monotone_recovery"
+        ]
+
+    def test_refreeze_cannot_excuse_a_new_peak(self):
+        # 5 kW of refreeze heat credits 10 C, but the room climbs past
+        # its 28.0 C peak from before the window, so the rise fails.
+        room = [28.0, 27.0, 27.4, 28.5]
+        assert self.violated(room, [0.0, 0.0, -5000.0, -5000.0]) == [
+            "monotone_recovery"
+        ]
 
 
 _PLAIN_FINGERPRINT: list[str] = []

@@ -14,7 +14,7 @@ counters.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.dcsim.fluid_engine as fe
@@ -157,6 +157,26 @@ class TestEngineEquivalence:
         schedule=_schedules(),
         with_room=st.booleans(),
         hours=st.floats(min_value=1.0, max_value=10.0),
+    )
+    # A fault starting at t = 0 must bound the first stretch.
+    @example(
+        levels=[1.0, 0.0],
+        servers=2,
+        planner="plain",
+        schedule=FaultSchedule(
+            faults=(
+                Fault(
+                    kind="cooling_loss",
+                    start_s=0.0,
+                    end_s=61.0,
+                    magnitude=0.5,
+                    seed=0,
+                ),
+            ),
+            name="fluid-equiv",
+        ),
+        with_room=True,
+        hours=1.0,
     )
     def test_bit_identical_traces(
         self, levels, servers, planner, schedule, with_room, hours

@@ -2,24 +2,6 @@
 
 Runs a fixed suite of benchmark scenarios over the library's hot paths,
 writes a versioned ``BENCH_<sha>.json`` artifact, and compares it against
-a checked-in baseline with a configurable tolerance — the gate CI fails
-on. See :mod:`repro.bench.regression`.
+a checked-in baseline within a fixed tolerance — the gate CI fails on.
+See :mod:`repro.bench.regression`.
 """
-
-from repro.bench.regression import (
-    BENCH_SCHEMA,
-    Comparison,
-    compare_reports,
-    main,
-    run_scenarios,
-    scenario_names,
-)
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "Comparison",
-    "compare_reports",
-    "main",
-    "run_scenarios",
-    "scenario_names",
-]

@@ -5,15 +5,15 @@ wall-clock — the chassis RK4 transient and steady-state fixed point,
 the solver's right-hand-side kernels and backends, the vectorized
 cluster tick, fluid- and event-mode simulated days, the control loop,
 and the service front (:data:`SCENARIOS` lists them all). Scenarios
-that compare a reference path against a fast one time the two
-interleaved and score each on its best chunk
-(:func:`_interleaved_rhs_best` for the solver kernels). Scenarios run
-with observability collection on, so every result
-carries the run's deterministic work counters (RK4 steps, events
-processed) alongside its wall-clock:
+that compare a reference path against a fast one time the two with
+:func:`_interleaved_best`, and a scenario's :class:`Gate` turns the
+metric it returns into a pass/fail counter. Scenarios run with
+observability collection on, so every result carries the run's
+deterministic work counters (RK4 steps, events processed) alongside
+its wall-clock:
 
 * **times** catch "the same work got slower" regressions and are gated
-  with a relative tolerance (CI hardware is noisy, so the default is
+  with a relative tolerance (CI hardware is noisy, so the tolerance is
   generous);
 * **counters** catch "the code silently started doing more work"
   regressions machine-independently; they are reported always and gated
@@ -42,13 +42,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.obs import get_registry
-from repro.runner.pool import sweep
 
 #: Version tag of the benchmark artifact schema.
 BENCH_SCHEMA = "repro.bench/1"
 
-#: Default relative slowdown tolerated before the gate fails (55%:
-#: shared CI runners jitter; the counters catch subtler drift).
+#: Relative slowdown tolerated before the gate fails (55%: shared CI
+#: runners jitter; the counters catch subtler drift).
 DEFAULT_TOLERANCE = 0.55
 
 #: Default baseline location relative to the repository root.
@@ -56,21 +55,68 @@ DEFAULT_BASELINE = "benchmarks/baseline.json"
 
 
 @dataclass(frozen=True)
+class Gate:
+    """A pass/fail counter on a metric a scenario's runnable returns.
+
+    The runnable returns a dict holding ``metric``. :meth:`apply` counts
+    ``counter`` as 1 when the value is at least ``bound`` (at most, when
+    ``upper``) and 0 otherwise, and, when ``floor_counter`` is named,
+    the value rounded down, so that counter reads "at least Nx".
+    """
+
+    metric: str
+    counter: str
+    bound: float
+    upper: bool = False
+    floor_counter: str | None = None
+
+    def apply(self, metrics: dict[str, float]) -> None:
+        value = metrics[self.metric]
+        obs = get_registry()
+        if self.floor_counter is not None:
+            obs.count(self.floor_counter, int(value))
+        passed = value <= self.bound if self.upper else value >= self.bound
+        obs.count(self.counter, int(passed))
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One benchmark scenario: a named, repeatable callable.
 
-    ``build(quick, jobs)`` returns the runnable; scenarios that measure
-    a parallel-capable sweep honor ``jobs``, the single-kernel ones
-    ignore it (their point is the serial hot path).
+    ``build(quick)`` does the set-up and returns the runnable each
+    repeat times. A ``gate`` applies after every full-mode repeat; quick
+    mode runs smaller workloads and skips it.
     """
 
     name: str
     description: str
-    build: Callable[[bool, int], Callable[[], object]]
+    build: Callable[[bool], Callable[[], object]]
     repeats: int = 3
+    gate: Gate | None = None
 
 
-def _chassis_transient(quick: bool, jobs: int) -> Callable[[], object]:
+def _interleaved_best(
+    arms: Sequence[Callable[[int], Callable[[], object]]], rounds: int
+) -> list[float]:
+    """Each arm's best time over ``rounds`` rounds that run the arms in turn.
+
+    An arm is called with the round number and does its set-up there,
+    untimed; only the callable it returns is timed. Interleaving puts
+    drift in machine load on every arm alike, and scoring each arm on
+    its best round keeps a scheduler hiccup hitting one arm from
+    masquerading as a speedup (or regression).
+    """
+    best = [float("inf")] * len(arms)
+    for round_number in range(rounds):
+        for index, arm in enumerate(arms):
+            work = arm(round_number)
+            start = time.perf_counter()
+            work()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
+def _chassis_transient(quick: bool) -> Callable[[], object]:
     from repro.server.chassis import constant_utilization
     from repro.server.configs import one_u_commodity
     from repro.thermal.solver import simulate_transient
@@ -83,7 +129,7 @@ def _chassis_transient(quick: bool, jobs: int) -> Callable[[], object]:
     return lambda: simulate_transient(network, horizon, output_interval_s=300.0)
 
 
-def _chassis_steady_state(quick: bool, jobs: int) -> Callable[[], object]:
+def _chassis_steady_state(quick: bool) -> Callable[[], object]:
     from repro.server.chassis import constant_utilization
     from repro.server.configs import one_u_commodity
     from repro.thermal.steady_state import solve_steady_state
@@ -94,7 +140,7 @@ def _chassis_steady_state(quick: bool, jobs: int) -> Callable[[], object]:
     return lambda: solve_steady_state(network)
 
 
-def _cluster_ticks(quick: bool, jobs: int) -> Callable[[], object]:
+def _cluster_ticks(quick: bool) -> Callable[[], object]:
     import numpy as np
 
     from repro.dcsim.thermal_coupling import ClusterThermalState
@@ -112,128 +158,67 @@ def _cluster_ticks(quick: bool, jobs: int) -> Callable[[], object]:
     utilization = np.full(1008, 0.7)
     n_ticks = 20 if quick else 100
 
-    def run() -> object:
-        result = None
+    def run() -> None:
         for _ in range(n_ticks):
-            result = state.step(60.0, utilization, 2.4)
-        return result
+            state.step(60.0, utilization, 2.4)
 
     return run
 
 
-def _fluid_speedup(
-    quick: bool, servers: int, gate: bool
-) -> Callable[[], object]:
-    """Interleaved reference-vs-batched fluid run on the Google day.
+def _one_u_simulators(trace, servers: int) -> Callable[..., object]:
+    """Factory of the simulators every dcsim scenario runs.
 
-    Each repeat runs the scalar reference engine and then the batched
-    stretch engine on the identical workload, so machine-load drift hits
-    both arms and the ratio stays honest. ``gate`` scenarios (the
-    1008-server day, full mode only) land the floored ratio in
-    ``dcsim.bench.fluid_speedup`` plus the ``_ge_3x`` gate counter;
-    non-gated runs record the ratio for eyeballing only.
+    A 1U cluster of ``servers`` servers with 43 degC paraffin, over
+    ``trace``. The platform is characterized once, here; each call
+    assembles a fresh ``DatacenterSimulator`` with wax enabled and the
+    given ``SimulationConfig`` fields.
     """
     from repro.dcsim.cluster import ClusterTopology
     from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
     from repro.materials.library import commercial_paraffin_with_melting_point
     from repro.server.characterization import characterize_platform
     from repro.server.configs import one_u_commodity
-    from repro.workload.google import synthesize_google_trace
 
     spec = one_u_commodity()
     characterization = characterize_platform(spec)
-    trace = synthesize_google_trace().total
+
+    def make(**config: object) -> DatacenterSimulator:
+        return DatacenterSimulator(
+            characterization,
+            spec.power_model,
+            commercial_paraffin_with_melting_point(43.0),
+            trace,
+            topology=ClusterTopology(server_count=servers),
+            config=SimulationConfig(wax_enabled=True, **config),
+        )
+
+    return make
+
+
+def _fluid_speedup(servers: int) -> Callable[[], object]:
+    """Reference-vs-batched fluid engine on the two-day Google trace."""
+    from repro.workload.google import synthesize_google_trace
+
+    make = _one_u_simulators(synthesize_google_trace().total, servers)
+
+    def arm(engine: str) -> Callable[[int], Callable[[], object]]:
+        return lambda _round: make(mode="fluid", engine=engine).run
 
     def run() -> dict[str, float]:
-        def simulate(engine: str) -> float:
-            simulator = DatacenterSimulator(
-                characterization,
-                spec.power_model,
-                commercial_paraffin_with_melting_point(43.0),
-                trace,
-                topology=ClusterTopology(server_count=servers),
-                config=SimulationConfig(
-                    mode="fluid", wax_enabled=True, engine=engine
-                ),
-            )
-            start = time.perf_counter()
-            simulator.run()
-            return time.perf_counter() - start
-
-        reference_s = simulate("reference")
-        batched_s = simulate("batched")
-        speedup = reference_s / batched_s if batched_s > 0 else 0.0
-        obs = get_registry()
-        if obs.enabled:
-            obs.record("dcsim.bench.fluid_speedup_ratio", speedup)
-            # Floor, so the counter reads "at least Nx"; quick mode runs
-            # a smaller cluster and skips the gate counters.
-            if gate and not quick:
-                obs.count("dcsim.bench.fluid_speedup", int(speedup))
-                obs.count(
-                    "dcsim.bench.fluid_speedup_ge_3x", int(speedup >= 3.0)
-                )
-        return {
-            "reference_s": reference_s,
-            "batched_s": batched_s,
-            "speedup": speedup,
-        }
+        reference_s, batched_s = _interleaved_best(
+            (arm("reference"), arm("batched")), rounds=1
+        )
+        return {"speedup": reference_s / batched_s if batched_s > 0 else 0.0}
 
     return run
 
 
-def _fluid_day_96(quick: bool, jobs: int) -> Callable[[], object]:
-    return _fluid_speedup(quick, servers=48 if quick else 96, gate=False)
-
-
-def _fluid_day_1008(quick: bool, jobs: int) -> Callable[[], object]:
-    return _fluid_speedup(quick, servers=252 if quick else 1008, gate=True)
-
-
-def _event_day(quick: bool, jobs: int) -> Callable[[], object]:
-    from repro.dcsim.cluster import ClusterTopology
-    from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
-    from repro.materials.library import commercial_paraffin_with_melting_point
-    from repro.server.characterization import characterize_platform
-    from repro.server.configs import one_u_commodity
+def _event_day(servers: int, horizon_h: float) -> Callable[[], object]:
     from repro.units import hours
     from repro.workload.synthetic import diurnal_trace
 
-    spec = one_u_commodity()
-    characterization = characterize_platform(spec)
-    day = diurnal_trace(duration_s=hours(6.0) if quick else hours(24.0))
-    servers = 32 if quick else 96
-    return lambda: DatacenterSimulator(
-        characterization,
-        spec.power_model,
-        commercial_paraffin_with_melting_point(43.0),
-        day,
-        topology=ClusterTopology(server_count=servers),
-        config=SimulationConfig(mode="event", wax_enabled=True),
-    ).run()
-
-
-def _event_day_1008(quick: bool, jobs: int) -> Callable[[], object]:
-    from repro.dcsim.cluster import ClusterTopology
-    from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
-    from repro.materials.library import commercial_paraffin_with_melting_point
-    from repro.server.characterization import characterize_platform
-    from repro.server.configs import one_u_commodity
-    from repro.units import hours
-    from repro.workload.synthetic import diurnal_trace
-
-    spec = one_u_commodity()
-    characterization = characterize_platform(spec)
-    day = diurnal_trace(duration_s=hours(2.0) if quick else hours(6.0))
-    servers = 252 if quick else 1008
-    return lambda: DatacenterSimulator(
-        characterization,
-        spec.power_model,
-        commercial_paraffin_with_melting_point(43.0),
-        day,
-        topology=ClusterTopology(server_count=servers),
-        config=SimulationConfig(mode="event", wax_enabled=True),
-    ).run()
+    make = _one_u_simulators(diurnal_trace(duration_s=hours(horizon_h)), servers)
+    return lambda: make(mode="event").run()
 
 
 #: The seed-era event loop on ``event_day_96`` (committed
@@ -246,32 +231,19 @@ _SEED_DAY96_S = 4.3170459829998435
 _SEED_DAY96_EVENTS = 263212
 
 
-def _event_speedup(quick: bool, jobs: int) -> Callable[[], object]:
-    from repro.dcsim.cluster import ClusterTopology
-    from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
-    from repro.materials.library import commercial_paraffin_with_melting_point
-    from repro.server.characterization import characterize_platform
-    from repro.server.configs import one_u_commodity
+def _event_speedup(quick: bool) -> Callable[[], object]:
     from repro.units import hours
     from repro.workload.jobs import cached_arrival_stream
     from repro.workload.synthetic import diurnal_trace
 
-    spec = one_u_commodity()
-    characterization = characterize_platform(spec)
-    day = diurnal_trace(duration_s=hours(6.0) if quick else hours(24.0))
     servers = 32 if quick else 96
+    make = _one_u_simulators(
+        diurnal_trace(duration_s=hours(6.0 if quick else 24.0)), servers
+    )
+    seed_rate = _SEED_DAY96_EVENTS / _SEED_DAY96_S
 
     def run() -> dict[str, float]:
-        simulator = DatacenterSimulator(
-            characterization,
-            spec.power_model,
-            commercial_paraffin_with_melting_point(43.0),
-            day,
-            topology=ClusterTopology(server_count=servers),
-            config=SimulationConfig(
-                mode="event", wax_enabled=True, engine="batched"
-            ),
-        )
+        simulator = make(mode="event", engine="batched")
         # Pre-warm the arrival stream so the measured window is engine
         # throughput, not Ogata thinning (the seed anchor excluded
         # per-repeat generation the same way: min-of-repeats).
@@ -288,36 +260,19 @@ def _event_speedup(quick: bool, jobs: int) -> Callable[[], object]:
         elapsed = time.perf_counter() - start
         events = obs.snapshot().counters.get("dcsim.events", 0) - before
         rate = events / elapsed if elapsed > 0 else 0.0
-        seed_rate = _SEED_DAY96_EVENTS / _SEED_DAY96_S
-        speedup = rate / seed_rate if seed_rate > 0 else 0.0
-        if obs.enabled:
-            obs.record("dcsim.bench.events_per_sec", rate)
-            # Floor, so the counter reads "at least Nx"; the quick lane
-            # runs a different workload and records the ratio only for
-            # eyeballing, not the gate.
-            if not quick:
-                obs.count("dcsim.bench.event_speedup", int(speedup))
-                obs.count(
-                    "dcsim.bench.event_speedup_ge_5x", int(speedup >= 5.0)
-                )
-        return {
-            "events_per_sec": rate,
-            "speedup_vs_seed": speedup,
-        }
+        return {"speedup": rate / seed_rate}
 
     return run
 
 
-def _control_overhead(quick: bool, jobs: int) -> Callable[[], object]:
+def _control_overhead(quick: bool) -> Callable[[], object]:
     """Per-tick cost of the control loop over the bare policy stack.
 
-    Runs the chaos plant twice back to back — legacy throttling policy,
-    then a :class:`~repro.control.ControlLoop` wrapping the ported
-    greedy planner (decision-identical, so both arms do the same
-    simulation work) — and attributes the wall-clock difference to the
-    loop's per-tick machinery. The microseconds-per-tick figure lands in
-    ``control.bench.overhead_us_per_tick`` and the gate counter
-    ``control.bench.overhead_le_500us``.
+    Times the chaos plant under the legacy throttling policy against
+    the same plant under a :class:`~repro.control.ControlLoop` wrapping
+    the ported greedy planner (decision-identical, so both arms do the
+    same simulation work), two rounds each, and attributes the
+    difference to the loop's per-tick machinery.
     """
     from repro.control import ControlLoop, GreedyThrottlePolicy
     from repro.faults.chaos import ChaosConfig, build_simulator
@@ -334,75 +289,59 @@ def _control_overhead(quick: bool, jobs: int) -> Callable[[], object]:
         relax_s=hours(2.0),
     )
 
-    def run() -> dict[str, float]:
-        def control_factory(room, injector):
-            return ControlLoop(
-                GreedyThrottlePolicy(),
-                room,
-                injector=injector,
-                tick_interval_s=config.tick_interval_s,
-            )
-
-        # Interleave the arms so drift in machine load hits both.
-        plain_s = []
-        control_s = []
-        n_ticks = 0
-        for _ in range(2):
-            plain = build_simulator(config)
-            start = time.perf_counter()
-            plain.run()
-            plain_s.append(time.perf_counter() - start)
-
-            controlled = build_simulator(
-                config, policy_factory=control_factory
-            )
-            start = time.perf_counter()
-            controlled.run()
-            control_s.append(time.perf_counter() - start)
-            n_ticks = len(controlled.policy.decision_log)
-
-        overhead_us = (
-            (min(control_s) - min(plain_s)) / max(n_ticks, 1) * 1e6
+    def control_factory(room, injector):
+        return ControlLoop(
+            GreedyThrottlePolicy(),
+            room,
+            injector=injector,
+            tick_interval_s=config.tick_interval_s,
         )
-        obs = get_registry()
-        if obs.enabled:
-            obs.record("control.bench.overhead_us_per_tick", overhead_us)
-            # The quick lane runs a different plant; gate on full only.
-            if not quick:
-                obs.count(
-                    "control.bench.overhead_le_500us",
-                    int(overhead_us <= 500.0),
-                )
-        return {"overhead_us_per_tick": overhead_us}
+
+    def run() -> dict[str, float]:
+        controlled = []  # the wrapped plants, for their decision logs
+
+        def control_arm(_round: int) -> Callable[[], object]:
+            controlled.append(
+                build_simulator(config, policy_factory=control_factory)
+            )
+            return controlled[-1].run
+
+        plain_s, control_s = _interleaved_best(
+            (lambda _round: build_simulator(config).run, control_arm),
+            rounds=2,
+        )
+        n_ticks = max(len(controlled[-1].policy.decision_log), 1)
+        return {"overhead_us_per_tick": (control_s - plain_s) / n_ticks * 1e6}
 
     return run
 
 
-def _fig7_sweep(quick: bool, jobs: int) -> Callable[[], object]:
+def _fig7_sweep(quick: bool) -> Callable[[], object]:
     from repro.experiments.fig7_blockage import run
 
-    return lambda: run(quick=quick, jobs=jobs)
+    return lambda: run(quick=quick)
 
 
-def _interleaved_rhs_best(
+#: Rounds of every right-hand-side comparison; round ``r`` replays
+#: chunk ``r`` of the evaluations.
+_RHS_CHUNKS = 5
+
+
+def _rhs_arms(
     network,
     paths: Sequence[Callable[[object, float], object]],
     n_steps: int,
     seed: int,
-) -> tuple[Callable[[], list[float]], int, int]:
-    """Best-of-chunk timing of several right-hand-side paths, interleaved.
+) -> tuple[list[Callable[[int], Callable[[], None]]], int]:
+    """:func:`_interleaved_best` arms that replay RK4-pattern evaluations.
 
-    Each of five chunks replays ``n_steps // 5`` RK4 steps' worth of
-    evaluations through each path in turn; the four substage (time
-    offset, state) pairs of one step use seeded perturbations of the
-    initial state to stand in for the integrator's intermediate stages,
-    so every path sees the solver's real call pattern. Scoring each path
-    on its best chunk keeps a scheduler hiccup hitting one path from
-    masquerading as a kernel speedup (or regression).
-
-    Returns ``(measure, evals, total_evals)``: ``measure()`` gives each
-    path's best chunk in seconds, ``evals`` is the evaluations in one
-    chunk and ``total_evals`` those one ``measure()`` makes per path.
+    The ``n_steps`` RK4 steps split into :data:`_RHS_CHUNKS` chunks, and
+    round ``r`` feeds chunk ``r`` through each path in turn. The four
+    substage (time offset, state) pairs of one step use seeded
+    perturbations of the initial state to stand in for the integrator's
+    intermediate stages, so every path sees the solver's real call
+    pattern. Returns one arm per path and the evaluations each path
+    makes over all rounds.
     """
     import numpy as np
 
@@ -417,29 +356,21 @@ def _interleaved_rhs_best(
         (0.5, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
         (1.0, base * (1.0 + 1e-4 * rng.standard_normal(base.shape))),
     ]
-    n_chunks = 5
-    chunk_steps = max(1, n_steps // n_chunks)
+    chunk_steps = max(1, n_steps // _RHS_CHUNKS)
 
-    def timed_chunk(evaluate, chunk: int) -> float:
-        start = time.perf_counter()
+    def replay(evaluate, chunk: int) -> None:
         for step in range(chunk * chunk_steps, (chunk + 1) * chunk_steps):
             t0 = step * dt
             for offset, state in stages:
                 evaluate(state, t0 + offset * dt)
-        return time.perf_counter() - start
 
-    def measure() -> list[float]:
-        chunks: list[list[float]] = [[] for _ in paths]
-        for chunk in range(n_chunks):
-            for times, evaluate in zip(chunks, paths):
-                times.append(timed_chunk(evaluate, chunk))
-        return [min(times) for times in chunks]
+    def arm(evaluate) -> Callable[[int], Callable[[], None]]:
+        return lambda chunk: lambda: replay(evaluate, chunk)
 
-    evals = 4 * chunk_steps
-    return measure, evals, evals * n_chunks
+    return [arm(path) for path in paths], 4 * chunk_steps * _RHS_CHUNKS
 
 
-def _solver_rhs(quick: bool, jobs: int) -> Callable[[], object]:
+def _solver_rhs(quick: bool) -> Callable[[], object]:
     from repro.server.chassis import constant_utilization
     from repro.server.configs import one_u_commodity
     from repro.thermal.solver import _CompiledNetwork
@@ -448,7 +379,7 @@ def _solver_rhs(quick: bool, jobs: int) -> Callable[[], object]:
         constant_utilization(0.8), with_wax=True
     )
     compiled = _CompiledNetwork(network)
-    measure, evals, total_evals = _interleaved_rhs_best(
+    arms, evals = _rhs_arms(
         network,
         (network.state_derivative, compiled.rhs),
         n_steps=40 if quick else 200,
@@ -456,25 +387,17 @@ def _solver_rhs(quick: bool, jobs: int) -> Callable[[], object]:
     )
 
     def run() -> dict[str, float]:
-        reference_s, vectorized_s = measure()
-        speedup = (
-            reference_s / vectorized_s if vectorized_s > 0 else float("inf")
-        )
+        reference_s, vectorized_s = _interleaved_best(arms, _RHS_CHUNKS)
         obs = get_registry()
-        if obs.enabled:
-            obs.count("solver.bench.reference_evals", total_evals)
-            obs.count("solver.bench.vectorized_evals", total_evals)
-            obs.count("solver.bench.speedup_ge_3x", int(speedup >= 3.0))
-        return {
-            "reference_us_per_eval": reference_s / evals * 1e6,
-            "vectorized_us_per_eval": vectorized_s / evals * 1e6,
-            "speedup": speedup,
-        }
+        obs.count("solver.bench.reference_evals", evals)
+        obs.count("solver.bench.vectorized_evals", evals)
+        speedup = reference_s / vectorized_s if vectorized_s > 0 else float("inf")
+        return {"speedup": speedup}
 
     return run
 
 
-def _fig7_batched(quick: bool, jobs: int) -> Callable[[], object]:
+def _fig7_batched(quick: bool) -> Callable[[], object]:
     import numpy as np
 
     from repro.experiments.fig7_blockage import blockage_sweep
@@ -484,7 +407,7 @@ def _fig7_batched(quick: bool, jobs: int) -> Callable[[], object]:
     return lambda: blockage_sweep("1u", fractions)
 
 
-def _solver_backend_sparse(quick: bool, jobs: int) -> Callable[[], object]:
+def _solver_backend_sparse(quick: bool) -> Callable[[], object]:
     from repro.thermal.backends import SparseBackend
     from repro.thermal.solver import _CompiledNetwork
     from repro.thermal.synthetic import RACK_SCALE_SERVERS, rack_scale_network
@@ -494,34 +417,19 @@ def _solver_backend_sparse(quick: bool, jobs: int) -> Callable[[], object]:
     dense = _CompiledNetwork(network)
     sparse = _CompiledNetwork(network)
     sparse.set_backend(SparseBackend())
-    measure, evals, _ = _interleaved_rhs_best(
+    arms, _ = _rhs_arms(
         network, (dense.rhs, sparse.rhs), n_steps=10 if quick else 25, seed=11
     )
 
     def run() -> dict[str, float]:
-        dense_s, sparse_s = measure()
-        speedup = dense_s / sparse_s if sparse_s > 0 else float("inf")
-        obs = get_registry()
-        if obs.enabled:
-            obs.count("solver.bench.backend_nodes", dense.n_state)
-            # Floored ratio, so the counter reads "at least Nx"; gated in
-            # the baseline only for the full-size network (the quick lane
-            # runs a smaller one and records nothing).
-            if not quick:
-                obs.count("solver.bench.sparse_speedup", int(speedup))
-                obs.count(
-                    "solver.bench.sparse_speedup_ge_3x", int(speedup >= 3.0)
-                )
-        return {
-            "dense_us_per_eval": dense_s / evals * 1e6,
-            "sparse_us_per_eval": sparse_s / evals * 1e6,
-            "speedup": speedup,
-        }
+        dense_s, sparse_s = _interleaved_best(arms, _RHS_CHUNKS)
+        get_registry().count("solver.bench.backend_nodes", dense.n_state)
+        return {"speedup": dense_s / sparse_s if sparse_s > 0 else float("inf")}
 
     return run
 
 
-def _solver_backend_transient(quick: bool, jobs: int) -> Callable[[], object]:
+def _solver_backend_transient(quick: bool) -> Callable[[], object]:
     from repro.thermal.solver import simulate_transient
     from repro.thermal.synthetic import RACK_SCALE_SERVERS, rack_scale_network
 
@@ -535,25 +443,23 @@ def _solver_backend_transient(quick: bool, jobs: int) -> Callable[[], object]:
     )
 
 
-def _service_latency(quick: bool, jobs: int) -> Callable[[], object]:
+def _service_latency(quick: bool) -> Callable[[], object]:
     """Round-trip overhead of the service control plane on cache hits.
 
     Boots a real :class:`~repro.service.server.SimulationService` on a
     loopback socket with a fresh cache, pays for one cold solve, then
     times repeated resubmissions of the same spec — pure control-plane
-    work (HTTP parse, quota, cache read, JSON response). The p50 lands
-    in ``service.bench.cache_hit_p50_ms`` and the gate counter
-    ``service.bench.cache_hit_p50_le_50ms``.
+    work (HTTP parse, quota, cache read, JSON response) — and returns
+    their p50.
     """
     import asyncio
     import http.client
-    import json as _json
     import tempfile
 
     from repro.service.server import ServiceConfig, SimulationService
 
     rounds = 10 if quick else 40
-    body = _json.dumps(
+    body = json.dumps(
         {
             "tenant": "bench",
             "spec": {
@@ -574,7 +480,7 @@ def _service_latency(quick: bool, jobs: int) -> Callable[[], object]:
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
-        payload = _json.loads(response.read())
+        payload = json.loads(response.read())
         connection.close()
         if response.status != 200:
             raise RuntimeError(f"bench request failed: {payload}")
@@ -599,16 +505,7 @@ def _service_latency(quick: bool, jobs: int) -> Callable[[], object]:
                     return samples
 
         samples = asyncio.run(session())
-        p50_ms = statistics.median(samples) * 1e3
-        obs = get_registry()
-        if obs.enabled:
-            obs.record("service.bench.cache_hit_p50_ms", p50_ms)
-            if not quick:
-                obs.count(
-                    "service.bench.cache_hit_p50_le_50ms",
-                    int(p50_ms <= 50.0),
-                )
-        return {"cache_hit_p50_ms": p50_ms}
+        return {"cache_hit_p50_ms": statistics.median(samples) * 1e3}
 
     return run
 
@@ -633,65 +530,76 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "fluid_day_96",
         "two simulated days of a 96-server cluster in fluid mode, "
-        "reference then batched engine back to back; the ratio is "
-        "recorded (not gated) in dcsim.bench.fluid_speedup_ratio",
-        _fluid_day_96,
+        "reference then batched engine back to back",
+        lambda quick: _fluid_speedup(48 if quick else 96),
         repeats=2,
     ),
     Scenario(
         "fluid_day_1008",
         "two simulated days of a 1008-server cluster in fluid mode, "
-        "reference then batched engine back to back; the floored ratio "
-        "lands in the dcsim.bench.fluid_speedup counter and the gate "
-        "counter dcsim.bench.fluid_speedup_ge_3x",
-        _fluid_day_1008,
+        "reference then batched engine back to back",
+        lambda quick: _fluid_speedup(252 if quick else 1008),
         repeats=2,
+        gate=Gate(
+            "speedup",
+            "dcsim.bench.fluid_speedup_ge_3x",
+            3.0,
+            floor_counter="dcsim.bench.fluid_speedup",
+        ),
     ),
     Scenario(
         "event_day_96",
         "a simulated day of discrete-event traffic on 96 servers",
-        _event_day,
+        lambda quick: _event_day(32 if quick else 96, 6.0 if quick else 24.0),
         repeats=2,
     ),
     Scenario(
         "event_day_1008",
         "six simulated hours of discrete-event traffic on 1008 servers "
         "(the large-cluster lane of the batched event engine)",
-        _event_day_1008,
+        lambda quick: _event_day(252 if quick else 1008, 2.0 if quick else 6.0),
         repeats=2,
     ),
     Scenario(
         "event_speedup",
         "batched-engine throughput on the event_day_96 workload against "
-        "the seed-era loop's 61k events/s; the ratio lands in the "
-        "dcsim.bench.event_speedup counter (floored) and "
-        "dcsim.bench.event_speedup_ge_5x",
+        "the seed-era loop's 61k events/s",
         _event_speedup,
         repeats=2,
+        gate=Gate(
+            "speedup",
+            "dcsim.bench.event_speedup_ge_5x",
+            5.0,
+            floor_counter="dcsim.bench.event_speedup",
+        ),
     ),
     Scenario(
         "fig7_sweep",
         "the full Fig 7 blockage grid (three 19-point batched steady "
-        "solves); honors --jobs, so it measures the parallel speedup of "
-        "the sweep runner over the platform batches",
+        "solves)",
         _fig7_sweep,
         repeats=2,
     ),
     Scenario(
         "control_overhead",
         "the chaos plant with the bare greedy throttle, then with the "
-        "decision-identical ControlLoop wrapper; the per-tick loop cost "
-        "lands in control.bench.overhead_us_per_tick and the gate "
-        "counter control.bench.overhead_le_500us",
+        "decision-identical ControlLoop wrapper; gated on the loop's "
+        "cost per tick",
         _control_overhead,
         repeats=2,
+        gate=Gate(
+            "overhead_us_per_tick",
+            "control.bench.overhead_le_500us",
+            500.0,
+            upper=True,
+        ),
     ),
     Scenario(
         "solver_rhs",
         "800 RK4-pattern derivative evaluations of the chassis network, "
-        "dict reference then vectorized kernel; the speedup lands in the "
-        "solver.bench.speedup_ge_3x counter",
+        "dict reference then vectorized kernel",
         _solver_rhs,
+        gate=Gate("speedup", "solver.bench.speedup_ge_3x", 3.0),
     ),
     Scenario(
         "fig7_batched",
@@ -702,18 +610,27 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "solver_backend_sparse",
         "RK4-pattern derivative evaluations of the ~2.2k-node synthetic "
-        "rack network, dense NumPy backend then SciPy CSR; the speedup "
-        "lands in solver.bench.sparse_speedup (floored) and "
-        "solver.bench.sparse_speedup_ge_3x",
+        "rack network, dense NumPy backend then SciPy CSR",
         _solver_backend_sparse,
+        gate=Gate(
+            "speedup",
+            "solver.bench.sparse_speedup_ge_3x",
+            3.0,
+            floor_counter="solver.bench.sparse_speedup",
+        ),
     ),
     Scenario(
         "service_latency",
         "cache-hit round trips against a live in-process simulation "
-        "service; the p50 lands in service.bench.cache_hit_p50_ms and "
-        "the gate counter service.bench.cache_hit_p50_le_50ms",
+        "service; gated on their p50",
         _service_latency,
         repeats=2,
+        gate=Gate(
+            "cache_hit_p50_ms",
+            "service.bench.cache_hit_p50_le_50ms",
+            50.0,
+            upper=True,
+        ),
     ),
     Scenario(
         "solver_backend_transient",
@@ -728,33 +645,6 @@ SCENARIOS: tuple[Scenario, ...] = (
 def scenario_names() -> list[str]:
     """Names of every scenario in suite order."""
     return [scenario.name for scenario in SCENARIOS]
-
-
-@dataclass
-class ScenarioResult:
-    """Measurements of one scenario."""
-
-    name: str
-    repeats: int
-    times_s: list[float]
-    counters: dict[str, int]
-
-    @property
-    def min_s(self) -> float:
-        return min(self.times_s)
-
-    @property
-    def median_s(self) -> float:
-        return statistics.median(self.times_s)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "repeats": self.repeats,
-            "times_s": self.times_s,
-            "min_s": self.min_s,
-            "median_s": self.median_s,
-            "counters": dict(sorted(self.counters.items())),
-        }
 
 
 def _git_sha() -> str:
@@ -775,7 +665,6 @@ def run_scenarios(
     names: Sequence[str] | None = None,
     repeats: int | None = None,
     quick: bool = False,
-    jobs: int = 1,
     echo: Callable[[str], None] | None = None,
     profiler: "cProfile.Profile | None" = None,
 ) -> dict[str, object]:
@@ -783,20 +672,17 @@ def run_scenarios(
 
     Collection is forced on for the duration so every scenario reports
     its deterministic work counters; the registry's prior enabled state
-    and contents are restored afterwards.
-
-    ``jobs`` reaches scenarios that measure a parallel sweep (e.g.
-    ``fig7_sweep``). With ``jobs > 1`` those scenarios do their solver
-    work in worker processes, so their counters move from the solver's
-    to the runner's — compare artifacts measured at the same ``jobs``.
-    The repeat loop itself always runs serially in-process through the
-    runner: timing demands the measured work own the interpreter.
+    and contents are restored afterwards. In full mode every repeat of a
+    gated scenario ends with its :class:`Gate`. ``repeats``, when given,
+    overrides every scenario's repeat count and must be at least 1.
 
     ``profiler`` (a ``cProfile.Profile``) is enabled around every
     measured repeat, accumulating one profile across the selection.
     Tracing inflates wall times, so profiled reports are for hotspot
     hunting — don't gate them against an unprofiled baseline.
     """
+    if repeats is not None and repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     selected = SCENARIOS
     if names is not None:
         known = {scenario.name: scenario for scenario in SCENARIOS}
@@ -810,40 +696,37 @@ def run_scenarios(
     say = echo or (lambda _line: None)
     registry = get_registry()
     was_enabled = registry.enabled
-    results: dict[str, ScenarioResult] = {}
+    results: dict[str, dict[str, object]] = {}
     try:
         registry.enable()
         for scenario in selected:
-            runner = scenario.build(quick, jobs)
-            n_repeats = repeats or scenario.repeats
+            runner = scenario.build(quick)
+            gate = None if quick else scenario.gate
+            n_repeats = scenario.repeats if repeats is None else repeats
 
-            def run_once(_repeat: int) -> float:
+            def run_once() -> float:
                 registry.reset()
                 if profiler is not None:
                     profiler.enable()
                 try:
                     start = time.perf_counter()
-                    runner()
-                    return time.perf_counter() - start
+                    metrics = runner()
+                    elapsed = time.perf_counter() - start
                 finally:
                     if profiler is not None:
                         profiler.disable()
+                if gate is not None:
+                    gate.apply(metrics)
+                return elapsed
 
-            times: list[float] = list(
-                sweep(
-                    run_once,
-                    range(n_repeats),
-                    jobs=1,
-                    label=f"bench.{scenario.name}",
-                )
-            )
-            snapshot = registry.snapshot()
-            results[scenario.name] = ScenarioResult(
-                name=scenario.name,
-                repeats=n_repeats,
-                times_s=times,
-                counters=dict(snapshot.counters),
-            )
+            times = [run_once() for _ in range(n_repeats)]
+            results[scenario.name] = {
+                "repeats": n_repeats,
+                "times_s": times,
+                "min_s": min(times),
+                "median_s": statistics.median(times),
+                "counters": dict(sorted(registry.snapshot().counters.items())),
+            }
             say(
                 f"  {scenario.name}: min {min(times) * 1e3:.1f} ms over "
                 f"{n_repeats} runs"
@@ -859,9 +742,25 @@ def run_scenarios(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": quick,
-        "jobs": jobs,
-        "results": {name: result.to_dict() for name, result in results.items()},
+        "results": results,
     }
+
+
+@dataclass(frozen=True)
+class ScenarioDelta:
+    """One scenario's row of a comparison.
+
+    ``status`` is ``"ok"``, ``"improved"``, ``"REGRESSION"``,
+    ``"MISSING"`` (in the baseline, not measured) or ``"new"`` (not in
+    the baseline); only the first three carry a ratio and drift.
+    """
+
+    name: str
+    status: str
+    baseline_s: float | None = None
+    current_s: float | None = None
+    ratio: float | None = None
+    drift: tuple[tuple[str, object, object], ...] = ()
 
 
 @dataclass
@@ -872,6 +771,7 @@ class Comparison:
     improvements: list[str] = field(default_factory=list)
     counter_drift: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    rows: list[ScenarioDelta] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -890,19 +790,63 @@ class Comparison:
             lines.append("all benchmarks within tolerance of baseline")
         return "\n".join(lines)
 
+    def markdown(self, current_sha: str, baseline_sha: str) -> str:
+        """The rows as a baseline-drift table in GitHub-flavored markdown.
+
+        Written into ``$GITHUB_STEP_SUMMARY`` by the CI bench step so
+        regressions are readable in the job page without downloading the
+        ``BENCH_<sha>.json`` artifact.
+        """
+
+        def ms(seconds: float | None) -> str:
+            return "—" if seconds is None else f"{seconds * 1e3:.1f}"
+
+        lines = [
+            "## repro-bench vs baseline",
+            "",
+            f"Gate tolerance: +{DEFAULT_TOLERANCE:.0%} on best-of-repeats "
+            f"wall time (commit `{current_sha}` vs baseline "
+            f"`{baseline_sha}`).",
+            "",
+            "| scenario | baseline (ms) | current (ms) | ratio | status |",
+            "| --- | ---: | ---: | ---: | --- |",
+        ]
+        for row in self.rows:
+            ratio = "—" if row.ratio is None else f"{row.ratio:.2f}x"
+            status = f"**{row.status}**" if row.status.isupper() else row.status
+            lines.append(
+                f"| {row.name} | {ms(row.baseline_s)} | {ms(row.current_s)} "
+                f"| {ratio} | {status} |"
+            )
+        if not self.rows:  # a schema or quick-mode mismatch compares nothing
+            lines.append("")
+            lines.extend(f"**REGRESSION**: {entry}" for entry in self.regressions)
+        drift = [
+            f"- `{row.name}`: `{counter}` {before} → {after}"
+            for row in self.rows
+            for counter, before, after in row.drift
+        ]
+        lines.append("")
+        if drift:
+            lines.extend(["### Counter drift", "", *drift])
+        else:
+            lines.append("No counter drift.")
+        return "\n".join(lines) + "\n"
+
 
 def compare_reports(
     current: dict[str, object],
     baseline: dict[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
     strict_counters: bool = False,
 ) -> Comparison:
     """Gate a current artifact against a baseline artifact.
 
     A scenario regresses when its best-of-repeats time exceeds the
-    baseline's by more than ``tolerance`` (relative), or when it is
-    missing from the current report. Counter differences are reported as
-    drift, and fail the gate only under ``strict_counters``.
+    baseline's by more than :data:`DEFAULT_TOLERANCE` (relative), or
+    when it is missing from the current report. Counter differences are
+    reported as drift, and fail the gate only under ``strict_counters``.
+    Each scenario is compared once, into both the verdict lists and the
+    row :meth:`Comparison.markdown` renders.
     """
     comparison = Comparison()
     for report, role in ((current, "current"), (baseline, "baseline")):
@@ -918,24 +862,24 @@ def compare_reports(
             "quick-mode mismatch between current and baseline reports"
         )
         return comparison
-    # Worker counts change both the times and where the counters land
-    # (parent vs pool workers), so cross-jobs comparisons are apples to
-    # oranges. Reports without the field (schema 1 artifacts predating
-    # the runner) count as jobs=1.
-    if int(current.get("jobs", 1)) != int(baseline.get("jobs", 1)):
-        comparison.regressions.append(
-            f"jobs mismatch between current ({current.get('jobs', 1)}) and "
-            f"baseline ({baseline.get('jobs', 1)}) reports"
-        )
-        return comparison
 
     current_results = current.get("results", {})
     baseline_results = baseline.get("results", {})
-    for name, base in baseline_results.items():
+    for name in sorted(set(current_results) | set(baseline_results)):
         cur = current_results.get(name)
+        base = baseline_results.get(name)
         if cur is None:
             comparison.regressions.append(
                 f"{name}: present in baseline but not measured"
+            )
+            comparison.rows.append(
+                ScenarioDelta(name, "MISSING", baseline_s=float(base["min_s"]))
+            )
+            continue
+        if base is None:
+            comparison.notes.append(f"{name}: new scenario, not in baseline")
+            comparison.rows.append(
+                ScenarioDelta(name, "new", current_s=float(cur["min_s"]))
             )
             continue
         base_s = float(base["min_s"])
@@ -945,98 +889,31 @@ def compare_reports(
             f"{name}: {cur_s * 1e3:.1f} ms vs baseline "
             f"{base_s * 1e3:.1f} ms ({ratio:.2f}x)"
         )
-        if ratio > 1.0 + tolerance:
+        status = "ok"
+        if ratio > 1.0 + DEFAULT_TOLERANCE:
+            status = "REGRESSION"
             comparison.regressions.append(detail)
-        elif ratio < 1.0 / (1.0 + tolerance):
+        elif ratio < 1.0 / (1.0 + DEFAULT_TOLERANCE):
+            status = "improved"
             comparison.improvements.append(detail)
 
-        base_counters = base.get("counters", {})
-        cur_counters = cur.get("counters", {})
-        for counter in sorted(set(base_counters) | set(cur_counters)):
-            before = base_counters.get(counter)
-            after = cur_counters.get(counter)
-            if before != after:
-                comparison.counter_drift.append(
-                    f"{name}: {counter} {before} -> {after}"
-                )
-    for name in sorted(set(current_results) - set(baseline_results)):
-        comparison.notes.append(f"{name}: new scenario, not in baseline")
+        before = base.get("counters", {})
+        after = cur.get("counters", {})
+        drift = tuple(
+            (counter, before.get(counter), after.get(counter))
+            for counter in sorted(set(before) | set(after))
+            if before.get(counter) != after.get(counter)
+        )
+        comparison.counter_drift.extend(
+            f"{name}: {counter} {old} -> {new}" for counter, old, new in drift
+        )
+        comparison.rows.append(
+            ScenarioDelta(name, status, base_s, cur_s, ratio, drift)
+        )
 
     if strict_counters and comparison.counter_drift:
         comparison.regressions.extend(comparison.counter_drift)
     return comparison
-
-
-def render_markdown_summary(
-    current: dict[str, object],
-    baseline: dict[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> str:
-    """A baseline-drift table in GitHub-flavored markdown.
-
-    Written into ``$GITHUB_STEP_SUMMARY`` by the CI bench step so
-    regressions are readable in the job page without downloading the
-    ``BENCH_<sha>.json`` artifact. Status thresholds match
-    :func:`compare_reports` at the same tolerance.
-    """
-    lines = [
-        "## repro-bench vs baseline",
-        "",
-        f"Gate tolerance: +{tolerance:.0%} on best-of-repeats wall time "
-        f"(commit `{current.get('git_sha', '?')}` vs baseline "
-        f"`{baseline.get('git_sha', '?')}`).",
-        "",
-        "| scenario | baseline (ms) | current (ms) | ratio | status |",
-        "| --- | ---: | ---: | ---: | --- |",
-    ]
-    current_results = current.get("results", {})
-    baseline_results = baseline.get("results", {})
-    for name in sorted(set(current_results) | set(baseline_results)):
-        cur = current_results.get(name)
-        base = baseline_results.get(name)
-        if cur is None:
-            lines.append(
-                f"| {name} | {float(base['min_s']) * 1e3:.1f} | — | — | "
-                f"**MISSING** |"
-            )
-            continue
-        if base is None:
-            lines.append(
-                f"| {name} | — | {float(cur['min_s']) * 1e3:.1f} | — | new |"
-            )
-            continue
-        base_s = float(base["min_s"])
-        cur_s = float(cur["min_s"])
-        ratio = cur_s / base_s if base_s > 0 else float("inf")
-        if ratio > 1.0 + tolerance:
-            status = "**REGRESSION**"
-        elif ratio < 1.0 / (1.0 + tolerance):
-            status = "improved"
-        else:
-            status = "ok"
-        lines.append(
-            f"| {name} | {base_s * 1e3:.1f} | {cur_s * 1e3:.1f} | "
-            f"{ratio:.2f}x | {status} |"
-        )
-    drift_lines = []
-    for name in sorted(set(current_results) & set(baseline_results)):
-        base_counters = baseline_results[name].get("counters", {})
-        cur_counters = current_results[name].get("counters", {})
-        for counter in sorted(set(base_counters) | set(cur_counters)):
-            before = base_counters.get(counter)
-            after = cur_counters.get(counter)
-            if before != after:
-                drift_lines.append(
-                    f"- `{name}`: `{counter}` {before} → {after}"
-                )
-    lines.append("")
-    if drift_lines:
-        lines.append("### Counter drift")
-        lines.append("")
-        lines.extend(drift_lines)
-    else:
-        lines.append("No counter drift.")
-    return "\n".join(lines) + "\n"
 
 
 def render_profile_markdown(
@@ -1061,18 +938,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI: run the suite, write the artifact, optionally gate."""
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Run the tier-2 benchmark suite and gate on a baseline.",
+        description="Run the tier-2 benchmark suite and gate on a baseline "
+        f"(tolerated slowdown +{DEFAULT_TOLERANCE:.0%}).",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         help=f"baseline artifact to gate against (e.g. {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative slowdown tolerated before failing (default %(default)s)",
     )
     parser.add_argument(
         "--output-dir",
@@ -1094,20 +966,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=None,
-        help="override per-scenario repeat count",
+        help="override per-scenario repeat count (at least 1)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="smaller horizons for a fast smoke run (baseline must match)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for parallel-capable scenarios such as "
-        "fig7_sweep (baseline must match; default 1)",
     )
     parser.add_argument(
         "--strict-counters",
@@ -1148,11 +1012,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for scenario in SCENARIOS:
             print(f"{scenario.name}: {scenario.description}")
         return 0
-    if args.tolerance < 0:
-        print("tolerance must be non-negative", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    if args.repeats is not None and args.repeats < 1:
+        print("--repeats must be >= 1", file=sys.stderr)
         return 2
     names = args.scenarios.split(",") if args.scenarios else None
     if names is not None:
@@ -1191,7 +1052,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         names=names,
         repeats=args.repeats,
         quick=args.quick,
-        jobs=args.jobs,
         echo=print,
         profiler=profiler,
     )
@@ -1224,10 +1084,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if baseline is None:
         return 0
     comparison = compare_reports(
-        report,
-        baseline,
-        tolerance=args.tolerance,
-        strict_counters=args.strict_counters,
+        report, baseline, strict_counters=args.strict_counters
     )
     print(comparison.render())
     if args.markdown_summary:
@@ -1235,7 +1092,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary_path.parent.mkdir(parents=True, exist_ok=True)
         with summary_path.open("a") as handle:
             handle.write(
-                render_markdown_summary(report, baseline, args.tolerance)
+                comparison.markdown(
+                    report["git_sha"], baseline.get("git_sha", "?")
+                )
             )
             if profile_section is not None:
                 handle.write("\n" + profile_section)

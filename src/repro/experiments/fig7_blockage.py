@@ -25,47 +25,13 @@ from repro.server.configs import PLATFORM_BUILDERS
 from repro.thermal.steady_state import solve_steady_state_batch
 
 
-def _solve_platform(
-    task: tuple[str, tuple[float, ...]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steady (outlet, hottest CPU) curves for one platform's grille sweep.
-
-    Sweep worker: each platform's fraction grid is one batched
-    steady-state solve (bit-identical to point-by-point solves), and the
-    three platforms fan out across the pool.
-    """
-    platform, fractions = task
-    spec = PLATFORM_BUILDERS[platform]()
-    networks = [
-        spec.chassis.with_grille_blockage(float(fraction)).build_network(
-            constant_utilization(1.0)
-        )
-        for fraction in fractions
-    ]
-    outlet: list[float] = []
-    cpu: list[float] = []
-    for steady in solve_steady_state_batch(networks):
-        outlet.append(steady.outlet_temperature_c())
-        cpu.append(
-            max(
-                value
-                for name, value in steady.temperatures_c.items()
-                if name.startswith("cpu")
-            )
-        )
-    return np.array(outlet), np.array(cpu)
-
-
-def blockage_sweep(
-    platform: str, fractions: np.ndarray, jobs: int = 1
-) -> dict[str, np.ndarray]:
+def blockage_sweep(platform: str, fractions: np.ndarray) -> dict[str, np.ndarray]:
     """Steady outlet and (hottest) CPU temperatures across a grille sweep.
 
-    One :func:`~repro.thermal.steady_state.solve_steady_state_batch` call;
-    chassis networks are far below the sparse thresholds, so ``"auto"``
-    keeps the bit-identical dict sweep.
+    One :func:`~repro.thermal.steady_state.solve_steady_state_batch`
+    call (bit-identical to point-by-point solves); chassis networks are
+    far below the sparse thresholds, so ``"auto"`` keeps the dict sweep.
     """
-    del jobs  # one batched solve; kept for call-site compatibility
     spec = PLATFORM_BUILDERS[platform]()
     networks = [
         spec.chassis.with_grille_blockage(float(fraction)).build_network(
@@ -91,6 +57,14 @@ def blockage_sweep(
     }
 
 
+def _solve_platform(
+    task: tuple[str, tuple[float, ...]],
+) -> dict[str, np.ndarray]:
+    """Sweep worker: one platform's whole grid as one :func:`blockage_sweep`."""
+    platform, fractions = task
+    return blockage_sweep(platform, np.array(fractions))
+
+
 def run(quick: bool = False, jobs: int = 1) -> ExperimentResult:
     """Sweep grille blockage for all three platforms.
 
@@ -113,15 +87,8 @@ def run(quick: bool = False, jobs: int = 1) -> ExperimentResult:
         _solve_platform, grid, jobs=jobs, label="runner.fig7_blockage"
     )
 
-    sweeps = {}
-    for index, platform in enumerate(platforms):
-        outlet_curve, cpu_curve = points[index]
-        curve = {
-            "blockage": fractions,
-            "outlet_c": outlet_curve,
-            "cpu_c": cpu_curve,
-        }
-        sweeps[platform] = curve
+    sweeps = dict(zip(platforms, points))
+    for platform, curve in sweeps.items():
         result.series[f"{platform}_blockage"] = curve["blockage"]
         result.series[f"{platform}_outlet_c"] = curve["outlet_c"]
         result.series[f"{platform}_cpu_c"] = curve["cpu_c"]

@@ -1,17 +1,26 @@
 """Tests for the performance-regression harness (repro.bench)."""
 
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.bench import regression
 from repro.bench.regression import (
     BENCH_SCHEMA,
+    SCENARIOS,
+    Gate,
+    Scenario,
+    _interleaved_best,
     compare_reports,
     main,
     run_scenarios,
     scenario_names,
 )
 from repro.obs import get_registry
+
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
 
 
 def make_report(results, quick=False, **overrides):
@@ -41,21 +50,21 @@ class TestCompareReports:
     def test_within_tolerance_passes(self):
         baseline = make_report({"a": scenario(1.0)})
         current = make_report({"a": scenario(1.2)})
-        comparison = compare_reports(current, baseline, tolerance=0.5)
+        comparison = compare_reports(current, baseline)
         assert comparison.ok
         assert comparison.regressions == []
 
     def test_slowdown_beyond_tolerance_fails(self):
         baseline = make_report({"a": scenario(1.0)})
         current = make_report({"a": scenario(1.6)})
-        comparison = compare_reports(current, baseline, tolerance=0.5)
+        comparison = compare_reports(current, baseline)
         assert not comparison.ok
         assert "a:" in comparison.regressions[0]
 
     def test_large_speedup_reported_as_improvement(self):
         baseline = make_report({"a": scenario(2.0)})
         current = make_report({"a": scenario(1.0)})
-        comparison = compare_reports(current, baseline, tolerance=0.5)
+        comparison = compare_reports(current, baseline)
         assert comparison.ok
         assert comparison.improvements
 
@@ -102,6 +111,83 @@ class TestCompareReports:
         text = compare_reports(current, baseline).render()
         assert "REGRESSION" in text
 
+    def test_markdown_renders_the_verdict_rows(self):
+        baseline = make_report(
+            {"a": scenario(1.0, {"x": 1}), "b": scenario(1.0), "gone": scenario(1.0)}
+        )
+        current = make_report(
+            {"a": scenario(1.0, {"x": 2}), "b": scenario(1.6), "new": scenario(1.0)}
+        )
+        table = compare_reports(current, baseline).markdown("abc1234", "def5678")
+        assert "| a | 1000.0 | 1000.0 | 1.00x | ok |" in table
+        assert "| b | 1000.0 | 1600.0 | 1.60x | **REGRESSION** |" in table
+        assert "| gone | 1000.0 | — | — | **MISSING** |" in table
+        assert "| new | — | 1000.0 | — | new |" in table
+        assert "- `a`: `x` 1 → 2" in table
+
+
+class TestInterleavedBest:
+    def test_arms_alternate_and_score_their_best_round(self, monkeypatch):
+        clock = SimpleNamespace(now=0.0)
+        clock.perf_counter = lambda: clock.now
+        monkeypatch.setattr(regression, "time", clock)
+        calls = []
+
+        def arm(label, durations):
+            def prepare(round_number):
+                calls.append(label)
+                clock.now += 100.0  # set-up, outside the timed region
+
+                def work():
+                    clock.now += durations[round_number]
+
+                return work
+
+            return prepare
+
+        best = _interleaved_best(
+            (arm("A", [3.0, 1.0, 2.0]), arm("B", [5.0, 6.0, 4.0])), rounds=3
+        )
+        assert calls == ["A", "B", "A", "B", "A", "B"]
+        assert best == [1.0, 4.0]
+
+
+class TestGates:
+    def counters(self, monkeypatch, gate, value, quick=False):
+        fake = Scenario(
+            "fake", "a fixed metric", lambda quick: lambda: {"m": value}, gate=gate
+        )
+        monkeypatch.setattr(regression, "SCENARIOS", (fake,))
+        report = run_scenarios(names=["fake"], repeats=1, quick=quick)
+        return report["results"]["fake"]["counters"]
+
+    def test_lower_bound_gate_with_floor_counter(self, monkeypatch):
+        gate = Gate("m", "fake.ge_3x", 3.0, floor_counter="fake.floor")
+        counters = self.counters(monkeypatch, gate, 4.7)
+        assert counters == {"fake.floor": 4, "fake.ge_3x": 1}
+        assert self.counters(monkeypatch, gate, 4.7, quick=True) == {}
+
+    def test_upper_bound_gate_fails_when_exceeded(self, monkeypatch):
+        gate = Gate("m", "fake.le_500us", 500.0, upper=True)
+        assert self.counters(monkeypatch, gate, 612.0) == {"fake.le_500us": 0}
+        assert self.counters(monkeypatch, gate, 480.0) == {"fake.le_500us": 1}
+
+    def test_baseline_gate_counters_are_the_declared_gates(self):
+        # Each baseline gate counter is declared once, by its own
+        # scenario, so a rename cannot silently drop a gate from CI.
+        results = json.loads(BASELINE.read_text())["results"]
+        in_baseline = sorted(
+            (name, counter)
+            for name, result in results.items()
+            for counter in result["counters"]
+            if "_ge_" in counter or "_le_" in counter
+        )
+        gated = [scenario for scenario in SCENARIOS if scenario.gate is not None]
+        assert in_baseline == sorted((s.name, s.gate.counter) for s in gated)
+        for scenario in gated:
+            counters = results[scenario.name]["counters"]
+            assert scenario.gate.floor_counter in (None, *counters)
+
 
 class TestRunScenarios:
     def test_unknown_scenario_raises(self):
@@ -119,6 +205,13 @@ class TestRunScenarios:
         assert result["min_s"] > 0
         assert result["counters"]["solver.steady_solves"] == 1
         json.dumps(report)
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_raise(self, repeats):
+        with pytest.raises(ValueError):
+            run_scenarios(
+                names=["chassis_steady_state"], repeats=repeats, quick=True
+            )
 
     def test_registry_state_restored_after_run(self):
         obs = get_registry()
@@ -176,6 +269,11 @@ class TestMainGate:
             tmp_path, ["--baseline", str(tmp_path / "absent.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_is_usage_error(self, tmp_path, repeats):
+        assert self.run_main(tmp_path, ["--repeats", repeats]) == 2
+        assert not list(tmp_path.glob("BENCH_*.json"))
 
     def test_list_exits_zero(self, capsys):
         assert main(["--list"]) == 0

@@ -46,6 +46,7 @@ class TestAgainstTransient:
             constant_utilization(1.0), placebo=True
         )
         steady = solve_steady_state(network)
+        assert steady.iterations > 0
         network2 = one_u_spec.chassis.build_network(
             constant_utilization(1.0), placebo=True
         )

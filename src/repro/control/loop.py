@@ -5,10 +5,9 @@
 as the legacy throttling policies, so it plugs into both simulation
 engines through the existing per-tick policy seam without touching the
 thermal core. The engines additionally call the optional per-tick
-``begin_tick(time_s, dt_s)`` hook (see ``simulator._run_fluid`` and
-``event_engine.run_event_mode``) to hand the loop the simulation clock;
-a policy without the hook is untouched, keeping the default path
-byte-identical.
+``begin_tick(time_s, dt_s)`` hook (see ``simulator._Plant.decide``) to
+hand the loop the simulation clock; a policy without the hook is
+untouched, keeping the default path byte-identical.
 
 Per tick:
 
@@ -41,7 +40,7 @@ from repro.control.actions import ActuatorLimits, Executor
 from repro.control.planners import Observation, Planner
 from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
-from repro.dcsim.throttling import ThrottleDecision
+from repro.dcsim.throttling import ThrottleDecision, release_at_busy_w
 from repro.errors import ControlError
 from repro.obs import get_registry
 
@@ -136,9 +135,7 @@ class Verifier:
         busy = np.clip(
             np.asarray(obs.work_rate) / tf, 0.0, decision.utilization_cap
         )
-        power = state.power_w(busy, decision.frequency_ghz)
-        wax = state.wax_exchange_w(busy, decision.frequency_ghz)
-        release = float(np.sum(power - wax))
+        release = release_at_busy_w(state, busy, decision.frequency_ghz)
         if obs.room_temperature_c > obs.room_setpoint_c + 1e-9:
             removal = obs.cooling_capacity_w
         else:

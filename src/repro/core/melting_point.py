@@ -17,7 +17,7 @@ poorly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def batched_fluid_peaks(
     """Peak cooling load per candidate from one batched fluid-mode run.
 
     Replays the unconstrained fluid tick loop of
-    :meth:`DatacenterSimulator._run_fluid` (no policy, no room) with all
+    :mod:`repro.dcsim.fluid_engine` (no policy, no room) with all
     candidates stacked into one :class:`BatchedClusterThermalState`, so
     the whole melting-point grid advances in a single array loop. Each
     member's trajectory — and therefore its peak — is bit-identical to a
@@ -167,14 +167,7 @@ def optimize_melting_point(
     if not config.wax_enabled:
         raise ConfigurationError("melting-point search needs wax enabled")
 
-    baseline_config = SimulationConfig(
-        mode=config.mode,
-        tick_interval_s=config.tick_interval_s,
-        slots_per_server=config.slots_per_server,
-        inlet_temperature_c=config.inlet_temperature_c,
-        wax_enabled=False,
-        seed=config.seed,
-    )
+    baseline_config = replace(config, wax_enabled=False)
     candidates = np.arange(low, high + 0.5 * step_c, step_c)
     if config.mode == "fluid":
         # The unconstrained fluid loop vectorizes: one batched run covers

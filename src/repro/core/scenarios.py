@@ -7,7 +7,7 @@ workload trace, and reduce the traces to the numbers the paper reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,15 +198,7 @@ class CoolingLoadStudy:
         self.jobs = jobs
 
     def _config(self, wax_enabled: bool) -> SimulationConfig:
-        base = self.config
-        return SimulationConfig(
-            mode=base.mode,
-            tick_interval_s=base.tick_interval_s,
-            slots_per_server=base.slots_per_server,
-            inlet_temperature_c=base.inlet_temperature_c,
-            wax_enabled=wax_enabled,
-            seed=base.seed,
-        )
+        return replace(self.config, wax_enabled=wax_enabled)
 
     def run(self) -> CoolingLoadOutcome:
         """Run baseline + optimized-PCM simulations and reduce the traces."""
@@ -379,15 +371,7 @@ class ThroughputStudy:
         self.jobs = jobs
 
     def _config(self, wax_enabled: bool) -> SimulationConfig:
-        base = self.config
-        return SimulationConfig(
-            mode=base.mode,
-            tick_interval_s=base.tick_interval_s,
-            slots_per_server=base.slots_per_server,
-            inlet_temperature_c=base.inlet_temperature_c,
-            wax_enabled=wax_enabled,
-            seed=base.seed,
-        )
+        return replace(self.config, wax_enabled=wax_enabled)
 
     def run(self) -> ThroughputOutcome:
         """Run the three arms of Figure 12 and normalize them.

@@ -1096,17 +1096,16 @@ def run_event_mode(sim):
     """Run the event-mode simulation of a :class:`DatacenterSimulator`.
 
     The per-tick machinery (fault hooks, policy decision, thermal step,
-    recording) lives here once, shared by both engines; only intra-tick
-    event processing is delegated to the engine core selected by
-    ``sim.config.engine``.
+    recording) is the shared :class:`~repro.dcsim.simulator._Plant`;
+    only intra-tick event processing is delegated to the engine core
+    selected by ``sim.config.engine``.
     """
-    from repro.dcsim.simulator import _Recorder
+    from repro.dcsim.simulator import _Plant
 
     config = sim.config
     n_servers = sim.topology.server_count
     slots = config.slots_per_server
     dt = config.tick_interval_s
-    nominal = sim.power_model.nominal_frequency_ghz
 
     if sim._arrivals is not None:
         stream = coerce_arrival_stream(sim._arrivals)
@@ -1118,13 +1117,9 @@ def run_event_mode(sim):
             seed=config.seed,
         )
 
-    state = sim._make_state()
-    sim.initial_specific_enthalpy_j_per_kg = np.array(
-        state.specific_enthalpy_j_per_kg, copy=True
-    )
+    plant = _Plant(sim)
     sim.load_balancer.reset()
-    injector = sim.fault_injector
-    ticks = sim._tick_times()
+    injector = plant.injector
 
     core_cls = _BatchedCore if config.engine == "batched" else _ReferenceCore
     core = core_cls(
@@ -1135,16 +1130,10 @@ def run_event_mode(sim):
     t0 = 0.0
     w0 = 0.0
     tf = 1.0
-    frequency = nominal
     slot_limit = slots
-    throttle_ticks = 0
-    records = _Recorder(len(ticks), n_servers)
-    # Per-tick control hook, mirroring the fluid engine: policies that
-    # implement begin_tick receive the simulation clock before deciding.
-    begin_tick = getattr(sim.policy, "begin_tick", None)
     start = _time.perf_counter()
 
-    for tick_index, tick_time in enumerate(ticks):
+    for tick_index, tick_time in enumerate(plant.ticks):
         if injector is not None:
             # Faults resolve at tick granularity: effects at this tick's
             # end apply to dispatch within the tick window.
@@ -1157,26 +1146,14 @@ def run_event_mode(sim):
             tick_time, tick_time - t0, busy_start
         )
         if completed:
-            records.add_completed(tick_index, completed)
+            plant.records.add_completed(tick_index, completed)
         w0 = w0 + (tick_time - t0) * tf
         t0 = tick_time
 
         utilization = busy_time / (dt * slots)
-        sim._pre_tick(state)
-        if injector is not None:
-            injector.apply_state(state, base_inlet_c=sim._base_inlet_c())
         # Offered work rate this tick: busy fraction times the current
         # per-slot service rate.
-        work_rate = utilization * tf
-        if injector is not None:
-            work_rate = injector.observe(work_rate)
-        if begin_tick is not None:
-            begin_tick(tick_time, dt)
-        decision = sim.policy.decide(state, work_rate)
-        if injector is not None:
-            decision = injector.constrain(decision)
-        if decision.limited:
-            throttle_ticks += 1
+        decision = plant.decide(tick_time, utilization * tf)
         frequency = decision.frequency_ghz
         tf = sim.power_model.throughput_factor(frequency)
         if decision.utilization_cap < 1.0:
@@ -1186,19 +1163,13 @@ def run_event_mode(sim):
         else:
             slot_limit = slots
 
-        power, release, wax = state.step(dt, np.clip(utilization, 0, 1), frequency)
-        room_temp = sim._post_tick(float(np.sum(release)), dt)
-        demand = float(np.clip(sim.trace.value_at(tick_time - 0.5 * dt), 0, 1))
-        records.store(
+        plant.step(
             tick_index,
-            time_s=tick_time,
-            demand=demand,
+            tick_time,
+            np.clip(utilization, 0, 1),
+            frequency,
+            demand=plant.demand_at(tick_time),
             utilization=float(np.mean(utilization)),
-            frequency=frequency,
-            power=float(np.sum(power)),
-            release=float(np.sum(release)),
-            wax=float(np.sum(wax)),
-            melt=float(np.mean(state.melt_fraction)),
             # Work is credited continuously (busy slots x DVFS rate);
             # discrete completions are recorded separately as a
             # conservation cross-check.
@@ -1206,7 +1177,6 @@ def run_event_mode(sim):
             queue=float(core.queue_depth()),
             # Event mode queues saturated work rather than shedding it.
             shed=0.0,
-            room=room_temp,
         )
 
     elapsed = _time.perf_counter() - start
@@ -1220,13 +1190,7 @@ def run_event_mode(sim):
             obs.count(
                 "dcsim.engine.forecast_band_ticks", core.forecast_band_ticks
             )
-        obs.count("dcsim.throttle_ticks", throttle_ticks)
         obs.record_max("dcsim.queue_high_water", core.queue_high_water)
         if elapsed > 0:
             obs.record("dcsim.events_per_sec", core.events / elapsed)
-    sim.final_state = state
-    return records.result(
-        n_servers,
-        nominal,
-        initial_power_w=n_servers * sim.power_model.wall_power_w(0.0),
-    )
+    return plant.finish(n_servers * sim.power_model.wall_power_w(0.0))

@@ -6,9 +6,10 @@ Two interchangeable engines implement the fluid-mode semantics of
 engines:
 
 ``reference``
-    The verbatim per-tick scalar loop — one trace lookup, one policy
-    decision, one ``state.step`` per tick. Kept as the plain-to-audit
-    oracle the batched engine must match bit for bit.
+    The verbatim per-tick scalar loop — one trace lookup, one
+    :class:`~repro.dcsim.simulator._Plant` decide and one plant step per
+    tick. Kept as the plain-to-audit oracle the batched engine must match
+    bit for bit.
 
 ``batched`` (default)
     A stretch-advancing engine mirroring the ``_BatchedCore``
@@ -67,9 +68,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.dcsim.simulator import _Plant
 from repro.obs import get_registry
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dcsim.simulator import DatacenterSimulator, SimulationResult
 
 __all__ = ["run_fluid_mode"]
@@ -89,12 +91,15 @@ def run_fluid_mode(sim: "DatacenterSimulator") -> "SimulationResult":
     """Run ``sim`` in fluid mode with the engine its config selects."""
     loop = _FluidLoop(sim)
     if sim.config.engine == "reference":
-        return loop.run_reference()
-    return loop.run_batched()
+        loop.run_reference()
+    else:
+        loop.run_batched()
+    initial_u = float(np.clip(sim.trace.value_at(0.0), 0.0, 1.0))
+    return loop.finish(loop.n_servers * sim.power_model.wall_power_w(initial_u))
 
 
-class _FluidLoop:
-    """Shared fluid-mode run state for both engines.
+class _FluidLoop(_Plant):
+    """Fluid-mode run state for both engines, built on the shared plant.
 
     The scalar tick body lives in exactly one place —
     :meth:`scalar_tick` — and is executed by the reference engine for
@@ -103,24 +108,7 @@ class _FluidLoop:
     """
 
     def __init__(self, sim: "DatacenterSimulator") -> None:
-        from repro.dcsim.simulator import _Recorder
-
-        self.sim = sim
-        self.state = sim._make_state()
-        sim.initial_specific_enthalpy_j_per_kg = np.array(
-            self.state.specific_enthalpy_j_per_kg, copy=True
-        )
-        self.n_servers = sim.topology.server_count
-        self.dt = sim.config.tick_interval_s
-        self.ticks = sim._tick_times()
-        self.injector = sim.fault_injector
-        self.policy = sim.policy
-        # Per-tick control hook: policies that implement begin_tick (e.g.
-        # repro.control.ControlLoop) receive the simulation clock before
-        # each decision; plain policies are untouched.
-        self.begin_tick = getattr(sim.policy, "begin_tick", None)
-        self.throttle_ticks = 0
-        self.records = _Recorder(len(self.ticks), self.n_servers)
+        super().__init__(sim)
         # True while every server provably shares one (zone, enthalpy)
         # trajectory. Cleared the first time an offline-server tick
         # concentrates load on the survivors (or an advancer eligibility
@@ -131,12 +119,11 @@ class _FluidLoop:
 
     # -- engines -------------------------------------------------------------
 
-    def run_reference(self) -> "SimulationResult":
+    def run_reference(self) -> None:
         for i, t in enumerate(self.ticks):
             self.scalar_tick(i, t)
-        return self.finish()
 
-    def run_batched(self) -> "SimulationResult":
+    def run_batched(self) -> None:
         n_ticks = len(self.ticks)
         stretch_ticks = 0
         scalar_ticks = 0
@@ -176,36 +163,19 @@ class _FluidLoop:
         if obs.enabled:
             obs.count("dcsim.fluid.stretch_ticks", stretch_ticks)
             obs.count("dcsim.fluid.scalar_ticks", scalar_ticks)
-        return self.finish()
 
     # -- scalar oracle -------------------------------------------------------
 
     def scalar_tick(self, i: int, t: float) -> None:
         """The verbatim per-tick body both engines share."""
-        sim = self.sim
-        state = self.state
         injector = self.injector
         n_servers = self.n_servers
-        dt = self.dt
-        demand = float(np.clip(sim.trace.value_at(t - 0.5 * dt), 0.0, 1.0))
+        demand = self.demand_at(t)
         if injector is not None:
-            injector.advance_to(t, room=sim.room)
-        sim._pre_tick(state)
-        if injector is not None:
-            injector.apply_state(state, base_inlet_c=sim._base_inlet_c())
-        # Policies see the offered work rate in nominal capacity units
-        # (possibly corrupted by an active sensor fault).
-        work_rate = np.full(n_servers, demand)
-        if injector is not None:
-            work_rate = injector.observe(work_rate)
-        if self.begin_tick is not None:
-            self.begin_tick(t, dt)
-        decision = self.policy.decide(state, work_rate)
-        if injector is not None:
-            decision = injector.constrain(decision)
-        if decision.limited:
-            self.throttle_ticks += 1
-        tf = sim.power_model.throughput_factor(decision.frequency_ghz)
+            injector.advance_to(t, room=self.room)
+        # Policies see the offered work rate in nominal capacity units.
+        decision = self.decide(t, np.full(n_servers, demand))
+        tf = self.sim.power_model.throughput_factor(decision.frequency_ghz)
         offline = (
             injector.offline_count(n_servers) if injector is not None else 0
         )
@@ -230,23 +200,16 @@ class _FluidLoop:
             served = utilization * tf
             mean_utilization = utilization
         shed = max(demand - served, 0.0)
-
-        power, release, wax = state.step(dt, utilization_vec, decision.frequency_ghz)
-        room_temp = sim._post_tick(float(np.sum(release)), dt)
-        self.records.store(
+        self.step(
             i,
-            time_s=t,
+            t,
+            utilization_vec,
+            decision.frequency_ghz,
             demand=demand,
             utilization=mean_utilization,
-            frequency=decision.frequency_ghz,
-            power=float(np.sum(power)),
-            release=float(np.sum(release)),
-            wax=float(np.sum(wax)),
-            melt=float(np.mean(state.melt_fraction)),
             throughput=served,
             queue=0.0,
             shed=shed * n_servers,
-            room=room_temp,
         )
 
     # -- stretch machinery ---------------------------------------------------
@@ -324,12 +287,12 @@ class _FluidLoop:
         wax_l = [0.0] * span
         melt_l = [0.0] * span
 
-        room = sim.room
+        room = self.room
         if room is None:
-            # _pre_tick is a no-op without a room; the inlet the state
-            # carries (the configured base — the injector is dormant, so
-            # any past excursion has been restored) holds for the whole
-            # stretch.
+            # Without a room the plant leaves the inlet alone; the inlet
+            # the state carries (the configured base — the injector is
+            # dormant, so any past excursion has been restored) holds for
+            # the whole stretch.
             inlet = self.state.inlet_temperature_c
             for k in range(span):
                 p, r, w, m = advancer.tick(
@@ -366,8 +329,8 @@ class _FluidLoop:
                 release_l[k] = r
                 wax_l[k] = w
                 melt_l[k] = m
-            # The reference loop's last write to the state inlet was
-            # _pre_tick of the final stretch tick.
+            # The reference loop's last write to the state inlet was the
+            # plant's decide of the final stretch tick.
             self.state.inlet_temperature_c = inlet
             room_series = room_arr
 
@@ -419,17 +382,3 @@ class _FluidLoop:
             view[:] = per_tick[c0:c1, None]
             out[c0:c1] = reduce(view, axis=1)
         return out
-
-    # -- epilogue ------------------------------------------------------------
-
-    def finish(self) -> "SimulationResult":
-        sim = self.sim
-        get_registry().count("dcsim.throttle_ticks", self.throttle_ticks)
-        sim.final_state = self.state
-        initial_u = float(np.clip(sim.trace.value_at(0.0), 0.0, 1.0))
-        return self.records.result(
-            self.n_servers,
-            sim.power_model.nominal_frequency_ghz,
-            initial_power_w=self.n_servers
-            * sim.power_model.wall_power_w(initial_u),
-        )

@@ -7,7 +7,10 @@ the second, so the two can be composed with PCM and compared.
 
 A :class:`GeoPair` couples two sites — typically the same platform in
 time zones several hours apart, so their diurnal peaks do not coincide —
-and runs them in lock-step fluid mode. Each tick:
+and runs them in lock-step fluid mode. Each site is a single-site
+:class:`~repro.dcsim.simulator.DatacenterSimulator` plant (its room,
+throttled by :class:`~repro.dcsim.throttling.RoomTemperaturePolicy`), so
+it shares the simulator's per-tick body. Each tick:
 
 1. each site's throttling policy picks its operating point for its local
    demand;
@@ -32,10 +35,11 @@ import numpy as np
 
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.room import RoomModel
-from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig, _Plant
 from repro.dcsim.throttling import (
     RoomTemperaturePolicy,
     ThrottleDecision,
+    bisect_max,
     projected_release_w,
 )
 from repro.errors import ConfigurationError
@@ -127,27 +131,16 @@ class GeoSite:
     #: the other site (minus the relocation tax).
     online: bool = True
 
-    def __post_init__(self) -> None:
-        self.policy = RoomTemperaturePolicy(self.room)
-        self.state = self._make_state()
 
-    def _make_state(self) -> ClusterThermalState:
-        initial = float(np.clip(self.trace.value_at(0.0), 0.0, 1.0))
-        return ClusterThermalState(
-            characterization=self.characterization,
-            power_model=self.power_model,
-            material=self.material,
-            server_count=self.topology.server_count,
-            inlet_temperature_c=self.inlet_temperature_c,
-            initial_utilization=initial,
-            wax_enabled=self.wax_enabled,
+class _Offline:
+    """The policy of an offline site: minimum DVFS, serving nothing."""
+
+    def decide(self, state, work_rate) -> ThrottleDecision:
+        return ThrottleDecision(
+            frequency_ghz=state.power_model.min_frequency_ghz,
+            utilization_cap=0.0,
+            limited=True,
         )
-
-    def reset(self) -> None:
-        """Fresh thermal state, room, and policy latch."""
-        self.room.reset()
-        self.policy.reset()
-        self.state = self._make_state()
 
 
 @dataclass
@@ -230,21 +223,37 @@ class GeoPair:
         self.tick_interval_s = tick_interval_s
         self.relocation_loss_fraction = relocation_loss_fraction
 
-    def _site_tick(
-        self, site: GeoSite, demand: float
-    ) -> tuple[float, float, float, object]:
-        """One site's local decision: (served, unserved, spare, decision)."""
-        if not site.online:
-            decision = ThrottleDecision(
-                frequency_ghz=site.power_model.min_frequency_ghz,
-                utilization_cap=0.0,
-                limited=True,
+    def _plant(self, site: GeoSite) -> _Plant:
+        """A fresh single-site plant: the site's room, throttled on it."""
+        return _Plant(
+            DatacenterSimulator(
+                site.characterization,
+                site.power_model,
+                site.material,
+                site.trace,
+                topology=site.topology,
+                policy=RoomTemperaturePolicy(site.room)
+                if site.online
+                else _Offline(),
+                config=SimulationConfig(
+                    tick_interval_s=self.tick_interval_s,
+                    inlet_temperature_c=site.inlet_temperature_c,
+                    wax_enabled=site.wax_enabled,
+                ),
+                room=site.room,
             )
-            return 0.0, demand, 0.0, decision
-        n = site.topology.server_count
-        work = np.full(n, demand)
-        decision = site.policy.decide(site.state, work)
-        tf = site.power_model.throughput_factor(decision.frequency_ghz)
+        )
+
+    @staticmethod
+    def _site_tick(
+        plant: _Plant, t: float
+    ) -> tuple[float, float, float, float, ThrottleDecision]:
+        """One site's local decision: (demand, served, unserved, spare,
+        decision)."""
+        n = plant.n_servers
+        demand = plant.demand_at(t)
+        decision = plant.decide(t, np.full(n, demand))
+        tf = plant.sim.power_model.throughput_factor(decision.frequency_ghz)
         busy = min(demand / tf, 1.0, decision.utilization_cap)
         served = busy * tf
         unserved = max(demand - served, 0.0)
@@ -258,107 +267,86 @@ class GeoPair:
             headroom = max(busy_ceiling - busy, 0.0)
             if headroom > 0:
                 # Bisect the largest extra busy fraction whose release fits.
-                lo, hi = 0.0, headroom
-                for _ in range(20):
-                    mid = 0.5 * (lo + hi)
-                    work_probe = np.full(n, (busy + mid) * tf)
-                    release = projected_release_w(
-                        site.state, work_probe, decision.frequency_ghz
+                capacity_w = plant.room.cooling_capacity_w
+                extra = bisect_max(
+                    lambda mid: projected_release_w(
+                        plant.state,
+                        np.full(n, (busy + mid) * tf),
+                        decision.frequency_ghz,
                     )
-                    if release <= site.room.cooling_capacity_w:
-                        lo = mid
-                    else:
-                        hi = mid
-                spare = lo * tf
-        return served, unserved, spare, decision
+                    <= capacity_w,
+                    headroom,
+                    rounds=20,
+                )
+                spare = extra * tf
+        return demand, served, unserved, spare, decision
 
     def run(self) -> GeoResult:
         """Run both sites in lock step over the shared horizon."""
-        self.site_a.reset()
-        self.site_b.reset()
-        dt = self.tick_interval_s
-        horizon = self.site_a.trace.duration_s
-        n_ticks = int(np.floor(horizon / dt))
-        times = (np.arange(n_ticks) + 1) * dt
+        sites = (self.site_a, self.site_b)
+        plants = [self._plant(site) for site in sites]
+        ticks = plants[0].ticks
+        if len(plants[1].ticks) != len(ticks):
+            raise ConfigurationError("site traces must share a horizon")
+        loss = self.relocation_loss_fraction
+        accepted = np.zeros((2, len(ticks)))
+        relocated = np.zeros((2, len(ticks)))
+        lost = np.zeros((2, len(ticks)))
 
-        def blank() -> GeoSiteTraces:
-            zeros = np.zeros(n_ticks)
-            return GeoSiteTraces(
-                times_s=times,
-                demand=zeros.copy(),
-                served_local=zeros.copy(),
-                accepted_remote=zeros.copy(),
-                relocated_out=zeros.copy(),
-                lost=zeros.copy(),
-                frequency_ghz=zeros.copy(),
-                room_temperature_c=zeros.copy(),
-                cooling_load_w=zeros.copy(),
-            )
-
-        traces = {id(self.site_a): blank(), id(self.site_b): blank()}
-
-        for i, t in enumerate(times):
-            sites = (self.site_a, self.site_b)
-            demands = {
-                id(site): float(np.clip(site.trace.value_at(t - 0.5 * dt), 0, 1))
-                for site in sites
-            }
-            locals_ = {}
-            for site in sites:
-                # Server inlets track the room (wax engagement depends on
-                # this feedback, exactly as in the single-site simulator).
-                site.state.inlet_temperature_c = site.room.temperature_c
-                locals_[id(site)] = self._site_tick(site, demands[id(site)])
-
+        for i, t in enumerate(ticks):
+            locals_ = [self._site_tick(plant, t) for plant in plants]
             # Offer each site's unserved work to the other through the
             # shared router (index order = (site_a, site_b), which for a
             # pair of online sites reduces to the symmetric swap).
             moved, delivered = route_unserved(
-                [locals_[id(site)][1] for site in sites],
-                [locals_[id(site)][2] for site in sites],
+                [local[2] for local in locals_],
+                [local[3] for local in locals_],
                 [site.online for site in sites],
-                self.relocation_loss_fraction,
+                loss,
             )
-            relocated = {
-                id(site): float(np.sum(moved[k]))
-                for k, site in enumerate(sites)
-            }
-            accepted = {
-                id(site): float(np.sum(delivered[:, k]))
-                for k, site in enumerate(sites)
-            }
-
-            # Advance each site's thermal state with its final busy level.
-            for site in sites:
-                served, unserved, _, decision = locals_[id(site)]
-                tf = site.power_model.throughput_factor(decision.frequency_ghz)
+            # Advance each site with its final busy level.
+            for k, plant in enumerate(plants):
+                demand, served, _, _, decision = locals_[k]
+                moved_out = float(np.sum(moved[k]))
+                taken_in = float(np.sum(delivered[:, k]))
+                tf = plant.sim.power_model.throughput_factor(
+                    decision.frequency_ghz
+                )
                 extra_busy = (
-                    accepted[id(site)]
-                    / (1.0 - self.relocation_loss_fraction)
-                    / tf
-                    if accepted[id(site)] > 0
-                    else 0.0
+                    taken_in / (1.0 - loss) / tf if taken_in > 0 else 0.0
                 )
                 busy_total = min(served / tf + extra_busy, 1.0)
-                busy_vec = np.full(site.topology.server_count, busy_total)
-                power, release, _wax = site.state.step(
-                    dt, busy_vec, decision.frequency_ghz
+                plant.step(
+                    i,
+                    t,
+                    np.full(plant.n_servers, busy_total),
+                    decision.frequency_ghz,
+                    demand=demand,
+                    utilization=busy_total,
+                    throughput=served,
+                    queue=0.0,
+                    shed=0.0,
                 )
-                release_total = float(np.sum(release))
-                site.room.step(dt, max(release_total, 0.0))
+                accepted[k, i] = taken_in
+                relocated[k, i] = moved_out
+                lost[k, i] = (
+                    max(demand - served - moved_out, 0.0) + moved_out * loss
+                )
 
-                trace = traces[id(site)]
-                trace.demand[i] = demands[id(site)]
-                trace.served_local[i] = served
-                trace.accepted_remote[i] = accepted[id(site)]
-                trace.relocated_out[i] = relocated[id(site)]
-                trace.lost[i] = max(
-                    demands[id(site)] - served - relocated[id(site)], 0.0
-                ) + relocated[id(site)] * self.relocation_loss_fraction
-                trace.frequency_ghz[i] = decision.frequency_ghz
-                trace.room_temperature_c[i] = site.room.temperature_c
-                trace.cooling_load_w[i] = release_total
-
-        return GeoResult(
-            site_a=traces[id(self.site_a)], site_b=traces[id(self.site_b)]
-        )
+        traces = []
+        for k, plant in enumerate(plants):
+            result = plant.finish(initial_power_w=None)
+            traces.append(
+                GeoSiteTraces(
+                    times_s=result.times_s,
+                    demand=result.demand,
+                    served_local=result.throughput,
+                    accepted_remote=accepted[k],
+                    relocated_out=relocated[k],
+                    lost=lost[k],
+                    frequency_ghz=result.frequency_ghz,
+                    room_temperature_c=result.room_temperature_c,
+                    cooling_load_w=result.cooling_load_w,
+                )
+            )
+        return GeoResult(*traces)

@@ -6,10 +6,12 @@ Real migrations are rolling, not atomic: for months the room holds a mix
 of wax-equipped new servers and wax-less old ones, all breathing the same
 cold aisle and drawing on the same plant.
 
-A :class:`MixedFleet` runs two server groups in lock step — same trace,
-same room — and reports the blended cooling load, so operators can ask
-the planning question the paper's endpoints bracket: *how much of the
-fleet must carry wax before the peak drops enough to matter?*
+A :class:`MixedFleet` runs two server groups over the same trace — each
+an ordinary fluid-mode :class:`~repro.dcsim.simulator.DatacenterSimulator`
+run, one with wax and one without — and reports the blended cooling
+load, so operators can ask the planning question the paper's endpoints
+bracket: *how much of the fleet must carry wax before the peak drops
+enough to matter?*
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.dcsim.cluster import ClusterTopology
+from repro.dcsim.simulator import (
+    DatacenterSimulator,
+    SimulationConfig,
+    SimulationResult,
+)
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
 from repro.server.characterization import PlatformCharacterization
@@ -81,58 +88,42 @@ class MixedFleet:
         self.tick_interval_s = tick_interval_s
         self.inlet_temperature_c = inlet_temperature_c
 
-    def _make_group(self, count: int, wax: bool) -> ClusterThermalState | None:
+    def _run_group(self, count: int, wax: bool) -> SimulationResult | None:
         if count == 0:
             return None
-        return ClusterThermalState(
-            characterization=self.characterization,
-            power_model=self.power_model,
-            material=self.material,
-            server_count=count,
-            inlet_temperature_c=self.inlet_temperature_c,
-            initial_utilization=float(
-                np.clip(self.trace.value_at(0.0), 0.0, 1.0)
+        return DatacenterSimulator(
+            self.characterization,
+            self.power_model,
+            self.material,
+            self.trace,
+            topology=ClusterTopology(server_count=count),
+            config=SimulationConfig(
+                tick_interval_s=self.tick_interval_s,
+                inlet_temperature_c=self.inlet_temperature_c,
+                wax_enabled=wax,
             ),
-            wax_enabled=wax,
-        )
+        ).run()
 
     def run(self) -> MixedFleetResult:
         """Run both groups over the trace and blend their cooling loads."""
-        equipped = self._make_group(self.equipped_count, wax=True)
-        legacy = self._make_group(self.legacy_count, wax=False)
-        dt = self.tick_interval_s
-        n_ticks = int(np.floor(self.trace.duration_s / dt))
-        times = (np.arange(n_ticks) + 1) * dt
+        equipped = self._run_group(self.equipped_count, wax=True)
+        legacy = self._run_group(self.legacy_count, wax=False)
+        times = (equipped or legacy).times_s
 
-        total = np.zeros(n_ticks)
-        equipped_load = np.zeros(n_ticks)
-        legacy_load = np.zeros(n_ticks)
-        power_total = np.zeros(n_ticks)
-        melt = np.zeros(n_ticks)
+        def series(group: SimulationResult | None, name: str) -> np.ndarray:
+            if group is None:
+                return np.zeros(len(times))
+            return getattr(group, name)
 
-        for i, t in enumerate(times):
-            demand = float(np.clip(self.trace.value_at(t - 0.5 * dt), 0, 1))
-            for group, load_trace in (
-                (equipped, equipped_load),
-                (legacy, legacy_load),
-            ):
-                if group is None:
-                    continue
-                busy = np.full(group.server_count, demand)
-                power, release, _ = group.step(dt, busy, 2.4)
-                load_trace[i] = float(np.sum(release))
-                power_total[i] += float(np.sum(power))
-            total[i] = equipped_load[i] + legacy_load[i]
-            if equipped is not None:
-                melt[i] = float(np.mean(equipped.melt_fraction))
-
+        equipped_load = series(equipped, "cooling_load_w")
+        legacy_load = series(legacy, "cooling_load_w")
         return MixedFleetResult(
             times_s=times,
-            cooling_load_w=total,
+            cooling_load_w=equipped_load + legacy_load,
             equipped_cooling_load_w=equipped_load,
             legacy_cooling_load_w=legacy_load,
-            power_w=power_total,
-            melt_fraction=melt,
+            power_w=series(equipped, "power_w") + series(legacy, "power_w"),
+            melt_fraction=series(equipped, "melt_fraction"),
         )
 
 

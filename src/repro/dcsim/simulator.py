@@ -29,8 +29,8 @@ from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.loadbalancer import LoadBalancer, RoundRobin
 from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
-from repro.dcsim.throttling import NoThermalLimit
-from repro.errors import ConfigurationError, SimulationError
+from repro.dcsim.throttling import NoThermalLimit, ThrottleDecision
+from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
 from repro.obs import get_registry
 from repro.server.characterization import PlatformCharacterization
@@ -211,20 +211,19 @@ class DatacenterSimulator:
 
     def run(self) -> SimulationResult:
         """Run the configured simulation and return its traces."""
-        if self.room is not None:
-            self.room.reset()
-        reset = getattr(self.policy, "reset", None)
-        if callable(reset):
-            reset()
-        if self.fault_injector is not None:
-            self.fault_injector.reset()
         obs = get_registry()
         start = time.perf_counter()
         with obs.timer("dcsim.run"):
+            # Each mode has a batched and a reference engine, bit-identical
+            # by construction; all of them drive one _Plant per run.
             if self.config.mode == "fluid":
-                result = self._run_fluid()
+                from repro.dcsim.fluid_engine import run_fluid_mode
+
+                result = run_fluid_mode(self)
             else:
-                result = self._run_event()
+                from repro.dcsim.event_engine import run_event_mode
+
+                result = run_event_mode(self)
         if obs.enabled:
             elapsed = time.perf_counter() - start
             n_ticks = len(result.times_s)
@@ -235,44 +234,6 @@ class DatacenterSimulator:
             if elapsed > 0:
                 obs.record("dcsim.ticks_per_sec", n_ticks / elapsed)
         return result
-
-    def _pre_tick(self, state: ClusterThermalState) -> None:
-        """Propagate the room temperature to the server inlets."""
-        if self.room is not None:
-            state.inlet_temperature_c = self.room.temperature_c
-
-    def _base_inlet_c(self) -> float:
-        """The inlet temperature this tick absent any fault excursion."""
-        if self.room is not None:
-            return self.room.temperature_c
-        return self.config.inlet_temperature_c
-
-    def _post_tick(self, release_total_w: float, dt: float) -> float:
-        """Advance the room model; returns the room temperature."""
-        if self.room is None:
-            return self.config.inlet_temperature_c
-        self.room.step(dt, max(release_total_w, 0.0))
-        return self.room.temperature_c
-
-    # -- fluid mode ---------------------------------------------------------
-
-    def _run_fluid(self) -> SimulationResult:
-        # Both fluid engines (stretch-batched and per-tick reference)
-        # live in repro.dcsim.fluid_engine; they share one scalar tick
-        # body and are bit-identical by construction.
-        from repro.dcsim.fluid_engine import run_fluid_mode
-
-        return run_fluid_mode(self)
-
-    # -- event mode -----------------------------------------------------------
-
-    def _run_event(self) -> SimulationResult:
-        # The event engines (batched and per-event reference) live in
-        # repro.dcsim.event_engine; both share this simulator's per-tick
-        # policy/thermal machinery and are bit-identical by construction.
-        from repro.dcsim.event_engine import run_event_mode
-
-        return run_event_mode(self)
 
 
 class _Recorder:
@@ -347,5 +308,114 @@ class _Recorder:
             completed_work_s=self._completed,
             server_count=server_count,
             nominal_frequency_ghz=nominal_frequency_ghz,
+            initial_power_w=initial_power_w,
+        )
+
+
+class _Plant:
+    """One run of the per-tick plant protocol, shared by every tick loop.
+
+    Owns the run's thermal state, recorder and throttle-tick count, and
+    drives the simulator's room, policy and fault hooks. A tick loop
+    calls :meth:`decide` and then :meth:`step` once per tick: room
+    temperature to the inlets, fault hooks, policy decision, thermal
+    step, room step, record. The fluid engine, the event engine and
+    :class:`repro.dcsim.geo.GeoPair` all drive this one body.
+    """
+
+    def __init__(self, sim: DatacenterSimulator) -> None:
+        self.sim = sim
+        self.room = sim.room
+        self.policy = sim.policy
+        self.injector = sim.fault_injector
+        if self.room is not None:
+            self.room.reset()
+        reset = getattr(self.policy, "reset", None)
+        if callable(reset):
+            reset()
+        if self.injector is not None:
+            self.injector.reset()
+        # Per-tick control hook: policies that implement begin_tick (e.g.
+        # repro.control.ControlLoop) receive the simulation clock before
+        # each decision; plain policies are untouched.
+        self.begin_tick = getattr(self.policy, "begin_tick", None)
+        self.state = sim._make_state()
+        sim.initial_specific_enthalpy_j_per_kg = np.array(
+            self.state.specific_enthalpy_j_per_kg, copy=True
+        )
+        self.n_servers = sim.topology.server_count
+        self.dt = sim.config.tick_interval_s
+        self.ticks = sim._tick_times()
+        self.throttle_ticks = 0
+        self.records = _Recorder(len(self.ticks), self.n_servers)
+
+    def _room_c(self) -> float:
+        """The room temperature, or the configured inlet without a room."""
+        if self.room is None:
+            return self.sim.config.inlet_temperature_c
+        return self.room.temperature_c
+
+    def demand_at(self, t: float) -> float:
+        """Offered load at the midpoint of the tick ending at ``t``."""
+        return float(
+            np.clip(self.sim.trace.value_at(t - 0.5 * self.dt), 0.0, 1.0)
+        )
+
+    def decide(self, t: float, work_rate: np.ndarray) -> ThrottleDecision:
+        """This tick's operating point for the offered ``work_rate``."""
+        state = self.state
+        injector = self.injector
+        if self.room is not None:
+            state.inlet_temperature_c = self.room.temperature_c
+        if injector is not None:
+            injector.apply_state(state, base_inlet_c=self._room_c())
+            # The policy sees the work rate through the sensor path.
+            work_rate = injector.observe(work_rate)
+        if self.begin_tick is not None:
+            self.begin_tick(t, self.dt)
+        decision = self.policy.decide(state, work_rate)
+        if injector is not None:
+            decision = injector.constrain(decision)
+        if decision.limited:
+            self.throttle_ticks += 1
+        return decision
+
+    def step(
+        self,
+        i: int,
+        t: float,
+        utilization_vec: np.ndarray,
+        frequency: float,
+        **record: float,
+    ) -> None:
+        """Advance the servers and the room one tick and record it.
+
+        ``record`` carries the loop's own fields: ``demand``,
+        ``utilization``, ``throughput``, ``queue`` and ``shed``.
+        """
+        state = self.state
+        power, release, wax = state.step(self.dt, utilization_vec, frequency)
+        release_w = float(np.sum(release))
+        if self.room is not None:
+            self.room.step(self.dt, max(release_w, 0.0))
+        self.records.store(
+            i,
+            time_s=t,
+            frequency=frequency,
+            power=float(np.sum(power)),
+            release=release_w,
+            wax=float(np.sum(wax)),
+            melt=float(np.mean(state.melt_fraction)),
+            room=self._room_c(),
+            **record,
+        )
+
+    def finish(self, initial_power_w: float | None) -> SimulationResult:
+        """The run's traces; leaves the final state on the simulator."""
+        get_registry().count("dcsim.throttle_ticks", self.throttle_ticks)
+        self.sim.final_state = self.state
+        return self.records.result(
+            self.n_servers,
+            self.sim.power_model.nominal_frequency_ghz,
             initial_power_w=initial_power_w,
         )

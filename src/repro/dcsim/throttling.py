@@ -50,18 +50,38 @@ def busy_fraction(
     return np.clip(np.asarray(work_rate) / factor, 0.0, 1.0)
 
 
-def projected_release_w(
-    state: ClusterThermalState, work_rate: np.ndarray, frequency_ghz: float
+def release_at_busy_w(
+    state: ClusterThermalState, busy: np.ndarray, frequency_ghz: float
 ) -> float:
-    """Cluster heat release this tick at a candidate operating point.
+    """Cluster heat release this tick at per-server busy fractions.
 
     Wax absorption counts against the release while it is absorbing; a
     refreezing wax adds heat, which the preview must include.
     """
-    busy = busy_fraction(state, work_rate, frequency_ghz)
     power = state.power_w(busy, frequency_ghz)
     wax = state.wax_exchange_w(busy, frequency_ghz)
     return float(np.sum(power - wax))
+
+
+def projected_release_w(
+    state: ClusterThermalState, work_rate: np.ndarray, frequency_ghz: float
+) -> float:
+    """Cluster heat release this tick at a candidate operating point."""
+    busy = busy_fraction(state, work_rate, frequency_ghz)
+    return release_at_busy_w(state, busy, frequency_ghz)
+
+
+def bisect_max(fits, high: float, rounds: int) -> float:
+    """Largest ``x`` in ``[0, high]`` with ``fits(x)``, after ``rounds``
+    halvings; ``fits`` must hold below some threshold and fail above it."""
+    low = 0.0
+    for _ in range(rounds):
+        mid = 0.5 * (low + high)
+        if fits(mid):
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def _shed_cap(
@@ -76,21 +96,13 @@ def _shed_cap(
     cap is found by bisection.
     """
     busy = busy_fraction(state, work_rate, frequency_ghz)
-
-    def release(scale: float) -> float:
-        scaled = busy * scale
-        power = state.power_w(scaled, frequency_ghz)
-        wax = state.wax_exchange_w(scaled, frequency_ghz)
-        return float(np.sum(power - wax))
-
-    low, high = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (low + high)
-        if release(mid) <= capacity_w:
-            low = mid
-        else:
-            high = mid
-    return low * float(np.max(busy)) if len(busy) else 0.0
+    scale = bisect_max(
+        lambda s: release_at_busy_w(state, busy * s, frequency_ghz)
+        <= capacity_w,
+        1.0,
+        rounds=40,
+    )
+    return scale * float(np.max(busy)) if len(busy) else 0.0
 
 
 def throttled_decision(

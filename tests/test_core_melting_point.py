@@ -77,6 +77,36 @@ class TestValidation:
             )
 
 
+def test_event_mode_baseline_keeps_the_config(
+    monkeypatch, one_u_characterization, google_trace
+):
+    """The wax-off baseline differs from the search config only in
+    ``wax_enabled``; the engine choice carries over."""
+    import dataclasses
+
+    import repro.core.melting_point as melting_point
+    from repro.server.configs import one_u_commodity
+
+    configs = []
+
+    def fake_sweep(func, tasks, jobs, label):
+        configs.extend(task[4] for task in tasks)
+        return [1.0] * len(tasks)
+
+    monkeypatch.setattr(melting_point, "sweep", fake_sweep)
+    config = SimulationConfig(mode="event", engine="reference", seed=3)
+    optimize_melting_point(
+        one_u_characterization,
+        one_u_commodity().power_model,
+        google_trace.total,
+        window_c=(40.0, 41.0),
+        step_c=1.0,
+        config=config,
+    )
+    assert configs[0] == dataclasses.replace(config, wax_enabled=False)
+    assert configs[1:] == [config, config]
+
+
 class TestBatchedFluidEquivalence:
     def test_batched_peaks_match_serial_runs(
         self, one_u_spec, one_u_characterization, short_diurnal_trace

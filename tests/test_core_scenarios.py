@@ -1,5 +1,7 @@
 """Integration tests for the Section 5.1 / 5.2 studies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.scenarios import (
     clear_characterization_cache,
 )
 from repro.dcsim.cluster import ClusterTopology
+from repro.dcsim.simulator import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.server.configs import platform_by_name
@@ -45,6 +48,26 @@ class TestCharacterizationCache:
         first = cached_characterization(one_u_spec)
         second = cached_characterization(one_u_spec)
         assert first is second
+
+
+@pytest.mark.parametrize("study_cls", [CoolingLoadStudy, ThroughputStudy])
+def test_study_arms_keep_every_config_field(study_cls, one_u_spec, google_trace):
+    """The wax-on and wax-off arms differ from the study's config only
+    in ``wax_enabled``: mode, tick, slots, inlet, seed and engine carry
+    over."""
+    config = SimulationConfig(
+        mode="event",
+        tick_interval_s=300.0,
+        slots_per_server=4,
+        inlet_temperature_c=22.0,
+        seed=3,
+        engine="reference",
+    )
+    study = study_cls(one_u_spec, google_trace.total, config=config)
+    for wax in (True, False):
+        assert study._config(wax) == dataclasses.replace(
+            config, wax_enabled=wax
+        )
 
 
 class TestCoolingLoadStudy:

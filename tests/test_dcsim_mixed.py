@@ -1,5 +1,7 @@
 """Tests for mixed (rolling-retrofit) fleets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,9 +65,38 @@ class TestMixedFleet:
             topology=ClusterTopology(server_count=64),
             config=SimulationConfig(wax_enabled=False),
         ).run()
-        assert fleet_result.peak_cooling_load_w == pytest.approx(
-            sim_result.peak_cooling_load_w, rel=1e-9
+        assert np.array_equal(fleet_result.times_s, sim_result.times_s)
+        assert np.array_equal(
+            fleet_result.cooling_load_w, sim_result.cooling_load_w
         )
+        assert np.array_equal(
+            fleet_result.legacy_cooling_load_w, sim_result.cooling_load_w
+        )
+        assert np.array_equal(fleet_result.power_w, sim_result.power_w)
+
+    @pytest.mark.parametrize("nominal_ghz", [2.0, 3.0])
+    def test_groups_run_at_the_platform_nominal_clock(
+        self,
+        nominal_ghz,
+        one_u_characterization,
+        one_u_spec,
+        material,
+        google_trace,
+    ):
+        """Both groups run at the power model's nominal frequency, so the
+        fleet draws the nominal-clock wall power at every tick."""
+        power_model = dataclasses.replace(
+            one_u_spec.power_model, nominal_frequency_ghz=nominal_ghz
+        )
+        result = make_fleet(
+            one_u_characterization, power_model, material,
+            google_trace.total, fraction=0.5, servers=8,
+        ).run()
+        demand = np.clip(
+            google_trace.total.value_at(result.times_s - 30.0), 0.0, 1.0
+        )
+        expected = 8 * np.array([power_model.wall_power_w(d) for d in demand])
+        np.testing.assert_allclose(result.power_w, expected, rtol=1e-12)
 
     def test_blend_is_sum_of_groups(
         self, one_u_characterization, one_u_spec, material, google_trace

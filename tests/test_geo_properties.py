@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.geo import GeoPair, GeoSite, route_unserved
 from repro.dcsim.room import RoomModel
+from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
+from repro.dcsim.throttling import RoomTemperaturePolicy
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.core.scenarios import cached_characterization
@@ -220,6 +222,50 @@ class TestGeoPairDegradation:
                 getattr(idle_twin.site_a, name),
             ), name
         assert np.all(dead_twin.site_b.served_local == 0.0)
+
+    def test_site_with_dead_idle_twin_is_the_single_site_simulator(
+        self, tiny_pair_factory, one_u_spec
+    ):
+        """A site whose twin is offline and idle is byte-identical to a
+        standalone room-throttled simulator.
+
+        Nothing can be routed, so the site runs exactly the single-site
+        plant: same room, same :class:`RoomTemperaturePolicy` latch,
+        same thermal steps. The plant here is small enough that the
+        latch engages, so the throttled path is covered too.
+        """
+        from repro.workload.synthetic import flat_trace
+
+        capacity_w = 1000.0
+        idle = flat_trace(0.0, duration_s=12 * 3600.0, interval_s=300.0)
+        west = tiny_pair_factory(
+            offline=("east",), capacity_w=capacity_w, east_trace=idle
+        ).run().site_a
+        room = RoomModel.sized_for_cluster(capacity_w, 8)
+        solo = DatacenterSimulator(
+            cached_characterization(one_u_spec),
+            one_u_spec.power_model,
+            commercial_paraffin_with_melting_point(45.0),
+            diurnal_trace(duration_s=12 * 3600.0, interval_s=300.0),
+            topology=ClusterTopology(server_count=8),
+            policy=RoomTemperaturePolicy(room),
+            config=SimulationConfig(tick_interval_s=300.0),
+            room=room,
+        ).run()
+        assert np.any(solo.throttled_mask())
+        for geo_name, solo_name in (
+            ("times_s", "times_s"),
+            ("demand", "demand"),
+            ("served_local", "throughput"),
+            ("frequency_ghz", "frequency_ghz"),
+            ("room_temperature_c", "room_temperature_c"),
+            ("cooling_load_w", "cooling_load_w"),
+        ):
+            assert np.array_equal(
+                getattr(west, geo_name), getattr(solo, solo_name)
+            ), geo_name
+        assert not np.any(west.accepted_remote)
+        assert not np.any(west.relocated_out)
 
     def test_pair_level_conservation_identity(self, tiny_pair_factory):
         """Every tick: lost = un-routed backlog + relocation tax.

@@ -23,7 +23,10 @@ import numpy as np
 
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
-from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+from repro.dcsim.thermal_coupling import (
+    BatchedClusterThermalState,
+    uniform_totals,
+)
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.materials.pcm import PCMMaterial
@@ -71,9 +74,12 @@ def batched_fluid_peaks(
     Replays the unconstrained fluid tick loop of
     :mod:`repro.dcsim.fluid_engine` (no policy, no room) with all
     candidates stacked into one :class:`BatchedClusterThermalState`, so
-    the whole melting-point grid advances in a single array loop. Each
-    member's trajectory — and therefore its peak — is bit-identical to a
-    serial simulation of that candidate.
+    the whole melting-point grid advances in a single array loop. Every
+    server of a member sees one utilization, no inlet offset and no
+    fault, so each member is stepped as one server column and totalled
+    over the cluster by :func:`uniform_totals`. Each member's trajectory
+    — and therefore its peak — is bit-identical to a serial simulation
+    of that candidate.
     """
     n_candidates = len(materials)
     n_servers = topology.server_count
@@ -85,7 +91,7 @@ def batched_fluid_peaks(
         power_model=power_model,
         material=materials,
         cluster_count=n_candidates,
-        server_count=n_servers,
+        server_count=1,
         inlet_temperature_c=config.inlet_temperature_c,
         initial_utilization=float(np.clip(trace.value_at(0.0), 0.0, 1.0)),
         wax_enabled=wax_enabled,
@@ -93,12 +99,12 @@ def batched_fluid_peaks(
     nominal = power_model.nominal_frequency_ghz
     tf = power_model.throughput_factor(nominal)
     peaks = np.full(n_candidates, -np.inf)
-    utilization = np.empty((n_candidates, n_servers))
+    utilization = np.empty((n_candidates, 1))
     for t in ticks:
         demand = float(np.clip(trace.value_at(t - 0.5 * dt), 0.0, 1.0))
         utilization[:] = np.minimum(demand / tf, 1.0)
         _power, release, _wax = state.step(dt, utilization, nominal)
-        np.maximum(peaks, np.sum(release, axis=1), out=peaks)
+        np.maximum(peaks, uniform_totals(release, n_servers), out=peaks)
     obs = get_registry()
     if obs.enabled:
         obs.count("dcsim.batched_runs")

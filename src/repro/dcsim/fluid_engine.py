@@ -44,10 +44,11 @@ perform exactly the arithmetic the elementwise NumPy step would — while
 demand, utilization, throughput, shed work, and the characterization
 lookups are computed for the whole stretch as arrays. Recorded totals
 (``power``/``release``/``wax`` sums and the ``melt`` mean) are reduced
-through a reused ``(chunk, servers)`` matrix so each tick's reduction is
-the same pairwise ``np.sum``/``np.mean`` the reference loop performs on
-its per-server rows; room-coupled runs reduce the release total inside
-the loop (the room temperature feeds back into the next tick's inlet).
+by fill-and-sum (:func:`repro.dcsim.thermal_coupling.uniform_totals`), so
+each tick's reduction is the same pairwise ``np.sum``/``np.mean`` the
+reference loop performs on its per-server rows; room-coupled runs reduce
+the release total inside the loop (the room temperature feeds back into
+the next tick's inlet).
 
 Bit-identity to the reference loop is the acceptance bar, exactly as
 PR 5 held for event mode: both engines must produce byte-identical
@@ -69,6 +70,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dcsim.simulator import _Plant
+from repro.dcsim.thermal_coupling import uniform_totals
 from repro.obs import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,11 +82,6 @@ __all__ = ["run_fluid_mode"]
 #: ticks the stretch setup (advancer eligibility scan, array slicing,
 #: injector fast-forward) costs more than it saves.
 _MIN_STRETCH = 4
-
-#: Tick rows materialised at a time by the chunked total/mean reduction
-#: buffer. Bounds the scratch matrix at ``_CHUNK_TICKS * servers`` floats
-#: regardless of stretch length.
-_CHUNK_TICKS = 256
 
 
 def run_fluid_mode(sim: "DatacenterSimulator") -> "SimulationResult":
@@ -114,8 +111,6 @@ class _FluidLoop(_Plant):
         # concentrates load on the survivors (or an advancer eligibility
         # scan fails), after which stretching is off for the run.
         self._uniform = True
-        self._sum_buf: np.ndarray | None = None
-        self._mat_buf: np.ndarray | None = None
 
     # -- engines -------------------------------------------------------------
 
@@ -309,9 +304,6 @@ class _FluidLoop(_Plant):
             # model, whose temperature is the next tick's inlet — so the
             # release reduction happens in the loop, via the same
             # fill-and-pairwise-sum the reference's np.sum performs.
-            if self._sum_buf is None:
-                self._sum_buf = np.empty(n_servers)
-            buf = self._sum_buf
             room_arr = np.empty(span)
             release_total = np.empty(span)
             inlet = 0.0
@@ -320,8 +312,7 @@ class _FluidLoop(_Plant):
                 p, r, w, m = advancer.tick(
                     inlet, u_eff_l[k], zone_delta_l[k], ua_l[k]
                 )
-                buf.fill(r)
-                total = float(buf.sum())
+                total = float(uniform_totals(r, n_servers)[0])
                 room.step(dt, max(total, 0.0))
                 room_arr[k] = room.temperature_c
                 release_total[k] = total
@@ -366,19 +357,8 @@ class _FluidLoop(_Plant):
         """Per-tick ``np.sum``/``np.mean`` over virtual uniform rows.
 
         The reference loop reduces a contiguous ``(servers,)`` row every
-        tick; broadcasting each per-server scalar across a reused
-        ``(chunk, servers)`` matrix and reducing along axis 1 performs
-        the identical pairwise reductions, chunked so scratch stays
-        bounded.
+        tick; :func:`uniform_totals` performs the identical pairwise
+        reductions from one per-server value per tick.
         """
-        if self._mat_buf is None:
-            self._mat_buf = np.empty((_CHUNK_TICKS, self.n_servers))
-        buf = self._mat_buf
-        out = np.empty(len(per_tick))
-        reduce = np.sum if op == "sum" else np.mean
-        for c0 in range(0, len(per_tick), _CHUNK_TICKS):
-            c1 = min(c0 + _CHUNK_TICKS, len(per_tick))
-            view = buf[: c1 - c0]
-            view[:] = per_tick[c0:c1, None]
-            out[c0:c1] = reduce(view, axis=1)
-        return out
+        totals = uniform_totals(per_tick, self.n_servers)
+        return totals if op == "sum" else totals / self.n_servers

@@ -32,44 +32,30 @@ from repro.server.characterization import PlatformCharacterization
 from repro.server.power import ServerPowerModel
 
 
-def temperature_at_enthalpy_array(
-    material: PCMMaterial, specific_enthalpy_j_per_kg: np.ndarray
-) -> np.ndarray:
-    """Vectorized enthalpy -> temperature map (see ``PCMMaterial``)."""
-    h = np.asarray(specific_enthalpy_j_per_kg, dtype=float)
-    fusion = material.heat_of_fusion_j_per_kg
-    solid = material.solidus_c + h / material.specific_heat_solid_j_per_kg_k
-    mushy = material.solidus_c + (h / fusion) * material.melting_range_c
-    liquid = material.liquidus_c + (h - fusion) / (
-        material.specific_heat_liquid_j_per_kg_k
-    )
-    return np.where(h <= 0, solid, np.where(h >= fusion, liquid, mushy))
+#: Rows :func:`uniform_totals` fills at a time, bounding its buffer at
+#: ``_FILL_ROWS * server_count`` floats however many rows it totals.
+_FILL_ROWS = 256
 
 
-def melt_fraction_array(
-    material: PCMMaterial, specific_enthalpy_j_per_kg: np.ndarray
-) -> np.ndarray:
-    """Vectorized melt fraction in [0, 1]."""
-    h = np.asarray(specific_enthalpy_j_per_kg, dtype=float)
-    return np.clip(h / material.heat_of_fusion_j_per_kg, 0.0, 1.0)
+def uniform_totals(per_server: float | np.ndarray, server_count: int) -> np.ndarray:
+    """Row totals over ``server_count`` servers that all carry one value.
 
-
-def enthalpy_at_temperature_array(
-    material: PCMMaterial, temperature_c: np.ndarray
-) -> np.ndarray:
-    """Vectorized temperature -> enthalpy map (see ``PCMMaterial``)."""
-    t = np.asarray(temperature_c, dtype=float)
-    fusion = material.heat_of_fusion_j_per_kg
-    solid = (t - material.solidus_c) * material.specific_heat_solid_j_per_kg_k
-    mushy = (t - material.solidus_c) / material.melting_range_c * fusion
-    liquid = fusion + (t - material.liquidus_c) * (
-        material.specific_heat_liquid_j_per_kg_k
-    )
-    return np.where(
-        t <= material.solidus_c,
-        solid,
-        np.where(t >= material.liquidus_c, liquid, mushy),
-    )
+    ``per_server`` holds one value per row (a scalar is one row). Each
+    row is filled into a ``(rows, server_count)`` buffer and summed along
+    axis 1: the pairwise reduction ``np.sum`` applies to a full
+    per-server row, so a uniform cluster computed as one server totals
+    bit-identically to its full state. A mean is the total divided by
+    ``server_count``, as ``np.mean`` divides.
+    """
+    values = np.asarray(per_server, dtype=float).reshape(-1)
+    totals = np.empty(len(values))
+    buf = np.empty((min(len(values), _FILL_ROWS), server_count))
+    for r0 in range(0, len(values), _FILL_ROWS):
+        chunk = values[r0 : r0 + _FILL_ROWS]
+        rows = buf[: len(chunk)]
+        rows[:] = chunk[:, None]
+        totals[r0 : r0 + len(chunk)] = rows.sum(axis=1)
+    return totals
 
 
 class BatchedClusterThermalState:
@@ -132,11 +118,11 @@ class BatchedClusterThermalState:
         self.cluster_count = cluster_count
         self.server_count = server_count
         self.wax_mass_kg = characterization.wax_mass_kg
-        self.inlet_temperature_c = np.broadcast_to(
-            np.asarray(inlet_temperature_c, dtype=float), (cluster_count,)
+        self.inlet_temperature_c = self._per_cluster(
+            "inlet_temperature_c", inlet_temperature_c, float
         ).copy()
-        self.wax_enabled = np.broadcast_to(
-            np.asarray(wax_enabled, dtype=bool), (cluster_count,)
+        self.wax_enabled = self._per_cluster(
+            "wax_enabled", wax_enabled, bool
         ).copy()
 
         if inlet_offset_c is None:
@@ -155,9 +141,7 @@ class BatchedClusterThermalState:
             self.inlet_offset_c = offsets
 
         initial_delta = characterization.zone_delta_at(
-            np.broadcast_to(
-                np.asarray(initial_utilization, dtype=float), (cluster_count,)
-            )
+            self._per_cluster("initial_utilization", initial_utilization, float)
         )
         self.zone_temperature_c = (
             self.inlet_temperature_c[:, None]
@@ -214,6 +198,18 @@ class BatchedClusterThermalState:
         self._zone_delta_scale = float(zone_delta_scale)
         self._wax_capacity_factor = float(wax_capacity_factor)
 
+    def _per_cluster(self, field: str, value, dtype) -> np.ndarray:
+        """``value`` broadcast to one entry per cluster (read-only view)."""
+        try:
+            return np.broadcast_to(
+                np.asarray(value, dtype=dtype), (self.cluster_count,)
+            )
+        except ValueError:
+            raise ConfigurationError(
+                f"{field} needs one value or {self.cluster_count} (one per "
+                f"cluster), got shape {np.shape(value)}"
+            ) from None
+
     # -- per-cluster enthalpy maps (same branches as ``PCMMaterial``) -------
 
     def _temperature_at_enthalpy(self, h: np.ndarray) -> np.ndarray:
@@ -262,9 +258,7 @@ class BatchedClusterThermalState:
 
     def _frequency_factors(self, frequency_ghz: float | np.ndarray) -> np.ndarray:
         """Per-cluster DVFS power factors via the scalar power model."""
-        frequencies = np.broadcast_to(
-            np.asarray(frequency_ghz, dtype=float), (self.cluster_count,)
-        )
+        frequencies = self._per_cluster("frequency_ghz", frequency_ghz, float)
         return np.array(
             [
                 self.power_model.frequency_factor(float(frequency))
@@ -355,6 +349,23 @@ class BatchedClusterThermalState:
 
         return power, power - wax_heat, wax_heat
 
+    # -- one server column ---------------------------------------------------
+
+    def is_uniform(self, utilization: np.ndarray | None = None) -> bool:
+        """Whether each cluster's servers share one zone temperature, one
+        wax enthalpy and, if given, one ``(clusters, servers)``
+        utilization, compared exactly.
+
+        Elementwise IEEE arithmetic on equal inputs gives equal outputs,
+        so every server of a uniform cluster can be computed as one.
+        """
+        fields = [self.zone_temperature_c, self.specific_enthalpy_j_per_kg]
+        if utilization is not None:
+            if np.shape(utilization) != self.zone_temperature_c.shape:
+                return False
+            fields.append(utilization)
+        return all(bool((f == f[:, :1]).all()) for f in fields)
+
     # -- stretch advance -----------------------------------------------------
 
     def uniform_advancer(self, dt_s: float) -> "UniformStretchAdvancer | None":
@@ -380,11 +391,7 @@ class BatchedClusterThermalState:
             or self._wax_capacity_factor != 1.0
         ):
             return None
-        if self.inlet_offset_c.any():
-            return None
-        zone = self.zone_temperature_c[0]
-        enthalpy = self.specific_enthalpy_j_per_kg[0]
-        if np.ptp(zone) != 0.0 or np.ptp(enthalpy) != 0.0:
+        if self.inlet_offset_c.any() or not self.is_uniform():
             return None
         return UniformStretchAdvancer(self, dt_s)
 
@@ -419,12 +426,8 @@ class UniformStretchAdvancer:
         self._blend = float(
             1.0 - np.exp(-dt_s / state.characterization.zone_time_constant_s)
         )
-        self._solidus = float(state._solidus[0, 0])
-        self._liquidus = float(state._liquidus[0, 0])
+        self._material = state.material
         self._fusion = float(state._fusion[0, 0])
-        self._c_solid = float(state._c_solid[0, 0])
-        self._c_liquid = float(state._c_liquid[0, 0])
-        self._melt_range = float(state._melt_range[0, 0])
         self._wax_mass = float(state.effective_wax_mass_kg)
         self._enabled = bool(state.wax_enabled[0])
         self._zone = float(state.zone_temperature_c[0, 0])
@@ -462,13 +465,8 @@ class UniformStretchAdvancer:
         zone = self._zone
         zone = zone + self._blend * (target - zone)
         enthalpy = self._enthalpy
-        # The chosen branch of the np.where enthalpy->temperature map.
-        if enthalpy <= 0.0:
-            wax_t = self._solidus + enthalpy / self._c_solid
-        elif enthalpy >= self._fusion:
-            wax_t = self._liquidus + (enthalpy - self._fusion) / self._c_liquid
-        else:
-            wax_t = self._solidus + (enthalpy / self._fusion) * self._melt_range
+        # The material's map takes the branch np.where picks per server.
+        wax_t = self._material.temperature_at_enthalpy(enthalpy)
         if self._enabled:
             heat = ua * (zone - wax_t)
             enthalpy = enthalpy + heat * self._dt_s / self._wax_mass
@@ -594,6 +592,34 @@ class ClusterThermalState:
     def uniform_advancer(self, dt_s: float) -> "UniformStretchAdvancer | None":
         """Scalar stretch-advance view (see the batched form), or ``None``."""
         return self._batched.uniform_advancer(dt_s)
+
+    def is_uniform(self, utilization: np.ndarray | None = None) -> bool:
+        """Uniformity test of the batched form, with a per-server
+        ``utilization`` of shape ``(servers,)``."""
+        if utilization is not None:
+            utilization = np.asarray(utilization, dtype=float).reshape(1, -1)
+        return self._batched.is_uniform(utilization)
+
+    def uniform_release_w(self, utilization: float, frequency_ghz: float) -> float:
+        """One server's heat release at a busy fraction, for a uniform state.
+
+        The scalar form of ``power_w - wax_exchange_w`` when every server
+        shares one zone temperature and wax enthalpy (:meth:`is_uniform`):
+        the same operations in the same order, so it equals each element
+        of that array difference exactly.
+        """
+        power_model = self.power_model
+        u_eff = utilization * power_model.frequency_factor(frequency_ghz)
+        power = power_model.idle_power_w + (power_model.dynamic_range_w * u_eff)
+        if not self.wax_enabled:
+            return power
+        ua = self.characterization.ua_at(u_eff)
+        if self._batched._ua_scale != 1.0:
+            ua = ua * self._batched._ua_scale
+        wax_c = self.material.temperature_at_enthalpy(
+            float(self.specific_enthalpy_j_per_kg[0])
+        )
+        return power - ua * (float(self.zone_temperature_c[0]) - wax_c)
 
     def effective_utilization(
         self, utilization: np.ndarray, frequency_ghz: float

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dcsim.room import RoomModel
-from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.dcsim.thermal_coupling import ClusterThermalState, uniform_totals
 from repro.errors import ConfigurationError
+from repro.obs import get_registry
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,34 @@ def busy_fraction(
     return np.clip(np.asarray(work_rate) / factor, 0.0, 1.0)
 
 
+def _preview(state: ClusterThermalState, busy: np.ndarray, frequency_ghz: float):
+    """``(busy, release)``: one preview's busy fractions and the cluster
+    heat release as a function of (scaled copies of) them.
+
+    Uniformity is judged once per preview. When every server shares one
+    zone temperature, wax enthalpy and busy fraction, ``busy`` is that
+    one fraction and ``release`` computes one server, totalled by
+    fill-and-sum: bit-identical to summing the per-server arrays, which
+    every other state still does. A cluster without wax releases its
+    power alone, which the arrays sum faster than the test runs.
+    """
+    busy = np.asarray(busy, dtype=float)
+    obs = get_registry()
+    if state.wax_enabled and state.is_uniform(busy):
+        obs.count("dcsim.preview.uniform")
+        servers = state.server_count
+        return float(busy[0]), lambda b: float(
+            uniform_totals(state.uniform_release_w(b, frequency_ghz), servers)[0]
+        )
+    obs.count("dcsim.preview.array")
+    return busy, lambda b: float(
+        np.sum(
+            state.power_w(b, frequency_ghz)
+            - state.wax_exchange_w(b, frequency_ghz)
+        )
+    )
+
+
 def release_at_busy_w(
     state: ClusterThermalState, busy: np.ndarray, frequency_ghz: float
 ) -> float:
@@ -58,9 +87,8 @@ def release_at_busy_w(
     Wax absorption counts against the release while it is absorbing; a
     refreezing wax adds heat, which the preview must include.
     """
-    power = state.power_w(busy, frequency_ghz)
-    wax = state.wax_exchange_w(busy, frequency_ghz)
-    return float(np.sum(power - wax))
+    busy, release = _preview(state, busy, frequency_ghz)
+    return release(busy)
 
 
 def projected_release_w(
@@ -96,12 +124,8 @@ def _shed_cap(
     cap is found by bisection.
     """
     busy = busy_fraction(state, work_rate, frequency_ghz)
-    scale = bisect_max(
-        lambda s: release_at_busy_w(state, busy * s, frequency_ghz)
-        <= capacity_w,
-        1.0,
-        rounds=40,
-    )
+    base, release = _preview(state, busy, frequency_ghz)
+    scale = bisect_max(lambda s: release(base * s) <= capacity_w, 1.0, rounds=40)
     return scale * float(np.max(busy)) if len(busy) else 0.0
 
 

@@ -108,18 +108,23 @@ def test_event_mode_baseline_keeps_the_config(
 
 
 class TestBatchedFluidEquivalence:
+    # 7 and 16 cover the pairwise sum's 8-wide unroll, 129 and 1008 its
+    # 128-element blocks.
+    @pytest.mark.parametrize("servers", [1, 7, 16, 129, 1008])
     def test_batched_peaks_match_serial_runs(
-        self, one_u_spec, one_u_characterization, short_diurnal_trace
+        self, one_u_spec, one_u_characterization, short_diurnal_trace, servers
     ):
         """Every member of one batched fluid run must reproduce its own
-        serial simulation's peak exactly (bit-identical stepping)."""
+        serial simulation's peak exactly (bit-identical stepping): the
+        search steps one server column, the reference engine every
+        server."""
         from repro.core.melting_point import batched_fluid_peaks
         from repro.dcsim.simulator import DatacenterSimulator
         from repro.materials.library import (
             commercial_paraffin_with_melting_point,
         )
 
-        topology = ClusterTopology(server_count=16)
+        topology = ClusterTopology(server_count=servers)
         materials = [
             commercial_paraffin_with_melting_point(melt)
             for melt in (40.0, 43.0, 47.0)
@@ -142,10 +147,35 @@ class TestBatchedFluidEquivalence:
                 short_diurnal_trace,
                 topology=topology,
                 config=SimulationConfig(
-                    mode="fluid", wax_enabled=bool(wax_enabled[index])
+                    mode="fluid",
+                    engine="reference",
+                    wax_enabled=bool(wax_enabled[index]),
                 ),
             ).run()
             assert peaks[index] == serial.peak_cooling_load_w
+
+    def test_wax_flags_of_the_wrong_length_are_rejected(
+        self, one_u_spec, one_u_characterization, short_diurnal_trace
+    ):
+        from repro.core.melting_point import batched_fluid_peaks
+        from repro.materials.library import (
+            commercial_paraffin_with_melting_point,
+        )
+
+        materials = [
+            commercial_paraffin_with_melting_point(melt)
+            for melt in (40.0, 43.0, 47.0)
+        ]
+        with pytest.raises(ConfigurationError, match="wax_enabled"):
+            batched_fluid_peaks(
+                one_u_characterization,
+                one_u_spec.power_model,
+                materials,
+                np.array([False, True]),
+                short_diurnal_trace,
+                ClusterTopology(server_count=16),
+                SimulationConfig(mode="fluid"),
+            )
 
     def test_fluid_search_matches_event_free_serial_grid(
         self, one_u_spec, one_u_characterization, short_diurnal_trace

@@ -127,14 +127,23 @@ class TestSimulatorIntegration:
                 inlet_offset_c=np.zeros(5),
             )
 
-    def test_enthalpy_array_roundtrip(self):
-        from repro.dcsim.thermal_coupling import (
-            enthalpy_at_temperature_array,
-            temperature_at_enthalpy_array,
-        )
+    def test_enthalpy_array_roundtrip(self, one_u_spec, one_u_characterization):
+        from repro.dcsim.thermal_coupling import BatchedClusterThermalState
 
         material = commercial_paraffin_with_melting_point(43.0)
-        temps = np.linspace(20.0, 60.0, 41)
-        h = enthalpy_at_temperature_array(material, temps)
-        back = temperature_at_enthalpy_array(material, h)
+        # One cluster per inlet, so the zones span solid, mushy and liquid.
+        state = BatchedClusterThermalState(
+            one_u_characterization,
+            one_u_spec.power_model,
+            material,
+            cluster_count=41,
+            server_count=1,
+            inlet_temperature_c=np.linspace(20.0, 60.0, 41),
+        )
+        temps = state.zone_temperature_c[:, 0]
+        h = state.specific_enthalpy_j_per_kg[:, 0]
+        assert h.tolist() == [
+            material.enthalpy_at_temperature(t) for t in temps.tolist()
+        ]
+        back = state.wax_temperature_c[:, 0]
         assert np.allclose(back, temps, atol=1e-9)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dcsim.thermal_coupling import (
-    ClusterThermalState,
-    melt_fraction_array,
-    temperature_at_enthalpy_array,
-)
+from repro.dcsim.thermal_coupling import ClusterThermalState
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.server.characterization import LumpedServerModel
@@ -30,28 +26,51 @@ def cluster_state(one_u_spec, one_u_characterization, material):
     )
 
 
+def _state_at_enthalpies(spec, characterization, material, h):
+    state = ClusterThermalState(
+        characterization, spec.power_model, material, server_count=len(h)
+    )
+    state.specific_enthalpy_j_per_kg[:] = h
+    return state
+
+
 class TestVectorizedEnthalpyMap:
-    @given(h=st.floats(min_value=-2e5, max_value=4e5))
-    @settings(max_examples=200)
-    def test_matches_scalar_material(self, h):
-        material = commercial_paraffin_with_melting_point(43.0)
-        vector = temperature_at_enthalpy_array(material, np.array([h]))
-        scalar = material.temperature_at_enthalpy(h)
-        assert vector[0] == pytest.approx(scalar, abs=1e-9)
+    """The state's per-server enthalpy maps equal the scalar material's
+    exactly: one-column previews take the scalar map for a uniform state."""
 
     @given(h=st.floats(min_value=-2e5, max_value=4e5))
     @settings(max_examples=200)
-    def test_melt_fraction_matches_scalar(self, h):
+    def test_matches_scalar_material(self, one_u_spec, one_u_characterization, h):
         material = commercial_paraffin_with_melting_point(43.0)
-        vector = melt_fraction_array(material, np.array([h]))
-        assert vector[0] == pytest.approx(
-            material.melt_fraction_at_enthalpy(h), abs=1e-12
+        state = _state_at_enthalpies(
+            one_u_spec, one_u_characterization, material, np.array([h])
         )
+        assert state.wax_temperature_c[0] == material.temperature_at_enthalpy(h)
 
-    def test_array_shapes_preserved(self, material):
-        h = np.linspace(-1e5, 3e5, 37)
-        assert temperature_at_enthalpy_array(material, h).shape == h.shape
-        assert melt_fraction_array(material, h).shape == h.shape
+    @given(h=st.floats(min_value=-2e5, max_value=4e5))
+    @settings(max_examples=200)
+    def test_melt_fraction_matches_scalar(
+        self, one_u_spec, one_u_characterization, h
+    ):
+        material = commercial_paraffin_with_melting_point(43.0)
+        state = _state_at_enthalpies(
+            one_u_spec, one_u_characterization, material, np.array([h])
+        )
+        assert state.melt_fraction[0] == material.melt_fraction_at_enthalpy(h)
+
+    def test_array_shapes_preserved(
+        self, one_u_spec, one_u_characterization, material
+    ):
+        fusion = material.heat_of_fusion_j_per_kg
+        h = np.concatenate([np.linspace(-1e5, 3e5, 37), [0.0, fusion]])
+        state = _state_at_enthalpies(
+            one_u_spec, one_u_characterization, material, h
+        )
+        assert state.wax_temperature_c.shape == h.shape
+        assert state.melt_fraction.shape == h.shape
+        assert state.wax_temperature_c.tolist() == [
+            material.temperature_at_enthalpy(x) for x in h.tolist()
+        ]
 
 
 class TestClusterState:
@@ -221,6 +240,62 @@ class TestBatchedClusterState:
                 server_count=4,
             )
 
+    @pytest.mark.parametrize(
+        "field", ["inlet_temperature_c", "initial_utilization", "wax_enabled"]
+    )
+    def test_per_cluster_field_of_the_wrong_length_is_rejected(
+        self, one_u_spec, one_u_characterization, material, field
+    ):
+        from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+
+        with pytest.raises(ConfigurationError, match=field):
+            BatchedClusterThermalState(
+                characterization=one_u_characterization,
+                power_model=one_u_spec.power_model,
+                material=material,
+                cluster_count=3,
+                server_count=4,
+                **{field: np.ones(2)},
+            )
+
+    def test_step_frequency_of_the_wrong_length_is_rejected(
+        self, one_u_spec, one_u_characterization, material
+    ):
+        from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+
+        state = BatchedClusterThermalState(
+            characterization=one_u_characterization,
+            power_model=one_u_spec.power_model,
+            material=material,
+            cluster_count=3,
+            server_count=4,
+        )
+        with pytest.raises(ConfigurationError, match="frequency_ghz"):
+            state.step(60.0, np.full((3, 4), 0.5), np.full(2, 2.4))
+
+    def test_uniformity_is_exact_per_cluster(
+        self, one_u_spec, one_u_characterization, material
+    ):
+        from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+
+        state = BatchedClusterThermalState(
+            characterization=one_u_characterization,
+            power_model=one_u_spec.power_model,
+            material=material,
+            cluster_count=2,
+            server_count=4,
+            inlet_temperature_c=np.array([25.0, 30.0]),
+        )
+        busy = np.array([[0.5] * 4, [0.7] * 4])
+        assert state.is_uniform()
+        assert state.is_uniform(busy)
+        assert not state.is_uniform(busy[:, :3])
+        busy[1, 3] = np.nextafter(0.7, 1.0)
+        assert not state.is_uniform(busy)
+        enthalpy = state.specific_enthalpy_j_per_kg
+        enthalpy[0, 2] = np.nextafter(enthalpy[0, 2], np.inf)
+        assert not state.is_uniform()
+
     def test_scalar_wrapper_delegates(self, cluster_state):
         """ClusterThermalState is a one-cluster view over the batched
         implementation; its public arrays must stay (S,)-shaped."""
@@ -233,3 +308,16 @@ class TestBatchedClusterState:
         assert release.shape == (16,)
         assert wax.shape == (16,)
         assert isinstance(cluster_state.stored_latent_heat_j, float)
+
+
+class TestUniformTotals:
+    def test_match_the_full_row_sum_and_mean(self):
+        from repro.dcsim.thermal_coupling import uniform_totals
+
+        values = np.array([0.1, 987.3, -4.25e3, 1.0 / 3.0])
+        for servers in range(1, 1010):
+            totals = uniform_totals(values, servers)
+            for value, total in zip(values, totals):
+                row = np.full(servers, value)
+                assert total == np.sum(row), servers
+                assert total / servers == np.mean(row), servers

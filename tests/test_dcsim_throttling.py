@@ -1,7 +1,11 @@
 """Tests for thermal-limit policies."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
@@ -9,11 +13,13 @@ from repro.dcsim.throttling import (
     NoThermalLimit,
     RoomTemperaturePolicy,
     ThermalLimitPolicy,
+    _shed_cap,
     busy_fraction,
     projected_release_w,
 )
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
+from repro.obs import get_registry
 
 
 @pytest.fixture
@@ -154,3 +160,130 @@ class TestRoomTemperaturePolicy:
     def test_negative_deadband_rejected(self, state):
         with pytest.raises(ConfigurationError):
             RoomTemperaturePolicy(self._room(1e6), deadband_c=-1.0)
+
+
+def _oracle_release(state, busy, frequency_ghz):
+    """The per-server preview: every server's power minus wax exchange."""
+    return float(
+        np.sum(
+            state.power_w(busy, frequency_ghz)
+            - state.wax_exchange_w(busy, frequency_ghz)
+        )
+    )
+
+
+def _oracle_shed_cap(state, work, frequency_ghz, capacity_w):
+    """The 40-round busy-cap bisection over the per-server preview."""
+    factor = state.power_model.throughput_factor(frequency_ghz)
+    busy = np.clip(work / factor, 0.0, 1.0)
+    low, high = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (low + high)
+        if _oracle_release(state, busy * mid, frequency_ghz) <= capacity_w:
+            low = mid
+        else:
+            high = mid
+    return low * float(np.max(busy))
+
+
+@contextmanager
+def _preview_paths():
+    """Collect the preview path counters of the body."""
+    obs = get_registry()
+    was_enabled = obs.enabled
+    obs.enable()
+    try:
+        with obs.collect() as collection:
+            yield collection
+    finally:
+        if not was_enabled:
+            obs.disable()
+
+
+def _paths(collection):
+    counters = collection.report.counters
+    return (
+        counters.get("dcsim.preview.uniform", 0),
+        counters.get("dcsim.preview.array", 0),
+    )
+
+
+class TestUniformPreview:
+    """Uniform states preview one server column; the totals must equal
+    the per-server arrays exactly."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_server_oracle(
+        self, one_u_spec, one_u_characterization, data
+    ):
+        model = one_u_spec.power_model
+        material = commercial_paraffin_with_melting_point(
+            data.draw(st.floats(36.0, 60.0), label="melting point")
+        )
+        fusion = material.heat_of_fusion_j_per_kg
+        servers = data.draw(st.integers(1, 1100), label="servers")
+        wax = data.draw(st.booleans(), label="wax")
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            material,
+            server_count=servers,
+            wax_enabled=wax,
+        )
+        # Solid, mushy and liquid, with both phase boundaries exactly.
+        state.specific_enthalpy_j_per_kg[:] = data.draw(
+            st.one_of(
+                st.just(0.0), st.just(fusion), st.floats(-1e5, fusion + 1e5)
+            ),
+            label="enthalpy",
+        )
+        state.zone_temperature_c[:] = data.draw(st.floats(20.0, 70.0))
+        ua_scale = data.draw(
+            st.one_of(st.just(1.0), st.floats(0.05, 0.999)), label="ua scale"
+        )
+        state.set_fault_scales(ua_scale=ua_scale)
+        low, high = model.min_frequency_ghz, model.nominal_frequency_ghz
+        frequency = data.draw(
+            st.one_of(st.just(low), st.just(high), st.floats(low, high)),
+            label="frequency",
+        )
+        # Work rates up to 1.5 give busy fractions across [0, 1].
+        work = np.full(servers, data.draw(st.floats(0.0, 1.5), label="work"))
+        capacity = data.draw(st.floats(0.0, 1.2)) * servers * model.peak_power_w
+
+        busy = busy_fraction(state, work, frequency)
+        with _preview_paths() as collection:
+            release = projected_release_w(state, work, frequency)
+            cap = _shed_cap(state, work, frequency, capacity)
+        # Without wax the release is the power alone, summed on arrays.
+        assert _paths(collection) == ((2, 0) if wax else (0, 2))
+        assert release == _oracle_release(state, busy, frequency)
+        assert cap == _oracle_shed_cap(state, work, frequency, capacity)
+
+    @pytest.mark.parametrize("server", [0, 500, 1007])
+    def test_one_ulp_off_takes_the_array_path(
+        self, one_u_spec, one_u_characterization, server
+    ):
+        model = one_u_spec.power_model
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            commercial_paraffin_with_melting_point(43.0),
+            server_count=1008,
+        )
+        for _ in range(120):
+            state.step(60.0, np.full(1008, 0.9), model.nominal_frequency_ghz)
+        enthalpy = state.specific_enthalpy_j_per_kg
+        enthalpy[server] = np.nextafter(enthalpy[server], np.inf)
+        work = np.full(1008, 0.8)
+        frequency = model.min_frequency_ghz
+        capacity = 0.5 * 1008 * model.peak_power_w
+
+        busy = busy_fraction(state, work, frequency)
+        with _preview_paths() as collection:
+            release = projected_release_w(state, work, frequency)
+            cap = _shed_cap(state, work, frequency, capacity)
+        assert _paths(collection) == (0, 2)
+        assert release == _oracle_release(state, busy, frequency)
+        assert cap == _oracle_shed_cap(state, work, frequency, capacity)

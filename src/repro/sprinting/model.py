@@ -165,12 +165,14 @@ def run_sprint(
 
     Returns the sprint duration (time to the junction limit, or the full
     horizon if the chip never hits it — i.e. the power was sustainable).
+    The run stops at the first sample at the limit, all the outcome reads.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon must be positive")
     network = chip.build_network(sprint_power_w, pcm_grams, material)
     result = simulate_transient(
-        network, horizon_s, output_interval_s=output_interval_s
+        network, horizon_s, output_interval_s=output_interval_s,
+        stop_at=("die", chip.junction_limit_c),
     )
     return _sprint_outcome(chip, result, sprint_power_w, pcm_grams, horizon_s)
 
@@ -187,7 +189,8 @@ def run_sprint_batch(
 
     All members share the package structure (the PCM loadout must be the
     same), so the sweep advances as one stacked RK4 integration via
-    :func:`repro.thermal.solver.simulate_transient_batch`.
+    :func:`repro.thermal.solver.simulate_transient_batch`, which stops
+    once every member has reached the junction limit.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon must be positive")
@@ -196,7 +199,8 @@ def run_sprint_batch(
         for power in sprint_powers_w
     ]
     batch = simulate_transient_batch(
-        networks, horizon_s, output_interval_s=output_interval_s
+        networks, horizon_s, output_interval_s=output_interval_s,
+        stop_at=("die", chip.junction_limit_c),
     )
     return [
         _sprint_outcome(chip, result, float(power), pcm_grams, horizon_s)

@@ -644,15 +644,28 @@ class _TraceBuffers:
             )
         self.power_trace[sample_index] = compiled.network.total_power_w(time_s)
 
+    def watch(self, stop_at: tuple[str, float]) -> np.ndarray:
+        """The trace that a ``stop_at=(node, temperature_c)`` test reads."""
+        traces = {**self.temp_traces, **self.air_traces}
+        if stop_at[0] not in traces:
+            raise ConfigurationError(f"stop_at names no node: {stop_at[0]!r}")
+        return traces[stop_at[0]]
+
     def result(self, times: np.ndarray) -> TransientResult:
+        """The traces up to ``len(times)`` samples (fewer after a stop)."""
+        n = len(times)
+
+        def head(traces: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+            return {name: trace[:n] for name, trace in traces.items()}
+
         return TransientResult(
             times_s=times,
-            temperatures_c=self.temp_traces,
-            air_temperatures_c=self.air_traces,
-            flow_m3_s=self.flow_trace,
-            melt_fractions=self.melt_traces,
-            pcm_enthalpies_j=self.enthalpy_traces,
-            power_w=self.power_trace,
+            temperatures_c=head(self.temp_traces),
+            air_temperatures_c=head(self.air_traces),
+            flow_m3_s=self.flow_trace[:n],
+            melt_fractions=head(self.melt_traces),
+            pcm_enthalpies_j=head(self.enthalpy_traces),
+            power_w=self.power_trace[:n],
         )
 
 
@@ -712,6 +725,7 @@ def simulate_transient(
     commit_final_state: bool = False,
     method: str = "rk4",
     backend: str = "auto",
+    stop_at: tuple[str, float] | None = None,
 ) -> TransientResult:
     """Integrate a network forward in time and sample its trajectory.
 
@@ -746,12 +760,19 @@ def simulate_transient(
         switching to SciPy CSR past the size/density thresholds in
         :mod:`repro.thermal.backends`), or an explicit ``"numpy"`` or
         ``"sparse"``.
+    stop_at:
+        Optional ``(node, temperature_c)``, RK4 only: end the run after the
+        first output sample at which that node (or air segment) is at or
+        above the temperature. The traces stop there; each sample equals
+        the full run's, since the step grid does not depend on the horizon.
     """
     _validate_run_args(duration_s, output_interval_s)
     if method not in ("rk4", "bdf"):
         raise ConfigurationError(
             f"method must be 'rk4' or 'bdf', got {method!r}"
         )
+    if stop_at is not None and method == "bdf":
+        raise ConfigurationError("stop_at applies to the RK4 method only")
     network.validate()
     obs = get_registry()
     with obs.timer("solver.transient"):
@@ -771,7 +792,7 @@ def simulate_transient(
         step = _resolve_step(network, step_safety, max_step_s, output_interval_s)
         return _integrate_rk4(
             network, compiled, duration_s, output_interval_s, step,
-            commit_final_state, obs,
+            commit_final_state, obs, stop_at,
         )
 
 
@@ -783,6 +804,7 @@ def _integrate_rk4(
     step: float,
     commit_final_state: bool,
     obs: ObsRegistry,
+    stop_at: tuple[str, float] | None,
 ) -> TransientResult:
     """Fixed-step RK4 integration of the compiled network."""
 
@@ -792,11 +814,11 @@ def _integrate_rk4(
     state = network.initial_state()
     n_cap = compiled.n_cap
     buffers = _TraceBuffers(compiled, n_outputs)
+    watched = None if stop_at is None else buffers.watch(stop_at)
 
-    buffers.record(0, state, 0.0)
     time_now = 0.0
     steps_taken = 0
-    for sample_index in range(1, n_outputs):
+    for sample_index in range(n_outputs):
         target = times[sample_index]
         while time_now < target - 1e-9:
             dt = min(step, target - time_now)
@@ -813,6 +835,9 @@ def _integrate_rk4(
                     f"{network.name!r}; step {step:.3g}s may be unstable"
                 )
         buffers.record(sample_index, state, target)
+        if watched is not None and watched[sample_index] >= stop_at[1]:
+            times = times[: sample_index + 1]
+            break
 
     if obs.enabled:
         obs.count("solver.runs")
@@ -1024,6 +1049,7 @@ def simulate_transient_batch(
     commit_final_state: bool = False,
     backend: str = "auto",
     progress_cb: Callable[[int, int, float], None] | None = None,
+    stop_at: tuple[str, float] | None = None,
 ) -> BatchTransientResult:
     """Advance N structurally-identical networks in one RK4 loop.
 
@@ -1044,6 +1070,9 @@ def simulate_transient_batch(
     loop when omitted. An exception raised by the callback aborts the
     integration and propagates to the caller unchanged — long-running
     service layers use this for cooperative cancellation.
+
+    ``stop_at`` is :func:`simulate_transient`'s, met once every live
+    member has reached the temperature at some sample.
     """
     _validate_run_args(duration_s, output_interval_s)
     if not networks:
@@ -1078,15 +1107,13 @@ def simulate_transient_batch(
         active = np.ones(n_members, dtype=bool)
         failures: dict[int, str] = {}
         buffers = [_TraceBuffers(member, n_outputs) for member in members]
-
-        for member_index, member_buffers in enumerate(buffers):
-            member_buffers.record(0, state[member_index], 0.0)
-        if progress_cb is not None:
-            progress_cb(0, n_outputs, 0.0)
+        if stop_at is not None:
+            watched = [member_buffers.watch(stop_at) for member_buffers in buffers]
+            reached = np.zeros(n_members, dtype=bool)
 
         time_now = 0.0
         steps_taken = 0
-        for sample_index in range(1, n_outputs):
+        for sample_index in range(n_outputs):
             target = times[sample_index]
             while time_now < target - 1e-9:
                 dt = min(step, target - time_now)
@@ -1116,6 +1143,11 @@ def simulate_transient_batch(
                     )
             if progress_cb is not None:
                 progress_cb(sample_index, n_outputs, float(target))
+            if stop_at is not None:
+                reached |= [trace[sample_index] >= stop_at[1] for trace in watched]
+                if np.all(reached | ~active):
+                    times = times[: sample_index + 1]
+                    break
 
         if obs.enabled:
             obs.count("solver.runs")

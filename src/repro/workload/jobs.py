@@ -14,6 +14,8 @@ rate ``lambda(t) = u(t) * n * slots / s``.
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -37,13 +39,15 @@ class JobClass:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.service_time_s <= 0:
+        # NaN fails every comparison, so it needs its own test: a NaN
+        # service time would stall the thinning clock forever.
+        if not math.isfinite(self.service_time_s) or self.service_time_s <= 0:
             raise WorkloadError(
-                f"job class {self.name!r}: service time must be positive"
+                f"job class {self.name!r}: service time must be positive and finite"
             )
-        if self.weight < 0:
+        if not math.isfinite(self.weight) or self.weight < 0:
             raise WorkloadError(
-                f"job class {self.name!r}: weight must be non-negative"
+                f"job class {self.name!r}: weight must be non-negative and finite"
             )
 
 
@@ -66,73 +70,6 @@ class Arrival:
     service_time_s: float
 
 
-def generate_arrivals(
-    trace: LoadTrace,
-    server_count: int,
-    slots_per_server: int = 1,
-    job_classes: tuple[JobClass, ...] = DEFAULT_JOB_CLASSES,
-    seed: int = 7,
-    deterministic_service: bool = False,
-) -> list[Arrival]:
-    """Generate a job arrival stream realizing a load trace.
-
-    Uses Ogata thinning for the non-homogeneous Poisson process: candidate
-    arrivals at the trace's peak rate, accepted with probability
-    ``lambda(t) / lambda_max``. Class membership is sampled by weight, and
-    service times are exponential around the class mean (or exactly the
-    mean when ``deterministic_service`` is set, useful for tests).
-
-    The effective per-slot service rate uses the *mix-averaged* service
-    time so that offered load matches the trace regardless of the mix.
-    """
-    if server_count <= 0:
-        raise WorkloadError(f"server count must be positive, got {server_count}")
-    if slots_per_server <= 0:
-        raise WorkloadError(
-            f"slots per server must be positive, got {slots_per_server}"
-        )
-    if not job_classes:
-        raise WorkloadError("need at least one job class")
-    weights = np.array([jc.weight for jc in job_classes], dtype=float)
-    if weights.sum() <= 0:
-        raise WorkloadError("job class weights sum to zero")
-    probabilities = weights / weights.sum()
-    mean_service = float(
-        np.sum(probabilities * [jc.service_time_s for jc in job_classes])
-    )
-
-    capacity = server_count * slots_per_server
-    peak_rate = trace.peak * capacity / mean_service
-    if peak_rate <= 0:
-        raise WorkloadError("trace peak is zero; no arrivals to generate")
-
-    rng = np.random.default_rng(seed)
-    arrivals: list[Arrival] = []
-    time_now = 0.0
-    horizon = trace.duration_s
-    while True:
-        time_now += rng.exponential(1.0 / peak_rate)
-        if time_now >= horizon:
-            break
-        rate = float(trace.value_at(time_now)) * capacity / mean_service
-        if rng.uniform() * peak_rate > rate:
-            continue
-        job_class = job_classes[rng.choice(len(job_classes), p=probabilities)]
-        if deterministic_service:
-            service = job_class.service_time_s
-        else:
-            service = float(rng.exponential(job_class.service_time_s))
-        arrivals.append(
-            Arrival(time_s=float(time_now), job_class=job_class, service_time_s=service)
-        )
-    return arrivals
-
-
-# ---------------------------------------------------------------------------
-# Cached arrival streams
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ArrivalStream:
     """A job arrival stream as typed column arrays.
@@ -153,39 +90,149 @@ class ArrivalStream:
     def to_arrivals(self) -> list[Arrival]:
         """Materialize the stream back into :class:`Arrival` objects."""
         return [
-            Arrival(
-                time_s=float(t),
-                job_class=self.job_classes[int(c)],
-                service_time_s=float(s),
+            Arrival(time_s=t, job_class=self.job_classes[c], service_time_s=s)
+            for t, s, c in zip(
+                self.times_s.tolist(),
+                self.service_s.tolist(),
+                self.class_index.tolist(),
             )
-            for t, s, c in zip(self.times_s, self.service_s, self.class_index)
         ]
 
 
-def coerce_arrival_stream(arrivals) -> ArrivalStream:
-    """Column-array view of an arrival list (no-op for streams)."""
-    if isinstance(arrivals, ArrivalStream):
-        return arrivals
-    classes: list[JobClass] = []
-    class_to_index: dict[JobClass, int] = {}
-    indices = np.empty(len(arrivals), dtype=np.int64)
-    times = np.empty(len(arrivals), dtype=np.float64)
-    services = np.empty(len(arrivals), dtype=np.float64)
-    for i, arrival in enumerate(arrivals):
-        index = class_to_index.get(arrival.job_class)
-        if index is None:
-            index = len(classes)
-            class_to_index[arrival.job_class] = index
-            classes.append(arrival.job_class)
-        indices[i] = index
-        times[i] = arrival.time_s
-        services[i] = arrival.service_time_s
+def arrival_stream(
+    trace: LoadTrace,
+    server_count: int,
+    slots_per_server: int = 1,
+    job_classes: tuple[JobClass, ...] = DEFAULT_JOB_CLASSES,
+    seed: int = 7,
+    deterministic_service: bool = False,
+) -> ArrivalStream:
+    """Generate a job arrival stream realizing a load trace.
+
+    Uses Ogata thinning for the non-homogeneous Poisson process: candidate
+    arrivals at the trace's peak rate, accepted with probability
+    ``lambda(t) / lambda_max``. Class membership is sampled by weight, and
+    service times are exponential around the class mean (or exactly the
+    mean when ``deterministic_service`` is set, useful for tests).
+
+    The effective per-slot service rate uses the *mix-averaged* service
+    time so that offered load matches the trace regardless of the mix.
+
+    The loop runs on Python floats with the random draws and arithmetic of
+    ``Generator.choice`` (its one-draw CDF lookup) and ``np.interp`` (its
+    formula, on a cursor that only moves forward); see docs/EVENTSIM.md
+    for why candidates cannot be drawn in bulk.
+    """
+    if server_count <= 0:
+        raise WorkloadError(f"server count must be positive, got {server_count}")
+    if slots_per_server <= 0:
+        raise WorkloadError(
+            f"slots per server must be positive, got {slots_per_server}"
+        )
+    if not job_classes:
+        raise WorkloadError("need at least one job class")
+    weights = np.array([jc.weight for jc in job_classes], dtype=float)
+    if weights.sum() <= 0:
+        raise WorkloadError("job class weights sum to zero")
+    probabilities = weights / weights.sum()
+    means = [jc.service_time_s for jc in job_classes]
+    mean_service = float(np.sum(probabilities * means))
+
+    capacity = server_count * slots_per_server
+    peak_rate = trace.peak * capacity / mean_service
+    if peak_rate <= 0:
+        raise WorkloadError("trace peak is zero; no arrivals to generate")
+
+    cumulative = probabilities.cumsum()
+    cdf = (cumulative / cumulative[-1]).tolist()
+    knot_times = trace.times_s.tolist()
+    knot_values = trace.values.tolist()
+    knot, x1 = 0, -math.inf  # the first candidate places the cursor
+
+    rng = np.random.default_rng(seed)
+    exponential, uniform = rng.exponential, rng.random
+    gap = 1.0 / peak_rate
+    times, services, classes = [], [], []
+    time_now = 0.0
+    horizon = trace.duration_s
+    while True:
+        time_now += exponential(gap)
+        if time_now >= horizon:
+            break
+        if time_now >= x1:
+            # The last knot is the horizon, so the cursor stays in range.
+            while knot_times[knot + 1] <= time_now:
+                knot += 1
+            x0, x1 = knot_times[knot], knot_times[knot + 1]
+            y0 = knot_values[knot]
+            slope = (knot_values[knot + 1] - y0) / (x1 - x0)
+        value = y0 if time_now <= x0 else slope * (time_now - x0) + y0
+        rate = value * capacity / mean_service
+        if uniform() * peak_rate > rate:
+            continue
+        index = bisect_right(cdf, uniform())
+        times.append(time_now)
+        classes.append(index)
+        mean = means[index]
+        services.append(mean if deterministic_service else exponential(mean))
     return ArrivalStream(
-        times_s=times,
-        service_s=services,
-        class_index=indices,
+        times_s=np.array(times, dtype=np.float64),
+        service_s=np.array(services, dtype=np.float64),
+        class_index=np.array(classes, dtype=np.int64),
+        job_classes=tuple(job_classes),
+    )
+
+
+def generate_arrivals(
+    trace: LoadTrace,
+    server_count: int,
+    slots_per_server: int = 1,
+    job_classes: tuple[JobClass, ...] = DEFAULT_JOB_CLASSES,
+    seed: int = 7,
+    deterministic_service: bool = False,
+) -> list[Arrival]:
+    """:func:`arrival_stream` materialized as :class:`Arrival` objects."""
+    return arrival_stream(
+        trace, server_count, slots_per_server, job_classes, seed,
+        deterministic_service,
+    ).to_arrivals()
+
+
+def coerce_arrival_stream(arrivals) -> ArrivalStream:
+    """Column-array view of a user-supplied arrival list or stream.
+
+    Both event engines consume arrivals in time order, so a stream whose
+    times decrease is rejected with :class:`WorkloadError` naming the
+    first arrival out of order.
+    """
+    if not isinstance(arrivals, ArrivalStream):
+        arrivals = _arrival_columns(arrivals)
+    times = arrivals.times_s
+    late = np.flatnonzero(np.diff(times) < 0)
+    if late.size:
+        i = int(late[0]) + 1
+        raise WorkloadError(
+            f"arrivals must be in time order: arrival {i} at t={times[i]}s "
+            f"precedes arrival {i - 1} at t={times[i - 1]}s"
+        )
+    return arrivals
+
+
+def _arrival_columns(arrivals: list[Arrival]) -> ArrivalStream:
+    # Equal job classes share the index of their first appearance.
+    classes = list(dict.fromkeys(arrival.job_class for arrival in arrivals))
+    index = {job_class: i for i, job_class in enumerate(classes)}
+    return ArrivalStream(
+        times_s=np.array([a.time_s for a in arrivals], dtype=np.float64),
+        service_s=np.array([a.service_time_s for a in arrivals], dtype=np.float64),
+        class_index=np.array([index[a.job_class] for a in arrivals], dtype=np.int64),
         job_classes=tuple(classes),
     )
+
+
+# ---------------------------------------------------------------------------
+# Cached arrival streams
+# ---------------------------------------------------------------------------
 
 
 def trace_fingerprint(trace: LoadTrace) -> str:
@@ -241,7 +288,7 @@ def cached_arrival_stream(
     deterministic_service: bool = False,
     cache=None,
 ) -> ArrivalStream:
-    """Memoized :func:`generate_arrivals` as an :class:`ArrivalStream`.
+    """Memoized :func:`arrival_stream`.
 
     Generation is deterministic in the key (trace fingerprint, cluster
     shape, seed, job-class mix), so repeated sweep arms reuse the stream
@@ -281,22 +328,13 @@ def cached_arrival_stream(
             return stream
 
     obs.count("dcsim.arrival_cache.miss")
-    arrivals = generate_arrivals(
+    stream = arrival_stream(
         trace,
         server_count=server_count,
         slots_per_server=slots_per_server,
         job_classes=job_classes,
         seed=seed,
         deterministic_service=deterministic_service,
-    )
-    class_to_index = {jc: i for i, jc in enumerate(job_classes)}
-    stream = ArrivalStream(
-        times_s=np.array([a.time_s for a in arrivals], dtype=np.float64),
-        service_s=np.array([a.service_time_s for a in arrivals], dtype=np.float64),
-        class_index=np.array(
-            [class_to_index[a.job_class] for a in arrivals], dtype=np.int64
-        ),
-        job_classes=tuple(job_classes),
     )
     if disk is not None:
         disk.put(

@@ -8,10 +8,12 @@ wall-clock.
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.server.characterization import characterize_platform
 from repro.server.configs import (
@@ -22,6 +24,14 @@ from repro.server.configs import (
 from repro.workload.google import synthesize_google_trace
 from repro.workload.trace import LoadTrace
 from repro.units import hours
+
+# Property-test draws: "ci" derandomizes them, so a failing PR lane points
+# at the change under test rather than at a lucky draw; "fresh" keeps
+# Hypothesis's new random draws for the weekly sweep. HYPOTHESIS_PROFILE
+# selects one; unset, Hypothesis's own default applies.
+settings.register_profile("ci", derandomize=True)
+settings.register_profile("fresh", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_addoption(parser):

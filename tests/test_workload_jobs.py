@@ -1,12 +1,19 @@
 """Tests for job classes and arrival generation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workload.jobs import (
     DEFAULT_JOB_CLASSES,
+    ArrivalStream,
     JobClass,
+    arrival_stream,
+    coerce_arrival_stream,
     generate_arrivals,
 )
 from repro.workload.trace import LoadTrace
@@ -17,12 +24,131 @@ def flat_trace(level=0.5, duration=24 * 3600.0):
     return LoadTrace(times, np.array([level, level + 1e-9]))
 
 
+def oracle_columns(
+    trace,
+    server_count,
+    slots_per_server=1,
+    job_classes=DEFAULT_JOB_CLASSES,
+    seed=7,
+    deterministic_service=False,
+):
+    """Reference Ogata thinning with per-candidate NumPy calls.
+
+    ``rng.choice`` for the class, a scalar ``np.interp`` for the trace
+    and ``rng.uniform`` for the accept test: the loop
+    :func:`arrival_stream` must reproduce bit for bit. Returns the
+    (time, service, class position) columns.
+    """
+    weights = np.array([jc.weight for jc in job_classes], dtype=float)
+    probabilities = weights / weights.sum()
+    mean_service = float(
+        np.sum(probabilities * [jc.service_time_s for jc in job_classes])
+    )
+    capacity = server_count * slots_per_server
+    peak_rate = trace.peak * capacity / mean_service
+    rng = np.random.default_rng(seed)
+    times, services, classes = [], [], []
+    time_now = 0.0
+    horizon = trace.duration_s
+    while True:
+        time_now += rng.exponential(1.0 / peak_rate)
+        if time_now >= horizon:
+            break
+        rate = float(trace.value_at(time_now)) * capacity / mean_service
+        if rng.uniform() * peak_rate > rate:
+            continue
+        index = rng.choice(len(job_classes), p=probabilities)
+        job_class = job_classes[index]
+        if deterministic_service:
+            service = job_class.service_time_s
+        else:
+            service = float(rng.exponential(job_class.service_time_s))
+        times.append(float(time_now))
+        services.append(service)
+        classes.append(index)
+    return (
+        np.array(times, dtype=np.float64),
+        np.array(services, dtype=np.float64),
+        np.array(classes, dtype=np.int64),
+    )
+
+
+def assert_matches_oracle(stream, trace, server_count, slots, classes, seed, fixed):
+    times, services, indices = oracle_columns(
+        trace, server_count, slots, classes, seed, fixed
+    )
+    assert np.array_equal(stream.times_s, times)
+    assert np.array_equal(stream.service_s, services)
+    assert np.array_equal(stream.class_index, indices)
+    assert stream.class_index.dtype == np.int64
+
+
+@st.composite
+def thinning_traces(draw):
+    """Traces of 2-40 knots mixing ramps, flat runs and near-steps."""
+    n = draw(st.integers(2, 40))
+    gaps = draw(
+        st.lists(
+            st.one_of(
+                st.floats(1e-3, 1.0),  # a step: the value jumps in a blink
+                st.floats(1.0, 400.0),
+            ),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    )
+    levels = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.95, 1.0]), st.floats(0.0, 1.2)
+    )
+    values = [draw(levels)]
+    for _ in range(n - 1):
+        # Repeating the previous value makes a flat segment.
+        values.append(values[-1] if draw(st.booleans()) else draw(levels))
+    if max(values) <= 0.0:
+        values[draw(st.integers(0, n - 1))] = draw(st.floats(0.05, 1.0))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return LoadTrace(times, np.array(values))
+
+
+@st.composite
+def class_mixes(draw):
+    """1-4 distinct job classes, zero weights allowed (not all zero)."""
+    n = draw(st.integers(1, 4))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 5.0)), min_size=n, max_size=n
+        )
+    )
+    if sum(weights) <= 0.0:
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    return tuple(
+        JobClass(
+            name=f"class-{i}",
+            service_time_s=draw(st.floats(30.0, 900.0)),
+            weight=weight,
+        )
+        for i, weight in enumerate(weights)
+    )
+
+
 class TestJobClass:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             JobClass(name="bad", service_time_s=0.0)
         with pytest.raises(WorkloadError):
             JobClass(name="bad", service_time_s=10.0, weight=-1.0)
+
+    @pytest.mark.parametrize("service", [math.nan, math.inf, -math.inf])
+    def test_non_finite_service_time_rejected(self, service):
+        # A NaN service time used to pass (NaN <= 0 is false) and stall the
+        # thinning clock at NaN forever.
+        with pytest.raises(WorkloadError, match="finite"):
+            JobClass(name="bad", service_time_s=service)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(WorkloadError, match="finite"):
+            JobClass(name="bad", service_time_s=10.0, weight=weight)
 
     def test_defaults_mirror_paper_workloads(self):
         names = {jc.name for jc in DEFAULT_JOB_CLASSES}
@@ -99,6 +225,139 @@ class TestArrivalGeneration:
             generate_arrivals(trace, server_count=10)
 
 
+class TestColumnGenerator:
+    """The column loop against the per-candidate NumPy oracle above."""
+
+    @settings(deadline=None)
+    @given(
+        trace=thinning_traces(),
+        job_classes=class_mixes(),
+        server_count=st.integers(1, 3),
+        slots=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.booleans(),
+    )
+    @example(
+        trace=flat_trace(0.5, duration=3600.0),
+        job_classes=DEFAULT_JOB_CLASSES,
+        server_count=3,
+        slots=3,
+        seed=0,
+        fixed=False,
+    )
+    def test_columns_match_oracle(
+        self, trace, job_classes, server_count, slots, seed, fixed
+    ):
+        stream = arrival_stream(
+            trace,
+            server_count,
+            slots_per_server=slots,
+            job_classes=job_classes,
+            seed=seed,
+            deterministic_service=fixed,
+        )
+        assert_matches_oracle(
+            stream, trace, server_count, slots, job_classes, seed, fixed
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidate_on_a_knot(self, seed):
+        """A candidate exactly on a knot reads that knot's value, as
+        ``np.interp`` does, not the end of the previous segment."""
+        server_count, slots = 4, 2
+        mean_service = float(
+            sum(jc.weight * jc.service_time_s for jc in DEFAULT_JOB_CLASSES)
+            / sum(jc.weight for jc in DEFAULT_JOB_CLASSES)
+        )
+        base = LoadTrace(
+            np.array([0.0, 400.0, 3600.0]), np.array([0.2, 0.9, 0.3])
+        )
+        peak_rate = base.peak * server_count * slots / mean_service
+        first = float(np.random.default_rng(seed).exponential(1.0 / peak_rate))
+        assert 0.0 < first < 400.0
+        # The added knot is below the peak, so peak_rate (and with it the
+        # first candidate) is unchanged, and the candidate lands on it.
+        times = np.array([0.0, first, 400.0, 3600.0])
+        trace = LoadTrace(times, np.array([0.2, 0.7, 0.9, 0.3]))
+        stream = arrival_stream(
+            trace, server_count, slots_per_server=slots, seed=seed
+        )
+        assert_matches_oracle(
+            stream, trace, server_count, slots, DEFAULT_JOB_CLASSES, seed, False
+        )
+
+    def test_generate_arrivals_materializes_the_stream(self):
+        trace = flat_trace(0.4, duration=3600.0)
+        stream = arrival_stream(trace, server_count=8, seed=3)
+        arrivals = generate_arrivals(trace, server_count=8, seed=3)
+        assert arrivals == stream.to_arrivals()
+        assert [a.job_class for a in arrivals] == [
+            DEFAULT_JOB_CLASSES[i] for i in stream.class_index
+        ]
+
+
+class TestArrivalOrder:
+    """User-supplied arrivals must come in time order."""
+
+    @staticmethod
+    def _reversed_day():
+        from repro.units import hours
+        from repro.workload.synthetic import diurnal_trace
+
+        trace = diurnal_trace(duration_s=hours(2.0))
+        arrivals = generate_arrivals(
+            trace, server_count=16, slots_per_server=8, seed=3
+        )
+        return trace, arrivals[::-1]
+
+    def test_list_out_of_order_rejected(self):
+        _, arrivals = self._reversed_day()
+        with pytest.raises(WorkloadError, match="arrival 1 at"):
+            coerce_arrival_stream(arrivals)
+
+    def test_stream_out_of_order_rejected(self):
+        stream = ArrivalStream(
+            times_s=np.array([0.0, 5.0, 5.0, 4.0]),
+            service_s=np.ones(4),
+            class_index=np.zeros(4, dtype=np.int64),
+            job_classes=DEFAULT_JOB_CLASSES[:1],
+        )
+        with pytest.raises(WorkloadError, match="arrival 3 at"):
+            coerce_arrival_stream(stream)
+
+    def test_ties_accepted(self):
+        stream = ArrivalStream(
+            times_s=np.array([0.0, 5.0, 5.0]),
+            service_s=np.ones(3),
+            class_index=np.zeros(3, dtype=np.int64),
+            job_classes=DEFAULT_JOB_CLASSES[:1],
+        )
+        assert coerce_arrival_stream(stream) is stream
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_both_event_engines_reject_reversed_arrivals(
+        self, engine, one_u_characterization, one_u_spec
+    ):
+        # The reference engine used to return a near-zero throughput and
+        # the batched engine a broadcast error.
+        from repro.dcsim.cluster import ClusterTopology
+        from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
+        from repro.materials.library import commercial_paraffin_with_melting_point
+
+        trace, arrivals = self._reversed_day()
+        sim = DatacenterSimulator(
+            one_u_characterization,
+            one_u_spec.power_model,
+            commercial_paraffin_with_melting_point(43.0),
+            trace,
+            topology=ClusterTopology(server_count=16),
+            config=SimulationConfig(mode="event", engine=engine, seed=3),
+            arrivals=arrivals,
+        )
+        with pytest.raises(WorkloadError, match="time order"):
+            sim.run()
+
+
 class TestCachedArrivalStream:
     @pytest.fixture(autouse=True)
     def _fresh_state(self):
@@ -142,9 +401,9 @@ class TestCachedArrivalStream:
         assert "dcsim.arrival_cache.hit" not in counters
 
         def boom(*args, **kwargs):
-            raise AssertionError("generate_arrivals must not run on a hit")
+            raise AssertionError("arrival_stream must not run on a hit")
 
-        monkeypatch.setattr(jobs, "generate_arrivals", boom)
+        monkeypatch.setattr(jobs, "arrival_stream", boom)
         second = jobs.cached_arrival_stream(trace, server_count=8, seed=3, cache=False)
         assert second is first
         counters = self._counters()
@@ -163,9 +422,9 @@ class TestCachedArrivalStream:
         jobs.clear_arrival_memo()
 
         def boom(*args, **kwargs):
-            raise AssertionError("generate_arrivals must not run on a disk hit")
+            raise AssertionError("arrival_stream must not run on a disk hit")
 
-        monkeypatch.setattr(jobs, "generate_arrivals", boom)
+        monkeypatch.setattr(jobs, "arrival_stream", boom)
         second = jobs.cached_arrival_stream(trace, server_count=8, seed=3, cache=cache)
         assert second is not first
         assert np.array_equal(second.times_s, first.times_s)

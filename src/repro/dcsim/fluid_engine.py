@@ -32,11 +32,12 @@ inert for its whole span:
   ``advance_to``/``apply_state``/``observe``/``constrain`` are no-ops
   apart from bookkeeping that :meth:`~repro.faults.injector.FaultInjector.fast_forward`
   replays at the stretch end;
-* the thermal state is **uniform across servers**
-  (:meth:`repro.dcsim.thermal_coupling.BatchedClusterThermalState.uniform_advancer`):
-  single cluster, zero inlet offsets, unit fault scales, bitwise-equal
-  zone/enthalpy columns. Offline-server ticks break uniformity, so the
-  engine stops stretching for the rest of the run once one occurs.
+* the thermal state is **uniform across servers** with unit fault
+  scales (:meth:`repro.dcsim.simulator._Plant.column`). The plant
+  tracks uniformity rather than scanning for it: a batched run without
+  inlet offsets starts uniform, and the first per-server step (an
+  offline-server tick) clears the flag, so the engine stops stretching
+  for the rest of the run once one occurs.
 
 Within a stretch the per-server physics collapses to a scalar recursion
 (every server carries identical values), executed in Python floats that
@@ -53,13 +54,17 @@ the next tick's inlet).
 Bit-identity to the reference loop is the acceptance bar, exactly as
 PR 5 held for event mode: both engines must produce byte-identical
 ``SimulationResult`` payloads for every workload, fault schedule, and
-policy. Runs that never qualify (stateful policies, active faults,
-per-server heterogeneity) simply execute the reference tick body tick by
-tick through the same code object, so they cannot drift.
+policy. Ticks that do not qualify (stateful policies, active faults,
+per-server heterogeneity) execute the reference tick body one by one
+through the same code object, so they cannot drift. Its plant step
+still computes a uniform cluster as one server column with the stretch
+advancer and commits it back after every tick; only per-server
+heterogeneity and live fault scales step the arrays.
 
 Observability (when the registry is enabled): ``dcsim.fluid.stretch_ticks``
 counts ticks advanced inside stretches, ``dcsim.fluid.scalar_ticks`` the
-ticks that took the scalar fallback.
+ticks that took the scalar fallback, and ``dcsim.column_ticks`` (counted
+by the plant) the fallback ticks stepped as one column.
 """
 
 from __future__ import annotations
@@ -79,8 +84,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_fluid_mode"]
 
 #: Eligible runs shorter than this execute scalar anyway: below a few
-#: ticks the stretch setup (advancer eligibility scan, array slicing,
-#: injector fast-forward) costs more than it saves.
+#: ticks the stretch setup (array slicing, series lookups, injector
+#: fast-forward) costs more than it saves.
 _MIN_STRETCH = 4
 
 
@@ -103,14 +108,6 @@ class _FluidLoop(_Plant):
     every tick and by the batched engine at every stretch boundary, so
     the fallback path cannot drift from the oracle.
     """
-
-    def __init__(self, sim: "DatacenterSimulator") -> None:
-        super().__init__(sim)
-        # True while every server provably shares one (zone, enthalpy)
-        # trajectory. Cleared the first time an offline-server tick
-        # concentrates load on the survivors (or an advancer eligibility
-        # scan fails), after which stretching is off for the run.
-        self._uniform = True
 
     # -- engines -------------------------------------------------------------
 
@@ -139,13 +136,7 @@ class _FluidLoop(_Plant):
             i = 0
             while i < n_ticks:
                 end = self._stretch_end(i)
-                advancer = None
-                if end - i >= _MIN_STRETCH:
-                    advancer = self.state.uniform_advancer(self.dt)
-                    if advancer is None:
-                        # Eligibility scan found per-server structure the
-                        # cheap flags missed; stop re-scanning every tick.
-                        self._uniform = False
+                advancer = self.column() if end - i >= _MIN_STRETCH else None
                 if advancer is not None:
                     self._run_stretch(i, end, decision, demand_all, advancer)
                     stretch_ticks += end - i
@@ -177,28 +168,30 @@ class _FluidLoop(_Plant):
         if offline > 0:
             # Surviving servers absorb the whole offered load; the
             # failed (lowest-indexed) servers sit idle. Per-server state
-            # diverges here, so stretch advancing is off from now on.
-            self._uniform = False
+            # diverges here: the per-server step clears the plant's
+            # uniform flag, so stretches and column ticks stop for good.
             alive = n_servers - offline
             concentrated = demand * n_servers / alive
             utilization = min(
                 concentrated / tf, 1.0, decision.utilization_cap
             )
-            utilization_vec = np.zeros(n_servers)
-            utilization_vec[offline:] = utilization
+            busy = np.zeros(n_servers)
+            busy[offline:] = utilization
             served = utilization * tf * alive / n_servers
             mean_utilization = utilization * alive / n_servers
         else:
             utilization = np.minimum(demand / tf, 1.0)
             utilization = np.minimum(utilization, decision.utilization_cap)
-            utilization_vec = np.full(n_servers, utilization)
+            # Every server runs this one busy fraction, so the plant can
+            # step it as one column while the state is uniform.
+            busy = utilization
             served = utilization * tf
             mean_utilization = utilization
         shed = max(demand - served, 0.0)
         self.step(
             i,
             t,
-            utilization_vec,
+            busy,
             decision.frequency_ghz,
             demand=demand,
             utilization=mean_utilization,
@@ -226,10 +219,11 @@ class _FluidLoop(_Plant):
         """End (exclusive tick index) of the eligible run starting at ``i``.
 
         Returns ``i`` itself when tick ``i`` must run scalar. Eligibility
-        here covers the *schedule*: state uniformity is the advancer's
-        job, and the policy certificate was checked once up front.
+        here covers the *schedule* and the plant's uniform flag; the fault
+        scales are :meth:`column`'s job, and the policy certificate was
+        checked once up front.
         """
-        if not self._uniform:
+        if not self.uniform:
             return i
         injector = self.injector
         if injector is None:

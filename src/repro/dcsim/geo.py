@@ -29,6 +29,7 @@ way locally-banked wax heat is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.dcsim.throttling import (
     RoomTemperaturePolicy,
     ThrottleDecision,
     bisect_max,
-    projected_release_w,
+    shared_busy_release,
 )
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
@@ -88,8 +89,11 @@ def route_unserved(
         raise ConfigurationError(
             "relocation loss must be a fraction in [0, 1)"
         )
-    if any(u < 0 for u in unserved) or any(s < 0 for s in remaining_spare):
-        raise ConfigurationError("unserved and spare must be non-negative")
+    # In-range tests, so that NaN (every comparison false) fails them too.
+    if not all(0.0 <= x < math.inf for x in unserved + remaining_spare):
+        raise ConfigurationError(
+            "unserved and spare must be finite and non-negative"
+        )
 
     moved = np.zeros((n, n))
     delivered = np.zeros((n, n))
@@ -266,13 +270,16 @@ class GeoPair:
             busy_ceiling = min(1.0, decision.utilization_cap)
             headroom = max(busy_ceiling - busy, 0.0)
             if headroom > 0:
-                # Bisect the largest extra busy fraction whose release fits.
+                # Bisect the largest extra busy fraction whose release
+                # fits; each round's work (busy + mid) * tf becomes a busy
+                # fraction by busy_fraction's clip arithmetic.
                 capacity_w = plant.room.cooling_capacity_w
+                release = shared_busy_release(
+                    plant.state, decision.frequency_ghz
+                )
                 extra = bisect_max(
-                    lambda mid: projected_release_w(
-                        plant.state,
-                        np.full(n, (busy + mid) * tf),
-                        decision.frequency_ghz,
+                    lambda mid: release(
+                        min(max((busy + mid) * tf / tf, 0.0), 1.0)
                     )
                     <= capacity_w,
                     headroom,
@@ -319,7 +326,7 @@ class GeoPair:
                 plant.step(
                     i,
                     t,
-                    np.full(plant.n_servers, busy_total),
+                    busy_total,
                     decision.frequency_ghz,
                     demand=demand,
                     utilization=busy_total,

@@ -28,7 +28,11 @@ import numpy as np
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.loadbalancer import LoadBalancer, RoundRobin
 from repro.dcsim.room import RoomModel
-from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.dcsim.thermal_coupling import (
+    ClusterThermalState,
+    UniformStretchAdvancer,
+    uniform_totals,
+)
 from repro.dcsim.throttling import NoThermalLimit, ThrottleDecision
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
@@ -239,7 +243,7 @@ class DatacenterSimulator:
 class _Recorder:
     """Accumulates per-tick traces for a simulation run."""
 
-    def __init__(self, n_ticks: int, n_servers: int) -> None:
+    def __init__(self, n_ticks: int) -> None:
         self.times = np.zeros(n_ticks)
         self.demand = np.zeros(n_ticks)
         self.utilization = np.zeros(n_ticks)
@@ -347,7 +351,18 @@ class _Plant:
         self.dt = sim.config.tick_interval_s
         self.ticks = sim._tick_times()
         self.throttle_ticks = 0
-        self.records = _Recorder(len(self.ticks), self.n_servers)
+        self.records = _Recorder(len(self.ticks))
+        # True while every server provably shares one zone temperature and
+        # one wax enthalpy. A fresh batched state without inlet offsets
+        # starts from one inlet and one utilization, and float ticks keep
+        # it uniform; the first per-server step clears the flag for good.
+        # The reference engines never set it: they stay the array oracle.
+        self.uniform = (
+            sim.config.engine == "batched"
+            and not self.state.inlet_offset_c.any()
+        )
+        self.column_ticks = 0
+        self._column: UniformStretchAdvancer | None = None
 
     def _room_c(self) -> float:
         """The room temperature, or the configured inlet without a room."""
@@ -380,39 +395,92 @@ class _Plant:
             self.throttle_ticks += 1
         return decision
 
+    def column(self) -> UniformStretchAdvancer | None:
+        """The state as one server column, or ``None`` off that path.
+
+        The column applies while the state is uniform and every fault
+        scale is exactly 1.0 (a live scale multiplies on the array path
+        only). One advancer serves the whole run; each use reloads it
+        from the arrays, which every column user commits back to.
+        """
+        if not self.uniform or self.state.fault_scales != (1.0, 1.0, 1.0):
+            return None
+        if self._column is None:
+            self._column = UniformStretchAdvancer(self.state, self.dt)
+        else:
+            self._column.load()
+        return self._column
+
     def step(
         self,
         i: int,
         t: float,
-        utilization_vec: np.ndarray,
+        busy: float | np.ndarray,
         frequency: float,
         **record: float,
     ) -> None:
         """Advance the servers and the room one tick and record it.
 
-        ``record`` carries the loop's own fields: ``demand``,
-        ``utilization``, ``throughput``, ``queue`` and ``shed``.
+        ``busy`` is one busy fraction every server runs (a float), or a
+        per-server array. ``record`` carries the loop's own fields:
+        ``demand``, ``utilization``, ``throughput``, ``queue`` and
+        ``shed``.
         """
-        state = self.state
-        power, release, wax = state.step(self.dt, utilization_vec, frequency)
-        release_w = float(np.sum(release))
+        column = self.column() if isinstance(busy, float) else None
+        if column is not None:
+            totals = self._column_step(column, busy, frequency)
+        else:
+            state = self.state
+            if isinstance(busy, float):
+                busy = np.full(self.n_servers, busy)
+            else:
+                self.uniform = False
+            power, release, wax = state.step(self.dt, busy, frequency)
+            melt = np.mean(state.melt_fraction)
+            totals = (np.sum(power), np.sum(release), np.sum(wax), melt)
+        power_w, release_w, wax_w, melt = map(float, totals)
         if self.room is not None:
             self.room.step(self.dt, max(release_w, 0.0))
         self.records.store(
             i,
             time_s=t,
             frequency=frequency,
-            power=float(np.sum(power)),
+            power=power_w,
             release=release_w,
-            wax=float(np.sum(wax)),
-            melt=float(np.mean(state.melt_fraction)),
+            wax=wax_w,
+            melt=melt,
             room=self._room_c(),
             **record,
         )
 
+    def _column_step(
+        self, column: UniformStretchAdvancer, busy: float, frequency: float
+    ) -> np.ndarray:
+        """One tick on the column: the power, release and wax-heat totals
+        and the melt mean, from one fill-and-sum. It checks the busy
+        fraction as :meth:`ClusterThermalState.step` does."""
+        if not -1e-9 <= busy <= 1.0 + 1e-9:
+            raise ConfigurationError("utilization must be finite and lie in [0, 1]")
+        state = self.state
+        u_eff = busy * state.power_model.frequency_factor(frequency)
+        characterization = state.characterization
+        per_server = column.tick(
+            state.inlet_temperature_c,
+            u_eff,
+            float(characterization.zone_delta_at(u_eff)),
+            float(characterization.ua_at(u_eff)),
+        )
+        column.commit()
+        self.column_ticks += 1
+        totals = uniform_totals(per_server, self.n_servers)
+        totals[3] /= self.n_servers  # the melt mean, as np.mean divides
+        return totals
+
     def finish(self, initial_power_w: float | None) -> SimulationResult:
         """The run's traces; leaves the final state on the simulator."""
-        get_registry().count("dcsim.throttle_ticks", self.throttle_ticks)
+        obs = get_registry()
+        obs.count("dcsim.throttle_ticks", self.throttle_ticks)
+        obs.count("dcsim.column_ticks", self.column_ticks)
         self.sim.final_state = self.state
         return self.records.result(
             self.n_servers,

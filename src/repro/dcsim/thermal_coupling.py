@@ -198,6 +198,11 @@ class BatchedClusterThermalState:
         self._zone_delta_scale = float(zone_delta_scale)
         self._wax_capacity_factor = float(wax_capacity_factor)
 
+    @property
+    def fault_scales(self) -> tuple[float, float, float]:
+        """The (ua, zone delta, wax capacity) scales; 1.0 unless faulted."""
+        return (self._ua_scale, self._zone_delta_scale, self._wax_capacity_factor)
+
     def _per_cluster(self, field: str, value, dtype) -> np.ndarray:
         """``value`` broadcast to one entry per cluster (read-only view)."""
         try:
@@ -318,8 +323,9 @@ class BatchedClusterThermalState:
                 f"({self.cluster_count}, {self.server_count}), got "
                 f"{utilization.shape}"
             )
-        if np.any(utilization < -1e-9) or np.any(utilization > 1.0 + 1e-9):
-            raise ConfigurationError("utilization must lie in [0, 1]")
+        # In-range tests: NaN fails every comparison, so it fails them too.
+        if not (np.all(utilization >= -1e-9) and np.all(utilization <= 1.0 + 1e-9)):
+            raise ConfigurationError("utilization must be finite and lie in [0, 1]")
 
         u_eff = self.effective_utilization(utilization, frequency_ghz)
         power = self.power_model.idle_power_w + (
@@ -366,55 +372,31 @@ class BatchedClusterThermalState:
             fields.append(utilization)
         return all(bool((f == f[:, :1]).all()) for f in fields)
 
-    # -- stretch advance -----------------------------------------------------
-
-    def uniform_advancer(self, dt_s: float) -> "UniformStretchAdvancer | None":
-        """A scalar stretch-advance view of this state, or ``None``.
-
-        Eligibility demands that every elementwise operation of
-        :meth:`step` would act on *identical* inputs across the whole
-        ``(1, servers)`` state: one cluster, no per-server inlet offsets,
-        no active fault scales (exactly 1.0 means the scaled quantity is
-        never multiplied), and a zone/enthalpy field that is uniform to
-        the bit. Under those conditions the returned advancer replays the
-        step arithmetic on Python scalars, bit-identically per server —
-        the fluid engine's stretch fast path (see
-        :mod:`repro.dcsim.fluid_engine`).
-        """
-        if dt_s <= 0:
-            raise ConfigurationError(f"tick must be positive, got {dt_s}")
-        if self.cluster_count != 1:
-            return None
-        if (
-            self._ua_scale != 1.0
-            or self._zone_delta_scale != 1.0
-            or self._wax_capacity_factor != 1.0
-        ):
-            return None
-        if self.inlet_offset_c.any() or not self.is_uniform():
-            return None
-        return UniformStretchAdvancer(self, dt_s)
-
 
 class UniformStretchAdvancer:
-    """Scalar recursion over a uniform single-cluster thermal state.
+    """A uniform single-cluster thermal state computed as one server.
 
-    Obtained from :meth:`BatchedClusterThermalState.uniform_advancer`
-    once the state is provably uniform across servers. Each
-    :meth:`tick` performs, on plain Python floats, exactly the
-    per-element arithmetic (and branch structure) that
-    :meth:`BatchedClusterThermalState.step` performs on every server —
-    elementwise IEEE operations on identical inputs yield identical
-    outputs, so the trajectory is bit-identical to stepping the arrays.
-    :meth:`commit` broadcasts the final scalars back over the array
-    state. The advancer is single-use: commit once, then discard.
+    The caller vouches that every server shares one zone temperature and
+    one wax enthalpy, that no server has an inlet offset, and that every
+    fault scale is exactly 1.0, so :meth:`BatchedClusterThermalState.step`
+    would multiply by none of them. :class:`repro.dcsim.simulator._Plant`
+    tracks those conditions and keeps one advancer per run, for fluid
+    stretches and for single ticks alike. Each :meth:`tick` performs, on
+    plain Python floats, exactly the per-element arithmetic (and branch
+    structure) that the array step performs on every server: elementwise
+    IEEE operations on identical inputs yield identical outputs, so the
+    trajectory is bit-identical to stepping the arrays. :meth:`load`
+    reads the column off the array state and :meth:`commit` broadcasts
+    it back.
 
     The zone/enthalpy recursion is inherently sequential in time, so the
     win is not vectorization across ticks but replacing ~15 small-array
     NumPy operations per tick with a handful of float operations.
     """
 
-    def __init__(self, state: BatchedClusterThermalState, dt_s: float) -> None:
+    def __init__(self, state: "ClusterThermalState", dt_s: float) -> None:
+        if dt_s <= 0:
+            raise ConfigurationError(f"tick must be positive, got {dt_s}")
         self._state = state
         self._characterization = state.characterization
         self._dt_s = float(dt_s)
@@ -427,11 +409,15 @@ class UniformStretchAdvancer:
             1.0 - np.exp(-dt_s / state.characterization.zone_time_constant_s)
         )
         self._material = state.material
-        self._fusion = float(state._fusion[0, 0])
+        self._fusion = float(state.material.heat_of_fusion_j_per_kg)
         self._wax_mass = float(state.effective_wax_mass_kg)
-        self._enabled = bool(state.wax_enabled[0])
-        self._zone = float(state.zone_temperature_c[0, 0])
-        self._enthalpy = float(state.specific_enthalpy_j_per_kg[0, 0])
+        self._enabled = bool(state.wax_enabled)
+        self.load()
+
+    def load(self) -> None:
+        """Read the one zone temperature and wax enthalpy off the state."""
+        self._zone = float(self._state.zone_temperature_c[0])
+        self._enthalpy = float(self._state.specific_enthalpy_j_per_kg[0])
 
     def interp_series(
         self, effective_utilization: np.ndarray
@@ -440,9 +426,8 @@ class UniformStretchAdvancer:
 
         ``np.interp`` evaluates elementwise, so looking a whole stretch
         up at once is bit-identical to the per-tick scalar lookups
-        inside :meth:`BatchedClusterThermalState.step` (which, absent
-        fault scales — an eligibility condition — applies no further
-        arithmetic to either).
+        inside :meth:`BatchedClusterThermalState.step` (which, with unit
+        fault scales, applies no further arithmetic to either).
         """
         characterization = self._characterization
         return (
@@ -460,7 +445,7 @@ class UniformStretchAdvancer:
         """
         power = self._idle_w + (self._dynamic_range_w * u_eff)
         # target = inlet[:, None] + inlet_offset + zone_delta, with the
-        # offsets all exactly 0.0 by eligibility.
+        # offsets all exactly 0.0 by the caller's contract.
         target = inlet_c + 0.0 + zone_delta
         zone = self._zone
         zone = zone + self._blend * (target - zone)
@@ -483,7 +468,7 @@ class UniformStretchAdvancer:
         return power, power - heat, heat, melt
 
     def commit(self) -> None:
-        """Broadcast the final scalars back over the array state."""
+        """Broadcast the column back over the array state."""
         self._state.zone_temperature_c[:] = self._zone
         self._state.specific_enthalpy_j_per_kg[:] = self._enthalpy
 
@@ -589,9 +574,10 @@ class ClusterThermalState:
         """Per-server wax mass after any fault-injected capacity fade."""
         return self._batched.effective_wax_mass_kg
 
-    def uniform_advancer(self, dt_s: float) -> "UniformStretchAdvancer | None":
-        """Scalar stretch-advance view (see the batched form), or ``None``."""
-        return self._batched.uniform_advancer(dt_s)
+    @property
+    def fault_scales(self) -> tuple[float, float, float]:
+        """The (ua, zone delta, wax capacity) fault scales."""
+        return self._batched.fault_scales
 
     def is_uniform(self, utilization: np.ndarray | None = None) -> bool:
         """Uniformity test of the batched form, with a per-server
@@ -599,27 +585,6 @@ class ClusterThermalState:
         if utilization is not None:
             utilization = np.asarray(utilization, dtype=float).reshape(1, -1)
         return self._batched.is_uniform(utilization)
-
-    def uniform_release_w(self, utilization: float, frequency_ghz: float) -> float:
-        """One server's heat release at a busy fraction, for a uniform state.
-
-        The scalar form of ``power_w - wax_exchange_w`` when every server
-        shares one zone temperature and wax enthalpy (:meth:`is_uniform`):
-        the same operations in the same order, so it equals each element
-        of that array difference exactly.
-        """
-        power_model = self.power_model
-        u_eff = utilization * power_model.frequency_factor(frequency_ghz)
-        power = power_model.idle_power_w + (power_model.dynamic_range_w * u_eff)
-        if not self.wax_enabled:
-            return power
-        ua = self.characterization.ua_at(u_eff)
-        if self._batched._ua_scale != 1.0:
-            ua = ua * self._batched._ua_scale
-        wax_c = self.material.temperature_at_enthalpy(
-            float(self.specific_enthalpy_j_per_kg[0])
-        )
-        return power - ua * (float(self.zone_temperature_c[0]) - wax_c)
 
     def effective_utilization(
         self, utilization: np.ndarray, frequency_ghz: float

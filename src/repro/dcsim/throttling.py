@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dcsim.room import RoomModel
-from repro.dcsim.thermal_coupling import ClusterThermalState, uniform_totals
+from repro.dcsim.thermal_coupling import ClusterThermalState
 from repro.errors import ConfigurationError
 from repro.obs import get_registry
 
@@ -57,19 +57,14 @@ def _preview(state: ClusterThermalState, busy: np.ndarray, frequency_ghz: float)
 
     Uniformity is judged once per preview. When every server shares one
     zone temperature, wax enthalpy and busy fraction, ``busy`` is that
-    one fraction and ``release`` computes one server, totalled by
-    fill-and-sum: bit-identical to summing the per-server arrays, which
-    every other state still does. A cluster without wax releases its
-    power alone, which the arrays sum faster than the test runs.
+    one fraction and ``release`` is :func:`_column_release`, bit-identical
+    to summing the per-server arrays, which every other state still does.
     """
     busy = np.asarray(busy, dtype=float)
     obs = get_registry()
-    if state.wax_enabled and state.is_uniform(busy):
+    if state.is_uniform(busy):
         obs.count("dcsim.preview.uniform")
-        servers = state.server_count
-        return float(busy[0]), lambda b: float(
-            uniform_totals(state.uniform_release_w(b, frequency_ghz), servers)[0]
-        )
+        return float(busy[0]), _column_release(state, frequency_ghz)
     obs.count("dcsim.preview.array")
     return busy, lambda b: float(
         np.sum(
@@ -77,6 +72,44 @@ def _preview(state: ClusterThermalState, busy: np.ndarray, frequency_ghz: float)
             - state.wax_exchange_w(b, frequency_ghz)
         )
     )
+
+
+def _column_release(state: ClusterThermalState, frequency_ghz: float):
+    """A uniform cluster's release at one busy fraction, as one server.
+
+    The frequency factor, the zone-to-wax gap and the UA scale are fixed
+    across a bisection's rounds, so they are computed once. Each call
+    then takes ``power_w - wax_exchange_w`` on one server in the same
+    operations, fills one reused ``(servers,)`` buffer with it and sums
+    that: the pairwise ``np.sum`` of the per-server row.
+    """
+    model = state.power_model
+    factor = model.frequency_factor(frequency_ghz)
+    ua_scale = state.fault_scales[0]
+    gap_c = float(state.zone_temperature_c[0]) - state.material.temperature_at_enthalpy(
+        float(state.specific_enthalpy_j_per_kg[0])
+    )
+    servers = np.empty(state.server_count)
+
+    def release(busy: float) -> float:
+        u_eff = busy * factor
+        exchange = 0.0
+        if state.wax_enabled:
+            ua = state.characterization.ua_at(u_eff)
+            exchange = (ua * ua_scale if ua_scale != 1.0 else ua) * gap_c
+        servers.fill(model.idle_power_w + (model.dynamic_range_w * u_eff) - exchange)
+        return float(servers.sum())
+
+    return release
+
+
+def shared_busy_release(state: ClusterThermalState, frequency_ghz: float):
+    """The cluster release as a function of one busy fraction every server
+    runs, judging uniformity once for all the calls (a bisection's rounds).
+    """
+    ones, release = _preview(state, np.ones(state.server_count), frequency_ghz)
+    # 1.0 * busy is busy exactly; ones * busy is its per-server row.
+    return lambda busy: release(ones * busy)
 
 
 def release_at_busy_w(

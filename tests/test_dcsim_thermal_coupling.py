@@ -99,6 +99,20 @@ class TestClusterState:
         with pytest.raises(ConfigurationError):
             cluster_state.step(60.0, np.full(16, 1.5), 2.4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_utilization_rejected(self, cluster_state, bad):
+        zone = cluster_state.zone_temperature_c.copy()
+        enthalpy = cluster_state.specific_enthalpy_j_per_kg.copy()
+        utilization = np.full(16, 0.5)
+        utilization[1] = bad
+        with pytest.raises(ConfigurationError):
+            cluster_state.step(60.0, utilization, 2.4)
+        # Rejected before any server moved.
+        assert np.array_equal(cluster_state.zone_temperature_c, zone)
+        assert np.array_equal(
+            cluster_state.specific_enthalpy_j_per_kg, enthalpy
+        )
+
     def test_wax_disabled_never_exchanges(
         self, one_u_spec, one_u_characterization, material
     ):

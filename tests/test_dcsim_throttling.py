@@ -16,6 +16,7 @@ from repro.dcsim.throttling import (
     _shed_cap,
     busy_fraction,
     projected_release_w,
+    shared_busy_release,
 )
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
@@ -256,10 +257,56 @@ class TestUniformPreview:
         with _preview_paths() as collection:
             release = projected_release_w(state, work, frequency)
             cap = _shed_cap(state, work, frequency, capacity)
-        # Without wax the release is the power alone, summed on arrays.
-        assert _paths(collection) == ((2, 0) if wax else (0, 2))
+        # With or without wax, a uniform state previews one server.
+        assert _paths(collection) == (2, 0)
         assert release == _oracle_release(state, busy, frequency)
         assert cap == _oracle_shed_cap(state, work, frequency, capacity)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_busy_release_matches_the_per_server_oracle(
+        self, one_u_spec, one_u_characterization, data
+    ):
+        model = one_u_spec.power_model
+        material = commercial_paraffin_with_melting_point(43.0)
+        servers = data.draw(st.integers(1, 1100), label="servers")
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            material,
+            server_count=servers,
+            wax_enabled=data.draw(st.booleans(), label="wax"),
+        )
+        state.specific_enthalpy_j_per_kg[:] = data.draw(
+            st.floats(-1e5, material.heat_of_fusion_j_per_kg + 1e5),
+            label="enthalpy",
+        )
+        state.zone_temperature_c[:] = data.draw(st.floats(20.0, 70.0))
+        uniform = data.draw(st.booleans(), label="uniform")
+        if not uniform:
+            server = data.draw(st.integers(0, servers - 1), label="server")
+            state.zone_temperature_c[server] += 0.25
+        state.set_fault_scales(
+            ua_scale=data.draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+        )
+        frequency = data.draw(
+            st.floats(model.min_frequency_ghz, model.nominal_frequency_ghz),
+            label="frequency",
+        )
+        busy = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+            label="busy",
+        )
+        with _preview_paths() as collection:
+            release = shared_busy_release(state, frequency)
+            totals = [release(b) for b in busy]
+        # One uniformity test for every busy fraction.
+        uniform = uniform or servers == 1
+        assert _paths(collection) == ((1, 0) if uniform else (0, 1))
+        for b, total in zip(busy, totals):
+            assert total == _oracle_release(
+                state, np.full(servers, b), frequency
+            )
 
     @pytest.mark.parametrize("server", [0, 500, 1007])
     def test_one_ulp_off_takes_the_array_path(

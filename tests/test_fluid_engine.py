@@ -5,15 +5,16 @@ held for event mode: for any workload, policy, room coupling, and fault
 schedule, it must produce byte-identical result traces and final
 enthalpies to the per-tick reference loop. These tests drive both
 engines over hypothesis-generated scenarios (random traces × fault
-schedules × planners), and pin the stretch machinery's edges: advancer
-eligibility, the constant-decision certificate protocol, the injector's
-dormancy/boundary queries, and the stretch/scalar observability
-counters.
+schedules × planners and throttling policies), and pin the stretch
+machinery's edges: when the plant may compute one server column, the
+constant-decision certificate protocol, the injector's dormancy/boundary
+queries, and the stretch/scalar/column observability counters.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,15 @@ from repro.control.planners import (
 )
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.room import RoomModel
-from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
-from repro.dcsim.throttling import NoThermalLimit
+from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig, _Plant
+from repro.dcsim.thermal_coupling import UniformStretchAdvancer
+from repro.dcsim.throttling import (
+    FaultResponsePolicy,
+    NoThermalLimit,
+    RoomTemperaturePolicy,
+    ThermalLimitPolicy,
+)
+from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import identical_results
 from repro.faults.schedule import Fault, FaultSchedule
@@ -50,15 +58,22 @@ def _trace(levels, duration_s):
     return LoadTrace(times, np.asarray(levels, dtype=float))
 
 
-def _room(servers):
+def _room(servers, per_server_w=260.0):
     return RoomModel.sized_for_cluster(
-        cooling_capacity_w=260.0 * servers, server_count=servers
+        cooling_capacity_w=per_server_w * servers, server_count=servers
     )
 
 
 def _policy(planner, room, injector):
     if planner == "plain":
         return None  # simulator default: NoThermalLimit (certified)
+    # The throttling policies themselves, without a control loop.
+    if planner == "room":
+        return RoomTemperaturePolicy(room)
+    if planner == "limit":
+        return ThermalLimitPolicy(room.cooling_capacity_w)
+    if planner == "fault":
+        return FaultResponsePolicy(RoomTemperaturePolicy(room), injector)
     planners = {
         "noop": NoOpPlanner,
         "greedy": GreedyThrottlePolicy,
@@ -72,9 +87,23 @@ def _policy(planner, room, injector):
     )
 
 
-def _run(engine, *, levels, duration_s, servers, planner, schedule, with_room):
+def _simulator(
+    engine,
+    *,
+    levels,
+    duration_s,
+    servers,
+    planner,
+    schedule,
+    with_room,
+    offsets=None,
+    capacity_per_server_w=260.0,
+):
+    if schedule is None and planner == "fault":
+        # The fault-response policy reads a live injector.
+        schedule = FaultSchedule.empty()
     injector = FaultInjector(schedule) if schedule is not None else None
-    room = _room(servers) if with_room else None
+    room = _room(servers, capacity_per_server_w) if with_room else None
     simulator = DatacenterSimulator(
         CHARACTERIZATION,
         SPEC.power_model,
@@ -90,7 +119,13 @@ def _run(engine, *, levels, duration_s, servers, planner, schedule, with_room):
         room=room,
         policy=_policy(planner, room, injector),
         fault_injector=injector,
+        inlet_offsets_c=offsets,
     )
+    return simulator
+
+
+def _run(engine, **kwargs):
+    simulator = _simulator(engine, **kwargs)
     result = simulator.run()
     return result, np.array(
         simulator.final_state.specific_enthalpy_j_per_kg, copy=True
@@ -102,6 +137,29 @@ def _assert_engines_agree(**kwargs):
     reference, enthalpy_r = _run("reference", **kwargs)
     assert identical_results(batched, reference)
     assert np.array_equal(enthalpy_b, enthalpy_r)
+
+
+def _engine_counters(**kwargs):
+    """Run both engines, assert they agree and that the reference engine
+    took no column tick, and return the batched engine's counters."""
+    registry = get_registry()
+    was_enabled = registry.enabled
+    registry.enable()
+    runs = {}
+    try:
+        for engine in ("batched", "reference"):
+            with registry.collect() as collection:
+                runs[engine] = _run(engine, **kwargs)
+            runs[engine] += (collection.report.counters,)
+    finally:
+        if not was_enabled:
+            registry.disable()
+    batched, enthalpy_b, counters_b = runs["batched"]
+    reference, enthalpy_r, counters_r = runs["reference"]
+    assert identical_results(batched, reference)
+    assert np.array_equal(enthalpy_b, enthalpy_r)
+    assert counters_r.get("dcsim.column_ticks", 0) == 0
+    return counters_b
 
 
 _FAULT_KINDS = (
@@ -290,6 +348,56 @@ class TestEngineEquivalence:
         )
 
 
+class TestColumnEquivalence:
+    """Single ticks under stateful policies: the batched engine steps a
+    uniform cluster as one server column, the reference engine steps the
+    per-server arrays, and the two must stay byte-identical."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        levels=st.lists(
+            st.floats(min_value=0.0, max_value=1.2), min_size=2, max_size=6
+        ),
+        servers=st.integers(min_value=1, max_value=12),
+        planner=st.sampled_from(["room", "limit", "fault"]),
+        schedule=_schedules(),
+        hours=st.floats(min_value=1.0, max_value=10.0),
+        # Below the 185 W peak the policies throttle and shed.
+        capacity=st.floats(min_value=120.0, max_value=260.0),
+    )
+    def test_throttling_policies_bit_identical(
+        self, levels, servers, planner, schedule, hours, capacity
+    ):
+        _assert_engines_agree(
+            levels=levels,
+            duration_s=hours * 3600.0,
+            servers=servers,
+            planner=planner,
+            schedule=schedule,
+            with_room=True,
+            capacity_per_server_w=capacity,
+        )
+
+    # numpy's pairwise sum adds fewer than 8 values in order (1, 7), up
+    # to 128 with eight accumulators (9), and splits longer rows in
+    # halves (129, and 1008, the paper's cluster).
+    @pytest.mark.parametrize("servers", [1, 7, 9, 129, 1008])
+    @pytest.mark.parametrize("planner", ["room", "limit", "fault", "greedy"])
+    def test_every_tick_on_the_column(self, servers, planner):
+        batched = _engine_counters(
+            levels=[0.3, 1.0, 1.0, 0.6, 0.2],
+            duration_s=8 * 3600.0,
+            servers=servers,
+            planner=planner,
+            schedule=None,
+            with_room=True,
+            capacity_per_server_w=140.0,
+        )
+        assert batched["dcsim.fluid.scalar_ticks"] == 480
+        assert batched["dcsim.column_ticks"] == 480
+        assert batched["dcsim.throttle_ticks"] > 0
+
+
 class TestStretchMachinery:
     def _state(self, servers=4, offsets=None):
         from repro.dcsim.thermal_coupling import ClusterThermalState
@@ -307,8 +415,7 @@ class TestStretchMachinery:
     def test_uniform_advancer_matches_array_step(self):
         state_a = self._state()
         state_b = self._state()
-        advancer = state_a.uniform_advancer(TICK_S)
-        assert advancer is not None
+        advancer = UniformStretchAdvancer(state_a, TICK_S)
         nominal = SPEC.power_model.nominal_frequency_ghz
         # At nominal frequency the DVFS factor is exactly 1.0, so the
         # effective utilization equals the raw utilization on both arms.
@@ -331,21 +438,109 @@ class TestStretchMachinery:
             state_b.specific_enthalpy_j_per_kg,
         )
 
+    @staticmethod
+    def _plant(engine="batched", offsets=None):
+        return _Plant(
+            _simulator(
+                engine,
+                levels=[0.2, 0.9, 0.4],
+                duration_s=6 * 3600.0,
+                servers=4,
+                planner="room",
+                schedule=None,
+                with_room=True,
+                offsets=offsets,
+            )
+        )
+
     def test_advancer_ineligible_with_offsets(self):
-        state = self._state(offsets=np.array([0.0, 0.5, -0.5, 0.0]))
-        assert state.uniform_advancer(TICK_S) is None
+        offsets = np.array([0.0, 0.5, -0.5, 0.0])
+        assert self._plant(offsets=offsets).column() is None
+        # All-zero offsets leave the servers uniform.
+        assert self._plant(offsets=np.zeros(4)).column() is not None
+        # The reference engine never takes the column.
+        assert self._plant("reference").column() is None
+        batched = _engine_counters(
+            levels=[0.3, 1.0, 0.5],
+            duration_s=6 * 3600.0,
+            servers=4,
+            planner="room",
+            schedule=None,
+            with_room=True,
+            offsets=offsets,
+        )
+        assert batched.get("dcsim.column_ticks", 0) == 0
+        assert batched["dcsim.fluid.scalar_ticks"] == 360
 
     def test_advancer_ineligible_with_fault_scales(self):
-        state = self._state()
-        state.set_fault_scales(ua_scale=0.8)
-        assert state.uniform_advancer(TICK_S) is None
-        state.set_fault_scales()  # restore
-        assert state.uniform_advancer(TICK_S) is not None
+        plant = self._plant()
+        plant.state.set_fault_scales(ua_scale=0.8)
+        assert plant.column() is None
+        plant.state.set_fault_scales()  # restore
+        assert plant.column() is not None
+        # A fan derate scales the UA, so its ticks take the array step;
+        # the scales are per-cluster, so the column resumes after it.
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind="fan_derate",
+                    start_s=7200.0,
+                    end_s=10800.0,
+                    magnitude=0.5,
+                ),
+            ),
+            name="derate",
+        )
+        batched = _engine_counters(
+            levels=[0.3, 1.0, 0.5],
+            duration_s=6 * 3600.0,
+            servers=4,
+            planner="room",
+            schedule=schedule,
+            with_room=True,
+        )
+        assert batched["faults.ticks_active"] == 60
+        assert batched["dcsim.column_ticks"] == 360 - 60
 
     def test_advancer_ineligible_with_nonuniform_state(self):
-        state = self._state()
-        state.zone_temperature_c[1] += 0.25
-        assert state.uniform_advancer(TICK_S) is None
+        # An outage concentrates load on the survivors: the per-server
+        # step clears the plant's uniform flag for the rest of the run.
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind="server_outage",
+                    start_s=7200.0,
+                    end_s=9000.0,
+                    magnitude=0.25,
+                ),
+            ),
+            name="outage",
+        )
+        for planner in ("plain", "room"):
+            batched = _engine_counters(
+                levels=[0.3, 1.0, 0.5],
+                duration_s=6 * 3600.0,
+                servers=4,
+                planner=planner,
+                schedule=schedule,
+                with_room=True,
+            )
+            on_column = batched.get("dcsim.column_ticks", 0)
+            on_column += batched.get("dcsim.fluid.stretch_ticks", 0)
+            assert on_column == 7200.0 / TICK_S - 1
+
+    def test_column_tick_checks_the_busy_fraction(self):
+        nominal = SPEC.power_model.nominal_frequency_ghz
+        record = dict(
+            demand=0.5, utilization=0.5, throughput=0.5, queue=0.0, shed=0.0
+        )
+        for engine in ("batched", "reference"):
+            plant = self._plant(engine)
+            for bad in (math.nan, 1.5, -0.5, math.inf):
+                with pytest.raises(ConfigurationError):
+                    plant.step(0, TICK_S, bad, nominal, **record)
+            plant.step(0, TICK_S, 1.0 + 5e-10, nominal, **record)
+            assert plant.column_ticks == (engine == "batched")
 
     def test_constant_decision_certificate_matches_decide(self):
         state = self._state()

@@ -25,6 +25,7 @@ from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
 from repro.dcsim.throttling import RoomTemperaturePolicy
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
+from repro.obs import get_registry
 from repro.core.scenarios import cached_characterization
 from repro.workload.synthetic import diurnal_trace
 
@@ -120,6 +121,13 @@ class TestRouteUnservedProperties:
             route_unserved([1.0], [-1.0])
         with pytest.raises(ConfigurationError):
             route_unserved([1.0, 1.0], [1.0, 1.0], loss_fraction=1.0)
+        # NaN passes every "< 0" guard; infinite work cannot be routed.
+        with pytest.raises(ConfigurationError):
+            route_unserved([float("nan"), 1.0], [1.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            route_unserved([1.0, 1.0], [1.0, float("nan")])
+        with pytest.raises(ConfigurationError):
+            route_unserved([float("inf"), 1.0], [1.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -127,10 +135,11 @@ def tiny_pair_factory(one_u_spec):
     """A cheap two-site pair builder (8 servers, 12 h, 5 min ticks)."""
     characterization = cached_characterization(one_u_spec)
     material = commercial_paraffin_with_melting_point(45.0)
-    topology = ClusterTopology(server_count=8)
     trace = diurnal_trace(duration_s=12 * 3600.0, interval_s=300.0)
 
-    def make_pair(offline=(), capacity_w=2000.0, east_trace=None):
+    def make_pair(offline=(), capacity_w=2000.0, east_trace=None, servers=8):
+        topology = ClusterTopology(server_count=servers)
+
         def make_site(name, site_trace):
             return GeoSite(
                 name=name,
@@ -266,6 +275,60 @@ class TestGeoPairDegradation:
             ), geo_name
         assert not np.any(west.accepted_remote)
         assert not np.any(west.relocated_out)
+
+    @pytest.mark.parametrize("servers", [8, 128])
+    def test_site_column_matches_the_reference_simulator(
+        self, tiny_pair_factory, one_u_spec, servers
+    ):
+        """The same degradation against the reference engine.
+
+        The geo site steps its uniform cluster as one server column and
+        bisects its spare capacity on it; the reference engine steps
+        and previews per-server arrays. Both must agree to the byte.
+        """
+        from repro.workload.synthetic import flat_trace
+
+        capacity_w = 125.0 * servers
+        idle = flat_trace(0.0, duration_s=12 * 3600.0, interval_s=300.0)
+        obs = get_registry()
+        was_enabled = obs.enabled
+        obs.enable()
+        try:
+            with obs.collect() as collection:
+                west = tiny_pair_factory(
+                    offline=("east",),
+                    capacity_w=capacity_w,
+                    east_trace=idle,
+                    servers=servers,
+                ).run().site_a
+        finally:
+            if not was_enabled:
+                obs.disable()
+        # Every step of both sites (144 ticks each) took the column.
+        assert collection.report.counters["dcsim.column_ticks"] == 288
+        room = RoomModel.sized_for_cluster(capacity_w, servers)
+        solo = DatacenterSimulator(
+            cached_characterization(one_u_spec),
+            one_u_spec.power_model,
+            commercial_paraffin_with_melting_point(45.0),
+            diurnal_trace(duration_s=12 * 3600.0, interval_s=300.0),
+            topology=ClusterTopology(server_count=servers),
+            policy=RoomTemperaturePolicy(room),
+            config=SimulationConfig(tick_interval_s=300.0, engine="reference"),
+            room=room,
+        ).run()
+        assert np.any(solo.throttled_mask())
+        for geo_name, solo_name in (
+            ("times_s", "times_s"),
+            ("demand", "demand"),
+            ("served_local", "throughput"),
+            ("frequency_ghz", "frequency_ghz"),
+            ("room_temperature_c", "room_temperature_c"),
+            ("cooling_load_w", "cooling_load_w"),
+        ):
+            assert np.array_equal(
+                getattr(west, geo_name), getattr(solo, solo_name)
+            ), geo_name
 
     def test_pair_level_conservation_identity(self, tiny_pair_factory):
         """Every tick: lost = un-routed backlog + relocation tax.

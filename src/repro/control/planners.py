@@ -20,9 +20,10 @@ Shipped planners:
   loss). Decision-identical to the
   ``FaultResponsePolicy(RoomTemperaturePolicy(room))`` stack.
 * :class:`MPCPolicy` — receding-horizon search over candidate DVFS
-  sequences, scored by batched forward rollouts on a
-  :class:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState`
-  clone of the observed state (one cluster per candidate).
+  sequences, scored by forward rollouts of a clone of the observed
+  state, one cluster per candidate: one server column per candidate on
+  floats when the observed state is uniform, else a
+  :class:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState`.
 * :class:`ScheduledPolicy` — a time-of-day open-loop baseline: a fixed
   daily curtailment window, blind to the thermal state.
 * :class:`NoOpPlanner` — always nominal; the transparency oracle.
@@ -30,8 +31,10 @@ Shipped planners:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,6 +42,8 @@ from repro.control.actions import ControlAction
 from repro.dcsim.thermal_coupling import (
     BatchedClusterThermalState,
     ClusterThermalState,
+    UniformStretchAdvancer,
+    uniform_totals,
 )
 from repro.dcsim.throttling import (
     _shed_cap,
@@ -47,6 +52,7 @@ from repro.dcsim.throttling import (
     projected_release_w,
 )
 from repro.errors import ControlError
+from repro.obs import get_registry
 from repro.tco.energy import (
     AmbientAwarePlant,
     AmbientProfile,
@@ -145,7 +151,7 @@ class GreedyThrottlePolicy(Planner):
         deadband_c: float = 1.0,
         emergency_capacity_factor: float = 0.5,
     ) -> None:
-        if deadband_c < 0:
+        if not deadband_c >= 0:
             raise ControlError("deadband must be non-negative")
         if not 0.0 <= emergency_capacity_factor <= 1.0:
             raise ControlError(
@@ -237,9 +243,8 @@ class ScheduledPolicy(Planner):
 class MPCPolicy(Planner):
     """Receding-horizon control via batched forward rollouts.
 
-    Each tick the policy clones the observed thermal state into a
-    :class:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState`
-    with one cluster per candidate DVFS sequence, rolls every candidate
+    Each tick the policy clones the observed thermal state, one cluster
+    per candidate DVFS sequence, rolls every candidate
     ``horizon_ticks`` forward under a persistence-plus-trend work
     forecast (built from the *observed* work rate), prices each
     trajectory — cooling electricity at the time-of-use tariff and
@@ -254,6 +259,16 @@ class MPCPolicy(Planner):
     throttle-then-release ramps, and an emergency min-frequency shed
     candidate whose busy cap is sized against the (possibly derated)
     plant capacity. Deterministic: no RNG anywhere.
+
+    The clone has unit fault scales, no inlet offsets and the room
+    temperature as its inlet. When every observed server shares one zone
+    temperature and wax enthalpy, each candidate is computed as one
+    server column on Python floats
+    (:class:`~repro.dcsim.thermal_coupling.UniformStretchAdvancer`);
+    otherwise the clone is a
+    :class:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState`.
+    Both give bit-identical costs, and ``control.mpc.rollout.column`` /
+    ``control.mpc.rollout.array`` count the path.
     """
 
     name = "mpc"
@@ -268,13 +283,21 @@ class MPCPolicy(Planner):
         overheat_penalty_usd_per_c_hour: float = 50.0,
         sprint_headroom_c: float = 4.0,
     ) -> None:
-        if horizon_ticks < 1:
-            raise ControlError("MPC horizon must be at least one tick")
-        if shed_penalty_usd_per_server_hour < 0:
-            raise ControlError("shed penalty must be non-negative")
-        if overheat_penalty_usd_per_c_hour < 0:
-            raise ControlError("overheat penalty must be non-negative")
-        self.horizon_ticks = horizon_ticks
+        if not (isinstance(horizon_ticks, Integral) and horizon_ticks >= 1):
+            raise ControlError(
+                f"MPC horizon must be a whole number of ticks, at least one; "
+                f"got {horizon_ticks!r}"
+            )
+        # In-range tests, so that NaN (every comparison false) fails them.
+        for label, penalty in (
+            ("shed penalty", shed_penalty_usd_per_server_hour),
+            ("overheat penalty", overheat_penalty_usd_per_c_hour),
+        ):
+            if not 0.0 <= penalty < math.inf:
+                raise ControlError(f"{label} must be finite and non-negative")
+        if not sprint_headroom_c >= 0.0:
+            raise ControlError("sprint headroom must be non-negative")
+        self.horizon_ticks = int(horizon_ticks)
         self.tariff = tariff or ElectricityTariff()
         self.ambient = ambient or AmbientProfile()
         self.plant = plant or AmbientAwarePlant()
@@ -348,19 +371,15 @@ class MPCPolicy(Planner):
         dt = obs.dt_s
         dt_hours = dt / SECONDS_PER_HOUR
 
-        rollout = BatchedClusterThermalState(
-            characterization=state.characterization,
-            power_model=state.power_model,
-            material=state.material,
-            cluster_count=n_cand,
-            server_count=servers,
-            inlet_temperature_c=obs.room_temperature_c,
-            wax_enabled=bool(state.wax_enabled),
-        )
-        rollout.zone_temperature_c[...] = state.zone_temperature_c[None, :]
-        rollout.specific_enthalpy_j_per_kg[...] = (
-            state.specific_enthalpy_j_per_kg[None, :]
-        )
+        # Zone and enthalpy decide the path: the clone has no offsets, and
+        # every candidate runs one busy fraction on all of its servers.
+        registry = get_registry()
+        if state.is_uniform():
+            registry.count("control.mpc.rollout.column")
+            thermal_step = self._column_rollout(obs, n_cand)
+        else:
+            registry.count("control.mpc.rollout.array")
+            thermal_step = self._array_rollout(obs, n_cand)
 
         room_t = np.full(n_cand, obs.room_temperature_c)
         capacity = obs.cooling_capacity_w
@@ -368,6 +387,12 @@ class MPCPolicy(Planner):
         mass = obs.thermal_mass_j_per_k
         room_max = obs.room_max_temperature_c
         cost = np.zeros(n_cand)
+
+        # The horizon's COPs and prices at once: the models are
+        # elementwise, so each entry equals pricing its step alone.
+        times = obs.time_s + np.arange(1, horizon + 1) * dt
+        cops = self.plant.cop(self.ambient.temperature_c(times)).tolist()
+        prices = self.tariff.price_usd_per_kwh(times).tolist()
 
         # Per-candidate throughput factors for every step's frequency.
         unique = {float(f) for f in frequencies.ravel()}
@@ -379,10 +404,8 @@ class MPCPolicy(Planner):
             tf_k = np.array([tf_of[float(f)] for f in freqs_k])
             busy = np.minimum(forecast[k] / tf_k, 1.0)
             busy = np.minimum(busy, caps)
-            _, release, _ = rollout.step(
-                dt, np.repeat(busy[:, None], servers, axis=1), freqs_k
-            )
-            release_total = np.sum(release, axis=1)
+            # Every candidate's inlet is its room temperature before the step.
+            release_total = thermal_step(busy, freqs_k, room_t)
 
             removal = np.where(
                 room_t > setpoint + 1e-9,
@@ -392,12 +415,8 @@ class MPCPolicy(Planner):
             room_t = np.maximum(
                 room_t + dt * (release_total - removal) / mass, setpoint
             )
-            rollout.inlet_temperature_c[:] = room_t
 
-            t_k = obs.time_s + (k + 1) * dt
-            cop = float(self.plant.cop(self.ambient.temperature_c(t_k)))
-            price = float(self.tariff.price_usd_per_kwh(t_k))
-            cost += (release_total / cop) * dt / 3.6e6 * price
+            cost += (release_total / cops[k]) * dt / 3.6e6 * prices[k]
             served = busy * tf_k
             shed = np.maximum(forecast[k] - served, 0.0)
             cost += (
@@ -412,6 +431,65 @@ class MPCPolicy(Planner):
                 * self.overheat_penalty_usd_per_c_hour
             )
         return cost
+
+    @staticmethod
+    def _array_rollout(obs: Observation, n_cand: int):
+        """The rollout's thermal step on a
+        :class:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState`
+        clone of the observed state, one cluster per candidate.
+
+        ``step(busy, frequencies, inlet)`` advances every candidate one
+        tick and returns its cluster release total.
+        """
+        state = obs.state
+        servers = state.server_count
+        rollout = BatchedClusterThermalState(
+            characterization=state.characterization,
+            power_model=state.power_model,
+            material=state.material,
+            cluster_count=n_cand,
+            server_count=servers,
+            inlet_temperature_c=obs.room_temperature_c,
+            wax_enabled=bool(state.wax_enabled),
+        )
+        rollout.zone_temperature_c[...] = state.zone_temperature_c[None, :]
+        rollout.specific_enthalpy_j_per_kg[...] = (
+            state.specific_enthalpy_j_per_kg[None, :]
+        )
+
+        def step(busy, frequencies, inlet):
+            rollout.inlet_temperature_c[:] = inlet
+            _, release, _ = rollout.step(
+                obs.dt_s, np.repeat(busy[:, None], servers, axis=1), frequencies
+            )
+            return np.sum(release, axis=1)
+
+        return step
+
+    @staticmethod
+    def _column_rollout(obs: Observation, n_cand: int):
+        """The same thermal step for a uniform observed state, each
+        candidate computed as one server column.
+
+        A :class:`~repro.dcsim.thermal_coupling.UniformStretchAdvancer`
+        steps the array clone's column: unit fault scales, zero offsets,
+        the undegraded wax mass. The release totals come from one
+        fill-and-sum, the per-row pairwise ``np.sum`` the clone's
+        ``(candidates, servers)`` release gets.
+        """
+        state = obs.state
+        columns = [UniformStretchAdvancer(state, obs.dt_s) for _ in range(n_cand)]
+
+        def step(busy, frequencies, inlet):
+            per_candidate = [
+                column.step(t, b, f)[1]
+                for column, t, b, f in zip(
+                    columns, inlet.tolist(), busy.tolist(), frequencies.tolist()
+                )
+            ]
+            return uniform_totals(per_candidate, state.server_count)
+
+        return step
 
     def plan(self, obs: Observation) -> ControlAction:
         effects = obs.fault_effects

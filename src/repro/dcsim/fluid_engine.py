@@ -17,7 +17,8 @@ engines:
     precomputes the demand series for the full horizon, then detects
     maximal runs of ticks where nothing can change the plan and advances
     each run in one pass, falling back to the *same* scalar tick body at
-    every boundary.
+    every boundary. Those scalar ticks take their element of the series
+    instead of looking the trace up per tick.
 
 A stretch of ticks is eligible only when every per-tick hook is provably
 inert for its whole span:
@@ -113,26 +114,24 @@ class _FluidLoop(_Plant):
 
     def run_reference(self) -> None:
         for i, t in enumerate(self.ticks):
-            self.scalar_tick(i, t)
+            self.scalar_tick(i, t, self.demand_at(t))
 
     def run_batched(self) -> None:
         n_ticks = len(self.ticks)
         stretch_ticks = 0
         scalar_ticks = 0
         decision = self._constant_decision()
+        # Full-horizon demand series, bit-identical to the reference
+        # loop's per-tick lookups; scalar ticks take their element.
+        demand_all = self.demand_series()
+        demand_l = demand_all.tolist()
         if decision is None:
             # No certificate: the whole run is boundary. Identical to the
             # reference engine by construction (same tick body).
             for i, t in enumerate(self.ticks):
-                self.scalar_tick(i, t)
+                self.scalar_tick(i, t, demand_l[i])
             scalar_ticks = n_ticks
         else:
-            # Full-horizon demand series; elementwise np.interp + np.clip
-            # match the reference loop's per-tick scalar lookups bit for
-            # bit.
-            demand_all = np.clip(
-                self.sim.trace.value_at(self.ticks - 0.5 * self.dt), 0.0, 1.0
-            )
             i = 0
             while i < n_ticks:
                 end = self._stretch_end(i)
@@ -142,7 +141,7 @@ class _FluidLoop(_Plant):
                     stretch_ticks += end - i
                     i = end
                 else:
-                    self.scalar_tick(i, self.ticks[i])
+                    self.scalar_tick(i, self.ticks[i], demand_l[i])
                     scalar_ticks += 1
                     i += 1
         obs = get_registry()
@@ -152,11 +151,11 @@ class _FluidLoop(_Plant):
 
     # -- scalar oracle -------------------------------------------------------
 
-    def scalar_tick(self, i: int, t: float) -> None:
-        """The verbatim per-tick body both engines share."""
+    def scalar_tick(self, i: int, t: float, demand: float) -> None:
+        """The verbatim per-tick body both engines share, at the offered
+        load ``demand`` of the tick ending at ``t``."""
         injector = self.injector
         n_servers = self.n_servers
-        demand = self.demand_at(t)
         if injector is not None:
             injector.advance_to(t, room=self.room)
         # Policies see the offered work rate in nominal capacity units.

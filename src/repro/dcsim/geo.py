@@ -41,7 +41,7 @@ from repro.dcsim.throttling import (
     RoomTemperaturePolicy,
     ThrottleDecision,
     bisect_max,
-    shared_busy_release,
+    shared_busy_fits,
 )
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
@@ -250,12 +250,11 @@ class GeoPair:
 
     @staticmethod
     def _site_tick(
-        plant: _Plant, t: float
+        plant: _Plant, t: float, demand: float
     ) -> tuple[float, float, float, float, ThrottleDecision]:
-        """One site's local decision: (demand, served, unserved, spare,
-        decision)."""
+        """One site's local decision at its offered load ``demand``:
+        (demand, served, unserved, spare, decision)."""
         n = plant.n_servers
-        demand = plant.demand_at(t)
         decision = plant.decide(t, np.full(n, demand))
         tf = plant.sim.power_model.throughput_factor(decision.frequency_ghz)
         busy = min(demand / tf, 1.0, decision.utilization_cap)
@@ -273,15 +272,13 @@ class GeoPair:
                 # Bisect the largest extra busy fraction whose release
                 # fits; each round's work (busy + mid) * tf becomes a busy
                 # fraction by busy_fraction's clip arithmetic.
-                capacity_w = plant.room.cooling_capacity_w
-                release = shared_busy_release(
-                    plant.state, decision.frequency_ghz
+                fits = shared_busy_fits(
+                    plant.state,
+                    decision.frequency_ghz,
+                    plant.room.cooling_capacity_w,
                 )
                 extra = bisect_max(
-                    lambda mid: release(
-                        min(max((busy + mid) * tf / tf, 0.0), 1.0)
-                    )
-                    <= capacity_w,
+                    lambda mid: fits(min(max((busy + mid) * tf / tf, 0.0), 1.0)),
                     headroom,
                     rounds=20,
                 )
@@ -299,9 +296,13 @@ class GeoPair:
         accepted = np.zeros((2, len(ticks)))
         relocated = np.zeros((2, len(ticks)))
         lost = np.zeros((2, len(ticks)))
+        demands = [plant.demand_series().tolist() for plant in plants]
 
         for i, t in enumerate(ticks):
-            locals_ = [self._site_tick(plant, t) for plant in plants]
+            locals_ = [
+                self._site_tick(plant, t, demand[i])
+                for plant, demand in zip(plants, demands)
+            ]
             # Offer each site's unserved work to the other through the
             # shared router (index order = (site_a, site_b), which for a
             # pair of online sites reduces to the symmetric swap).

@@ -56,11 +56,12 @@ class RoomModel:
     temperature_c: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.cooling_capacity_w <= 0:
+        # In-range tests, so that NaN (every comparison false) fails them.
+        if not self.cooling_capacity_w > 0:
             raise ConfigurationError("cooling capacity must be positive")
-        if self.thermal_mass_j_per_k <= 0:
+        if not self.thermal_mass_j_per_k > 0:
             raise ConfigurationError("room thermal mass must be positive")
-        if self.max_temperature_c <= self.setpoint_c:
+        if not self.max_temperature_c > self.setpoint_c:
             raise ConfigurationError(
                 f"max temperature ({self.max_temperature_c}) must exceed the "
                 f"setpoint ({self.setpoint_c})"

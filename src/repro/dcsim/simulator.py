@@ -376,6 +376,12 @@ class _Plant:
             np.clip(self.sim.trace.value_at(t - 0.5 * self.dt), 0.0, 1.0)
         )
 
+    def demand_series(self) -> np.ndarray:
+        """:meth:`demand_at` at every tick, looked up at once: elementwise
+        ``np.interp`` and ``np.clip`` equal the per-tick scalar lookups
+        bit for bit. The reference engines keep :meth:`demand_at`."""
+        return np.clip(self.sim.trace.value_at(self.ticks - 0.5 * self.dt), 0.0, 1.0)
+
     def decide(self, t: float, work_rate: np.ndarray) -> ThrottleDecision:
         """This tick's operating point for the offered ``work_rate``."""
         state = self.state
@@ -457,19 +463,8 @@ class _Plant:
         self, column: UniformStretchAdvancer, busy: float, frequency: float
     ) -> np.ndarray:
         """One tick on the column: the power, release and wax-heat totals
-        and the melt mean, from one fill-and-sum. It checks the busy
-        fraction as :meth:`ClusterThermalState.step` does."""
-        if not -1e-9 <= busy <= 1.0 + 1e-9:
-            raise ConfigurationError("utilization must be finite and lie in [0, 1]")
-        state = self.state
-        u_eff = busy * state.power_model.frequency_factor(frequency)
-        characterization = state.characterization
-        per_server = column.tick(
-            state.inlet_temperature_c,
-            u_eff,
-            float(characterization.zone_delta_at(u_eff)),
-            float(characterization.ua_at(u_eff)),
-        )
+        and the melt mean, from one fill-and-sum."""
+        per_server = column.step(self.state.inlet_temperature_c, busy, frequency)
         column.commit()
         self.column_ticks += 1
         totals = uniform_totals(per_server, self.n_servers)

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
 from repro.obs import get_registry
-from repro.server.characterization import PlatformCharacterization
+from repro.server.characterization import PlatformCharacterization, interp_float
 from repro.server.power import ServerPowerModel
 
 
@@ -377,12 +377,15 @@ class UniformStretchAdvancer:
     """A uniform single-cluster thermal state computed as one server.
 
     The caller vouches that every server shares one zone temperature and
-    one wax enthalpy, that no server has an inlet offset, and that every
-    fault scale is exactly 1.0, so :meth:`BatchedClusterThermalState.step`
-    would multiply by none of them. :class:`repro.dcsim.simulator._Plant`
-    tracks those conditions and keeps one advancer per run, for fluid
-    stretches and for single ticks alike. Each :meth:`tick` performs, on
-    plain Python floats, exactly the per-element arithmetic (and branch
+    one wax enthalpy and that no server has an inlet offset. The column
+    steps the state with every fault scale at 1.0, as
+    :meth:`BatchedClusterThermalState.step` does when it multiplies by
+    none of them: :class:`repro.dcsim.simulator._Plant` takes the column
+    only while the scales are 1.0, and an MPC rollout
+    (:class:`repro.control.MPCPolicy`) rolls forward a clone with unit
+    scales. The plant keeps one advancer per run, for fluid stretches
+    and for single ticks alike. Each :meth:`tick` performs, on plain
+    Python floats, exactly the per-element arithmetic (and branch
     structure) that the array step performs on every server: elementwise
     IEEE operations on identical inputs yield identical outputs, so the
     trajectory is bit-identical to stepping the arrays. :meth:`load`
@@ -398,19 +401,23 @@ class UniformStretchAdvancer:
         if dt_s <= 0:
             raise ConfigurationError(f"tick must be positive, got {dt_s}")
         self._state = state
-        self._characterization = state.characterization
+        characterization = state.characterization
+        self._characterization = characterization
         self._dt_s = float(dt_s)
         power_model = state.power_model
+        self._power_model = power_model
         self._idle_w = float(power_model.idle_power_w)
         self._dynamic_range_w = float(power_model.dynamic_range_w)
         # Same expression step() evaluates each tick (dt and the time
         # constant never change mid-run, so neither does the result).
         self._blend = float(
-            1.0 - np.exp(-dt_s / state.characterization.zone_time_constant_s)
+            1.0 - np.exp(-dt_s / characterization.zone_time_constant_s)
         )
         self._material = state.material
         self._fusion = float(state.material.heat_of_fusion_j_per_kg)
-        self._wax_mass = float(state.effective_wax_mass_kg)
+        # The undegraded mass: with a unit capacity factor it is the
+        # effective mass the array step divides by.
+        self._wax_mass = float(state.wax_mass_kg)
         self._enabled = bool(state.wax_enabled)
         self.load()
 
@@ -466,6 +473,29 @@ class UniformStretchAdvancer:
         elif melt > 1.0:
             melt = 1.0
         return power, power - heat, heat, melt
+
+    def step(
+        self, inlet_c: float, busy: float, frequency_ghz: float
+    ) -> tuple[float, float, float, float]:
+        """:meth:`tick` at one busy fraction every server runs.
+
+        Checks ``busy`` as the array step does, folds in the DVFS factor,
+        and looks the zone delta and UA up with
+        :func:`~repro.server.characterization.interp_float`, which equals
+        the array step's ``np.interp`` on one float.
+        """
+        # In-range test: NaN fails every comparison, so it fails it too.
+        if not -1e-9 <= busy <= 1.0 + 1e-9:
+            raise ConfigurationError("utilization must be finite and lie in [0, 1]")
+        u_eff = busy * self._power_model.frequency_factor(frequency_ghz)
+        characterization = self._characterization
+        grid = characterization.utilization_grid
+        return self.tick(
+            inlet_c,
+            u_eff,
+            interp_float(u_eff, grid, characterization.zone_temp_delta_c),
+            interp_float(u_eff, grid, characterization.wax_ua_w_per_k),
+        )
 
     def commit(self) -> None:
         """Broadcast the column back over the array state."""

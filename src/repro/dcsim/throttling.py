@@ -20,6 +20,7 @@ preview the tick using the current thermal state and do not mutate it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
 from repro.errors import ConfigurationError
 from repro.obs import get_registry
+from repro.server.characterization import interp_float
 
 
 @dataclass(frozen=True)
@@ -52,64 +54,123 @@ def busy_fraction(
 
 
 def _preview(state: ClusterThermalState, busy: np.ndarray, frequency_ghz: float):
-    """``(busy, release)``: one preview's busy fractions and the cluster
-    heat release as a function of (scaled copies of) them.
+    """``(busy, release, under)``: one preview's busy fractions, the
+    cluster heat release as a function of (scaled copies of) them, and
+    ``under(capacity_w)``, the bisection predicate
+    ``release(b) <= capacity_w`` for one capacity.
 
     Uniformity is judged once per preview. When every server shares one
     zone temperature, wax enthalpy and busy fraction, ``busy`` is that
-    one fraction and ``release`` is :func:`_column_release`, bit-identical
-    to summing the per-server arrays, which every other state still does.
+    one fraction and ``release`` and ``under`` are
+    :func:`_column_release`'s, bit-identical to the per-server arrays,
+    which every other state still sums.
     """
     busy = np.asarray(busy, dtype=float)
     obs = get_registry()
     if state.is_uniform(busy):
         obs.count("dcsim.preview.uniform")
-        return float(busy[0]), _column_release(state, frequency_ghz)
+        return (float(busy[0]), *_column_release(state, frequency_ghz))
     obs.count("dcsim.preview.array")
-    return busy, lambda b: float(
-        np.sum(
-            state.power_w(b, frequency_ghz)
-            - state.wax_exchange_w(b, frequency_ghz)
+
+    def release(b) -> float:
+        return float(
+            np.sum(
+                state.power_w(b, frequency_ghz)
+                - state.wax_exchange_w(b, frequency_ghz)
+            )
         )
-    )
+
+    def under(capacity_w: float):
+        return lambda b: release(b) <= capacity_w
+
+    return busy, release, under
 
 
 def _column_release(state: ClusterThermalState, frequency_ghz: float):
-    """A uniform cluster's release at one busy fraction, as one server.
+    """``(release, under)`` of a uniform cluster at one busy fraction,
+    computed as one server.
 
     The frequency factor, the zone-to-wax gap and the UA scale are fixed
     across a bisection's rounds, so they are computed once. Each call
-    then takes ``power_w - wax_exchange_w`` on one server in the same
-    operations, fills one reused ``(servers,)`` buffer with it and sums
-    that: the pairwise ``np.sum`` of the per-server row.
+    takes ``power_w - wax_exchange_w`` on one server in the same
+    operations, with the UA from
+    :func:`~repro.server.characterization.interp_float`. ``release``
+    fills one reused ``(servers,)`` buffer with it and sums that: the
+    pairwise ``np.sum`` of the per-server row. ``under`` compares the
+    one-server value with :func:`_fill_threshold` of a finite capacity,
+    found once per bisection, instead of summing every round.
     """
     model = state.power_model
     factor = model.frequency_factor(frequency_ghz)
+    idle_w, dynamic_range_w = model.idle_power_w, model.dynamic_range_w
     ua_scale = state.fault_scales[0]
     gap_c = float(state.zone_temperature_c[0]) - state.material.temperature_at_enthalpy(
         float(state.specific_enthalpy_j_per_kg[0])
     )
+    characterization = state.characterization
+    grid, uas = characterization.utilization_grid, characterization.wax_ua_w_per_k
+    wax = state.wax_enabled
     servers = np.empty(state.server_count)
 
-    def release(busy: float) -> float:
+    def per_server(busy: float) -> float:
         u_eff = busy * factor
         exchange = 0.0
-        if state.wax_enabled:
-            ua = state.characterization.ua_at(u_eff)
+        if wax:
+            ua = interp_float(u_eff, grid, uas)
             exchange = (ua * ua_scale if ua_scale != 1.0 else ua) * gap_c
-        servers.fill(model.idle_power_w + (model.dynamic_range_w * u_eff) - exchange)
+        return idle_w + (dynamic_range_w * u_eff) - exchange
+
+    def release(busy: float) -> float:
+        servers.fill(per_server(busy))
         return float(servers.sum())
 
-    return release
+    def under(capacity_w: float):
+        if not math.isfinite(capacity_w):
+            return lambda busy: release(busy) <= capacity_w
+        threshold = _fill_threshold(capacity_w, servers)
+        return lambda busy: per_server(busy) <= threshold
+
+    return release, under
 
 
-def shared_busy_release(state: ClusterThermalState, frequency_ghz: float):
-    """The cluster release as a function of one busy fraction every server
-    runs, judging uniformity once for all the calls (a bisection's rounds).
+def _fill_threshold(capacity_w: float, servers: np.ndarray) -> float:
+    """The largest double ``t`` whose fill-and-sum over the ``servers``
+    buffer is at most the finite ``capacity_w``.
+
+    The sum of ``n`` equal doubles is monotone non-decreasing in the
+    value, because each IEEE round-to-nearest addition is monotone in its
+    operands, whatever the reduction tree. So ``fill-and-sum(v) <=
+    capacity_w`` holds exactly when ``v <= t``. ``t`` is found by
+    stepping doubles from ``capacity_w / n``, down while the sum exceeds
+    the capacity and then up while the next double's sum fits, each
+    checked with the real fill-and-sum. The sum's rounding error is a
+    few ulps, so the search takes a few sums; a non-finite capacity
+    would never end it.
     """
-    ones, release = _preview(state, np.ones(state.server_count), frequency_ghz)
+
+    def total(value: float) -> float:
+        servers.fill(value)
+        return float(servers.sum())
+
+    t = capacity_w / len(servers)
+    while total(t) > capacity_w:
+        t = math.nextafter(t, -math.inf)
+    while total(up := math.nextafter(t, math.inf)) <= capacity_w:
+        t = up
+    return t
+
+
+def shared_busy_fits(
+    state: ClusterThermalState, frequency_ghz: float, capacity_w: float
+):
+    """The predicate ``release <= capacity_w`` of one busy fraction every
+    server runs, judging uniformity (and, for a uniform state, the
+    per-server threshold) once for all the calls: a bisection's rounds.
+    """
+    ones, _, under = _preview(state, np.ones(state.server_count), frequency_ghz)
+    fits = under(capacity_w)
     # 1.0 * busy is busy exactly; ones * busy is its per-server row.
-    return lambda busy: release(ones * busy)
+    return lambda busy: fits(ones * busy)
 
 
 def release_at_busy_w(
@@ -120,7 +181,7 @@ def release_at_busy_w(
     Wax absorption counts against the release while it is absorbing; a
     refreezing wax adds heat, which the preview must include.
     """
-    busy, release = _preview(state, busy, frequency_ghz)
+    busy, release, _ = _preview(state, busy, frequency_ghz)
     return release(busy)
 
 
@@ -157,8 +218,9 @@ def _shed_cap(
     cap is found by bisection.
     """
     busy = busy_fraction(state, work_rate, frequency_ghz)
-    base, release = _preview(state, busy, frequency_ghz)
-    scale = bisect_max(lambda s: release(base * s) <= capacity_w, 1.0, rounds=40)
+    base, _, under = _preview(state, busy, frequency_ghz)
+    fits = under(capacity_w)
+    scale = bisect_max(lambda s: fits(base * s), 1.0, rounds=40)
     return scale * float(np.max(busy)) if len(busy) else 0.0
 
 
@@ -268,11 +330,12 @@ class ThermalLimitPolicy:
     """
 
     def __init__(self, capacity_w: float, tolerance: float = 0.002) -> None:
-        if capacity_w <= 0:
+        # In-range tests, so that NaN (every comparison false) fails them.
+        if not capacity_w > 0:
             raise ConfigurationError(
                 f"cooling capacity must be positive, got {capacity_w}"
             )
-        if tolerance < 0:
+        if not tolerance >= 0:
             raise ConfigurationError("tolerance must be non-negative")
         self.capacity_w = capacity_w
         self.tolerance = tolerance
@@ -384,7 +447,7 @@ class RoomTemperaturePolicy:
     """
 
     def __init__(self, room: RoomModel, deadband_c: float = 1.0) -> None:
-        if deadband_c < 0:
+        if not deadband_c >= 0:
             raise ConfigurationError("deadband must be non-negative")
         self.room = room
         self.deadband_c = deadband_c

@@ -24,6 +24,7 @@ vectorizes the same equations across a cluster
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,32 @@ class PlatformCharacterization:
         return np.interp(
             effective_utilization, self.utilization_grid, self.wax_ua_w_per_k
         )
+
+
+def interp_float(x: float, xp: tuple[float, ...], fp: tuple[float, ...]) -> float:
+    """``np.interp(x, xp, fp)`` for one float, on Python floats.
+
+    The same formula as NumPy's: NaN passes through, ``x`` clamps to the
+    end values outside ``xp``, a knot returns its own value, and a point
+    between knots ``j`` and ``j + 1`` is ``slope * (x - xp[j]) + fp[j]``,
+    retried from the right knot if that is NaN. It skips ``np.interp``'s
+    conversion of the tables to arrays, most of its cost on one float;
+    array lookups keep ``np.interp``.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    value = slope * (x - xp[j]) + fp[j]
+    if value != value:
+        value = slope * (x - xp[j + 1]) + fp[j + 1]
+        if value != value and fp[j] == fp[j + 1]:
+            value = fp[j]
+    return value
 
 
 def _effective_zone_time_constant(

@@ -23,6 +23,7 @@ hours, and these functions measure exactly that arbitrage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,12 @@ class ElectricityTariff:
     peak_end_hour: float = 23.0
 
     def __post_init__(self) -> None:
-        if self.peak_usd_per_kwh <= 0 or self.offpeak_usd_per_kwh <= 0:
-            raise ConfigurationError("electricity rates must be positive")
+        # In-range tests, so that NaN (every comparison false) fails them.
+        if not all(
+            0.0 < rate < math.inf
+            for rate in (self.peak_usd_per_kwh, self.offpeak_usd_per_kwh)
+        ):
+            raise ConfigurationError("electricity rates must be finite and positive")
         if self.peak_usd_per_kwh < self.offpeak_usd_per_kwh:
             raise ConfigurationError(
                 "peak rate must be at least the off-peak rate"
@@ -88,8 +93,10 @@ class AmbientProfile:
     peak_hour: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.amplitude_c < 0:
-            raise ConfigurationError("amplitude must be non-negative")
+        if not math.isfinite(self.mean_c):
+            raise ConfigurationError("mean temperature must be finite")
+        if not 0.0 <= self.amplitude_c < math.inf:
+            raise ConfigurationError("amplitude must be finite and non-negative")
         if not 0.0 <= self.peak_hour < 24.0:
             raise ConfigurationError("peak hour must be in [0, 24)")
 
@@ -115,6 +122,16 @@ class AmbientAwarePlant:
     min_cop: float = 1.5
 
     def __post_init__(self) -> None:
+        if not all(
+            math.isfinite(value)
+            for value in (
+                self.cop_reference,
+                self.reference_ambient_c,
+                self.cop_slope_per_k,
+                self.min_cop,
+            )
+        ):
+            raise ConfigurationError("plant parameters must be finite")
         if self.cop_reference <= 0 or self.min_cop <= 0:
             raise ConfigurationError("COP values must be positive")
         if self.cop_slope_per_k < 0:

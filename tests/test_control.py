@@ -17,10 +17,15 @@ bit-identical decision traces on ``reference`` and ``batched`` engines.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import (
     ActuatorLimits,
@@ -30,13 +35,15 @@ from repro.control import (
     GreedyThrottlePolicy,
     MPCPolicy,
     NoOpPlanner,
+    Observation,
     Planner,
     ScheduledPolicy,
     Verifier,
 )
 from repro.control.tournament import control_policy_factory
 from repro.dcsim.room import RoomModel
-from repro.errors import ControlError
+from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.errors import ConfigurationError, ControlError
 from repro.faults.chaos import (
     ChaosConfig,
     build_simulator,
@@ -51,6 +58,7 @@ from repro.faults.schedule import (
     Fault,
     FaultSchedule,
 )
+from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.obs import get_registry
 from repro.units import hours
 
@@ -379,6 +387,8 @@ class TestGreedyPortFidelity:
         with pytest.raises(ControlError):
             GreedyThrottlePolicy(deadband_c=-1.0)
         with pytest.raises(ControlError):
+            GreedyThrottlePolicy(deadband_c=math.nan)
+        with pytest.raises(ControlError):
             GreedyThrottlePolicy(emergency_capacity_factor=1.5)
 
 
@@ -447,3 +457,191 @@ class TestMPCPolicy:
             MPCPolicy(shed_penalty_usd_per_server_hour=-1.0)
         with pytest.raises(ControlError):
             MPCPolicy(overheat_penalty_usd_per_c_hour=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"horizon_ticks": 2.5},
+            {"horizon_ticks": math.nan},
+            {"shed_penalty_usd_per_server_hour": math.nan},
+            {"shed_penalty_usd_per_server_hour": math.inf},
+            {"overheat_penalty_usd_per_c_hour": math.nan},
+            {"overheat_penalty_usd_per_c_hour": math.inf},
+            {"sprint_headroom_c": math.nan},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_rejects_nan_and_fractional_parameters(self, kwargs):
+        with pytest.raises(ControlError):
+            MPCPolicy(**kwargs)
+
+    def test_accepts_an_integer_horizon(self):
+        assert MPCPolicy(horizon_ticks=np.int64(3)).horizon_ticks == 3
+
+
+@contextmanager
+def _rollout_paths():
+    """Collect the MPC rollout path counters of the body."""
+    registry = get_registry()
+    was_enabled = registry.enabled
+    registry.enable()
+    try:
+        with registry.collect() as collection:
+            yield collection
+    finally:
+        if not was_enabled:
+            registry.disable()
+
+
+def _paths(collection):
+    counters = collection.report.counters
+    return (
+        counters.get("control.mpc.rollout.column", 0),
+        counters.get("control.mpc.rollout.array", 0),
+    )
+
+
+def _observation(state, work, capacity_w, **overrides):
+    fields = dict(
+        time_s=hours(14.0),
+        dt_s=60.0,
+        work_rate=np.full(state.server_count, work),
+        state=state,
+        room_temperature_c=27.0,
+        room_setpoint_c=25.0,
+        room_max_temperature_c=35.0,
+        cooling_capacity_w=capacity_w,
+        thermal_mass_j_per_k=500.0 * state.server_count,
+    )
+    fields.update(overrides)
+    return Observation(**fields)
+
+
+def _rollout(policy, obs):
+    frequencies, caps = policy._candidate_sequences(obs)
+    return frequencies, caps, policy._rollout_cost(
+        obs, frequencies, caps, policy._forecast(obs)
+    )
+
+
+class TestMPCColumnRollout:
+    """A uniform observed state rolls every candidate forward as one
+    server column; its cost vector must equal the array clone's bit for
+    bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_column_costs_equal_the_array_rollout(
+        self, one_u_spec, one_u_characterization, data
+    ):
+        model = one_u_spec.power_model
+        material = commercial_paraffin_with_melting_point(
+            data.draw(st.floats(36.0, 60.0), label="melting point")
+        )
+        fusion = material.heat_of_fusion_j_per_kg
+        servers = data.draw(st.sampled_from([1, 8, 1008]), label="servers")
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            material,
+            server_count=servers,
+            wax_enabled=data.draw(st.booleans(), label="wax"),
+        )
+        # Solid, mushy and liquid, with both phase boundaries exactly.
+        state.specific_enthalpy_j_per_kg[:] = data.draw(
+            st.one_of(
+                st.just(0.0), st.just(fusion), st.floats(-1e5, fusion + 1e5)
+            ),
+            label="enthalpy",
+        )
+        state.zone_temperature_c[:] = data.draw(st.floats(20.0, 70.0))
+        # Live fault scales on the observed state: the clone ignores them.
+        state.set_fault_scales(
+            ua_scale=data.draw(
+                st.one_of(st.just(1.0), st.floats(0.05, 1.0)), label="ua scale"
+            ),
+            wax_capacity_factor=data.draw(
+                st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+                label="wax capacity",
+            ),
+        )
+        work = data.draw(st.floats(0.0, 1.2), label="work")
+        # Below the min-frequency release the shed candidate joins.
+        capacity = data.draw(st.floats(0.05, 1.2)) * servers * model.peak_power_w
+        obs = _observation(
+            state,
+            work,
+            capacity,
+            time_s=data.draw(st.floats(0.0, hours(48.0)), label="time"),
+            room_temperature_c=data.draw(st.floats(24.0, 40.0), label="room"),
+        )
+        policy = MPCPolicy(horizon_ticks=data.draw(st.integers(1, 8)))
+
+        with _rollout_paths() as collection:
+            frequencies, caps, column = _rollout(policy, obs)
+        assert _paths(collection) == (1, 0)
+        with mock.patch.object(state, "is_uniform", return_value=False):
+            with _rollout_paths() as collection:
+                array = policy._rollout_cost(
+                    obs, frequencies, caps, policy._forecast(obs)
+                )
+        assert _paths(collection) == (0, 1)
+        assert column.tobytes() == array.tobytes()
+
+    def test_the_shed_candidate_rolls_on_the_column(
+        self, one_u_spec, one_u_characterization
+    ):
+        model = one_u_spec.power_model
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            commercial_paraffin_with_melting_point(43.0),
+            server_count=1008,
+        )
+        obs = _observation(state, 0.9, 0.3 * 1008 * model.peak_power_w)
+        policy = MPCPolicy()
+        with _rollout_paths() as collection:
+            frequencies, caps, column = _rollout(policy, obs)
+        assert _paths(collection) == (1, 0)
+        assert len(caps) == 6 and caps[-1] < 1.0
+        with mock.patch.object(state, "is_uniform", return_value=False):
+            array = policy._rollout_cost(
+                obs, frequencies, caps, policy._forecast(obs)
+            )
+        assert column.tobytes() == array.tobytes()
+
+    def test_one_ulp_off_takes_the_array_path(
+        self, one_u_spec, one_u_characterization
+    ):
+        model = one_u_spec.power_model
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            commercial_paraffin_with_melting_point(43.0),
+            server_count=8,
+        )
+        enthalpy = state.specific_enthalpy_j_per_kg
+        enthalpy[3] = np.nextafter(enthalpy[3], np.inf)
+        obs = _observation(state, 0.7, 8 * model.peak_power_w)
+        with _rollout_paths() as collection:
+            _rollout(MPCPolicy(), obs)
+        assert _paths(collection) == (0, 1)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_nan_busy_fraction_raises_on_both_paths(
+        self, one_u_spec, one_u_characterization, uniform
+    ):
+        model = one_u_spec.power_model
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            commercial_paraffin_with_melting_point(43.0),
+            server_count=8,
+        )
+        if not uniform:
+            state.zone_temperature_c[0] += 0.25
+        obs = _observation(state, 0.5, 8 * model.peak_power_w)
+        policy = MPCPolicy(horizon_ticks=4)
+        frequencies, caps = policy._candidate_sequences(obs)
+        with pytest.raises(ConfigurationError):
+            policy._rollout_cost(obs, frequencies, caps, np.full(4, np.nan))

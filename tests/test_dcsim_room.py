@@ -27,6 +27,19 @@ class TestValidation:
                 cooling_capacity_w=1.0, setpoint_c=30.0, max_temperature_c=25.0
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cooling_capacity_w",
+            "thermal_mass_j_per_k",
+            "setpoint_c",
+            "max_temperature_c",
+        ],
+    )
+    def test_nan_parameter_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            RoomModel(**{"cooling_capacity_w": 1.0, field: float("nan")})
+
     def test_negative_release_rejected(self, room):
         with pytest.raises(ConfigurationError):
             room.step(60.0, -1.0)

@@ -1,5 +1,6 @@
 """Tests for thermal-limit policies."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -13,10 +14,11 @@ from repro.dcsim.throttling import (
     NoThermalLimit,
     RoomTemperaturePolicy,
     ThermalLimitPolicy,
+    _fill_threshold,
     _shed_cap,
     busy_fraction,
     projected_release_w,
-    shared_busy_release,
+    shared_busy_fits,
 )
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
@@ -106,6 +108,14 @@ class TestThermalLimitPolicy:
         with pytest.raises(ConfigurationError):
             ThermalLimitPolicy(capacity_w=100.0, tolerance=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"capacity_w": math.nan}, {"capacity_w": 100.0, "tolerance": math.nan}],
+    )
+    def test_nan_parameter_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ThermalLimitPolicy(**kwargs)
+
 
 class TestRoomTemperaturePolicy:
     def _room(self, capacity):
@@ -161,6 +171,8 @@ class TestRoomTemperaturePolicy:
     def test_negative_deadband_rejected(self, state):
         with pytest.raises(ConfigurationError):
             RoomTemperaturePolicy(self._room(1e6), deadband_c=-1.0)
+        with pytest.raises(ConfigurationError):
+            RoomTemperaturePolicy(self._room(1e6), deadband_c=math.nan)
 
 
 def _oracle_release(state, busy, frequency_ghz):
@@ -264,7 +276,7 @@ class TestUniformPreview:
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_shared_busy_release_matches_the_per_server_oracle(
+    def test_shared_busy_fits_matches_the_per_server_oracle(
         self, one_u_spec, one_u_characterization, data
     ):
         model = one_u_spec.power_model
@@ -297,16 +309,74 @@ class TestUniformPreview:
             st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
             label="busy",
         )
+        oracle = [
+            _oracle_release(state, np.full(servers, b), frequency) for b in busy
+        ]
+        # A capacity exactly at one of the totals puts a round on the edge.
+        capacity = data.draw(
+            st.one_of(
+                st.sampled_from(oracle),
+                st.floats(0.0, 1.2).map(lambda f: f * servers * model.peak_power_w),
+            ),
+            label="capacity",
+        )
         with _preview_paths() as collection:
-            release = shared_busy_release(state, frequency)
-            totals = [release(b) for b in busy]
+            fits = shared_busy_fits(state, frequency, capacity)
+            verdicts = [fits(b) for b in busy]
         # One uniformity test for every busy fraction.
         uniform = uniform or servers == 1
         assert _paths(collection) == ((1, 0) if uniform else (0, 1))
-        for b, total in zip(busy, totals):
-            assert total == _oracle_release(
-                state, np.full(servers, b), frequency
-            )
+        assert verdicts == [total <= capacity for total in oracle]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fill_threshold_is_the_exact_per_server_bound(self, data):
+        servers = data.draw(st.integers(1, 1100), label="servers")
+        capacity = data.draw(
+            st.one_of(
+                st.just(0.0),
+                st.just(5e-324),
+                st.floats(0.0, 2.2e-308),
+                st.floats(1e300, 1.7976931348623157e308),
+                st.floats(-1e7, 1e7),
+            ),
+            label="capacity",
+        )
+
+        def total(value):
+            return float(np.full(servers, value).sum())
+
+        # Sums next to the largest double overflow to inf, which is the
+        # fill-and-sum's answer there too.
+        with np.errstate(over="ignore"):
+            t = _fill_threshold(capacity, np.empty(servers))
+            # The largest double whose fill-and-sum fits ...
+            assert total(t) <= capacity < total(math.nextafter(t, math.inf))
+            # ... so the one-server comparison is the fill-and-sum's verdict.
+            value = t
+            for _ in range(64):
+                value = math.nextafter(value, -math.inf)
+            for _ in range(129):
+                assert (value <= t) == (total(value) <= capacity)
+                value = math.nextafter(value, math.inf)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_bisects_exactly(
+        self, one_u_spec, one_u_characterization, capacity
+    ):
+        model = one_u_spec.power_model
+        state = ClusterThermalState(
+            one_u_characterization,
+            model,
+            commercial_paraffin_with_melting_point(43.0),
+            server_count=1008,
+        )
+        work = np.full(1008, 0.8)
+        frequency = model.min_frequency_ghz
+        with _preview_paths() as collection:
+            cap = _shed_cap(state, work, frequency, capacity)
+        assert _paths(collection) == (1, 0)
+        assert cap == _oracle_shed_cap(state, work, frequency, capacity)
 
     @pytest.mark.parametrize("server", [0, 500, 1007])
     def test_one_ulp_off_takes_the_array_path(

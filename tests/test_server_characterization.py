@@ -5,10 +5,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
+from repro.core.scenarios import cached_characterization
 from repro.server.characterization import (
     LumpedServerModel,
     PlatformCharacterization,
     characterize_platform,
+    interp_float,
 )
 from repro.server.configs import platform_by_name
 
@@ -72,6 +74,27 @@ class TestCharacterization:
                 wax_volume_m3=1e-3,
                 reference_flow_m3_s=0.01,
             )
+
+
+class TestFloatLookup:
+    """``interp_float`` is ``np.interp`` on one float, bit for bit."""
+
+    @pytest.mark.parametrize("platform", ["1u", "2u", "ocp"])
+    @pytest.mark.parametrize("table", ["zone_temp_delta_c", "wax_ua_w_per_k"])
+    def test_equals_np_interp(self, all_specs, rng, platform, table):
+        ch = cached_characterization(all_specs[platform])
+        grid, values = ch.utilization_grid, getattr(ch, table)
+        points = [
+            *grid,
+            *rng.uniform(0.0, 1.0, 2000).tolist(),
+            -0.5, -1e-300, 1.0 + 1e-12, 7.0,
+            0.0, -0.0, np.inf, -np.inf, np.nan,
+        ]
+        for x in points:
+            expected = float(np.interp(x, grid, values))
+            got = interp_float(x, grid, values)
+            assert type(got) is float
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), x
 
 
 class TestLumpedModel:

@@ -48,6 +48,12 @@ class TestTariff:
         with pytest.raises(ConfigurationError):
             ElectricityTariff(peak_start_hour=25.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["peak_usd_per_kwh", "offpeak_usd_per_kwh"])
+    def test_non_finite_rate_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ElectricityTariff(**{field: value})
+
 
 class TestAmbient:
     def test_peaks_at_peak_hour(self):
@@ -64,6 +70,12 @@ class TestAmbient:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             AmbientProfile(amplitude_c=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean_c", "amplitude_c"])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            AmbientProfile(**{field: value})
 
 
 class TestPlant:
@@ -85,6 +97,15 @@ class TestPlant:
             AmbientAwarePlant(cop_reference=0.0)
         with pytest.raises(ConfigurationError):
             AmbientAwarePlant(min_cop=10.0, cop_reference=4.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["cop_reference", "cop_slope_per_k", "min_cop", "reference_ambient_c"],
+    )
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            AmbientAwarePlant(**{field: value})
 
 
 def _fake_result(times, loads):

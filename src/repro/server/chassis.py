@@ -22,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.server.components import Component, component_node_names
 from repro.server.power import ServerPowerModel
 from repro.server.wax_box import WaxLoadout
 from repro.thermal.airflow import AirPath, AirSegment, FanBank, SystemImpedance
 from repro.thermal.convection import ConvectiveCoupling
-from repro.thermal.network import ThermalNetwork
+from repro.thermal.network import ThermalNetwork, affine_power_vector
 from repro.units import ALUMINUM_CONDUCTIVITY, ALUMINUM_SPECIFIC_HEAT
 
 UtilizationSchedule = Callable[[float], float]
@@ -367,59 +365,12 @@ class ServerChassis:
         )
         network.set_air_path(air_path)
         network.validate()
-        network.power_vector_fn = self._power_vector_fn(
+        # The PSU loss is a function of (u, f): the frequency factor is
+        # strictly monotonic in the frequency.
+        network.power_vector_fn = affine_power_vector(
             network, affine, custom, utilization, dvfs_factor
         )
         return network
-
-    def _power_vector_fn(
-        self,
-        network: ThermalNetwork,
-        affine: dict[str, tuple[float, float, bool]],
-        custom: dict[str, Callable[[float], float]],
-        utilization: UtilizationSchedule,
-        dvfs_factor: Callable[[float], float],
-    ) -> Callable[[float], np.ndarray]:
-        """All-node power evaluation sharing one schedule lookup per step.
-
-        The per-node closures each re-evaluate the utilization and DVFS
-        schedules; at solver rates that dominates the right-hand side.
-        This vector form evaluates the shared schedules once and applies
-        the same affine decomposition ``idle + (span * u) * f`` per node
-        (multiplying by exactly 1.0 for frequency-insensitive nodes), so
-        it is bit-identical to the closure path. Results are memoized on
-        the ``(utilization, dvfs factor)`` pair — every power in the
-        chassis (including the PSU loss, since the frequency factor is a
-        strictly monotonic function of frequency) is determined by those
-        two values, and the schedules are piecewise constant in time.
-        """
-        names = network.capacitive_names
-        idle_vec = np.array([affine.get(name, (0.0, 0.0, False))[0] for name in names])
-        span_vec = np.array([affine.get(name, (0.0, 0.0, False))[1] for name in names])
-        factor_mask = np.array(
-            [affine.get(name, (0.0, 0.0, False))[2] for name in names]
-        )
-        custom_slots = [
-            (index, custom[name])
-            for index, name in enumerate(names)
-            if name in custom
-        ]
-
-        cache: dict[str, object] = {"key": None, "powers": None}
-
-        def power_vector(time_s: float) -> np.ndarray:
-            u = utilization(time_s)
-            f = dvfs_factor(time_s)
-            if (u, f) == cache["key"]:
-                return cache["powers"]
-            powers = idle_vec + (span_vec * u) * np.where(factor_mask, f, 1.0)
-            for index, func in custom_slots:
-                powers[index] = func(time_s)
-            cache["key"] = (u, f)
-            cache["powers"] = powers
-            return powers
-
-        return power_vector
 
     def _component_power(
         self,

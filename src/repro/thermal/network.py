@@ -27,6 +27,7 @@ and evaluates its right-hand side; integration lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,6 +70,54 @@ def constant_value_of(func: Callable[[float], float]) -> float | None:
     return getattr(func, "constant_value", None)
 
 
+def affine_power_vector(
+    network: ThermalNetwork,
+    affine: dict[str, tuple[float, float, bool]],
+    custom: dict[str, Callable[[float], float]],
+    utilization: Callable[[float], float],
+    dvfs_factor: Callable[[float], float],
+) -> Callable[[float], np.ndarray]:
+    """All-node power evaluation sharing one schedule lookup per step.
+
+    Builders that drive every node from one utilization schedule install
+    the result as ``network.power_vector_fn``. ``affine`` maps a node to
+    ``(idle, span, scales_with_frequency)``, its power being
+    ``idle + (span * u) * f`` (``f`` is exactly 1.0 for a node that does
+    not scale); ``custom`` maps the few non-affine nodes (a PSU loss
+    curve) to their closures; any other node dissipates nothing. The
+    per-node closures each re-evaluate the schedules; this vector form
+    evaluates them once, with the same arithmetic, so it is bit-identical
+    to the closures (``x * 1.0 == x``). Results are memoized on the
+    ``(u, f)`` pair, so every ``custom`` closure must be a function of
+    those two values; the schedules are piecewise constant in time.
+    """
+    names = network.capacitive_names
+    idle_vec = np.array([affine.get(name, (0.0, 0.0, False))[0] for name in names])
+    span_vec = np.array([affine.get(name, (0.0, 0.0, False))[1] for name in names])
+    factor_mask = np.array(
+        [affine.get(name, (0.0, 0.0, False))[2] for name in names]
+    )
+    custom_slots = [
+        (index, custom[name]) for index, name in enumerate(names) if name in custom
+    ]
+
+    cache: dict[str, object] = {"key": None, "powers": None}
+
+    def power_vector(time_s: float) -> np.ndarray:
+        u = utilization(time_s)
+        f = dvfs_factor(time_s)
+        if (u, f) == cache["key"]:
+            return cache["powers"]
+        powers = idle_vec + (span_vec * u) * np.where(factor_mask, f, 1.0)
+        for index, func in custom_slots:
+            powers[index] = func(time_s)
+        cache["key"] = (u, f)
+        cache["powers"] = powers
+        return powers
+
+    return power_vector
+
+
 @dataclass
 class CapacitiveNode:
     """A solid node with thermal mass and optional power dissipation."""
@@ -79,10 +128,15 @@ class CapacitiveNode:
     power_w: PowerFunction
 
     def __post_init__(self) -> None:
-        if self.heat_capacity_j_per_k <= 0:
+        if not 0 < self.heat_capacity_j_per_k < math.inf:
             raise ConfigurationError(
-                f"node {self.name!r}: heat capacity must be positive, got "
-                f"{self.heat_capacity_j_per_k}"
+                f"node {self.name!r}: heat_capacity_j_per_k must be positive "
+                f"and finite, got {self.heat_capacity_j_per_k}"
+            )
+        if not math.isfinite(self.initial_temperature_c):
+            raise ConfigurationError(
+                f"node {self.name!r}: initial_temperature_c must be finite, "
+                f"got {self.initial_temperature_c}"
             )
 
 
@@ -115,10 +169,11 @@ class Conductance:
             raise ConfigurationError(
                 f"conductance endpoints must differ, got {self.node_a!r} twice"
             )
-        if self.conductance_w_per_k <= 0:
+        if not 0 < self.conductance_w_per_k < math.inf:
             raise ConfigurationError(
-                f"conductance {self.node_a!r}-{self.node_b!r} must be "
-                f"positive, got {self.conductance_w_per_k}"
+                f"conductance {self.node_a!r}-{self.node_b!r}: "
+                f"conductance_w_per_k must be positive and finite, got "
+                f"{self.conductance_w_per_k}"
             )
 
 
@@ -143,10 +198,11 @@ class ThermalNetwork:
         #: Optional fast path for the compiled solver: a function of time
         #: returning the power of every capacitive node (state order) as
         #: one array. Builders that drive many nodes from one shared
-        #: schedule (e.g. a chassis utilization trace) install it so the
-        #: solver evaluates the schedule once per step instead of once
-        #: per node. Must agree with the per-node ``power_w`` callables,
-        #: which remain the readable reference.
+        #: schedule (a chassis utilization trace) install
+        #: :func:`affine_power_vector` here so the solver evaluates the
+        #: schedule once per step instead of once per node. Must agree
+        #: with the per-node ``power_w`` callables, which remain the
+        #: readable reference.
         self.power_vector_fn: Callable[[float], np.ndarray] | None = None
 
     # -- construction -----------------------------------------------------

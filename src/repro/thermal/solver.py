@@ -25,6 +25,7 @@ speedups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -178,7 +179,9 @@ class _CompiledNetwork:
       are cached on the flow value, which fan schedules keep piecewise
       constant;
     * time-dependent inputs are cached per evaluation time — RK4
-      evaluates ``t + dt/2`` twice per step.
+      evaluates ``t + dt/2`` twice per step — and the constants are
+      rebuilt only when the evaluated inputs change (see
+      :meth:`_constants_at`).
     """
 
     def __init__(
@@ -350,7 +353,11 @@ class _CompiledNetwork:
 
         # -- per-run caches ----------------------------------------------------
         self._input_cache_time: float | None = None
-        self._input_cache: np.ndarray | None = None
+        self._input_cache: tuple[object, np.ndarray] | None = None
+        self._inputs_key: tuple | None = None
+        #: Input evaluations that rebuilt the constants / reused them.
+        self.inputs_computed = 0
+        self.inputs_reused = 0
         self._g_cache_flow: float | None = None
         self._g_cache: np.ndarray | None = None
         self._op_cache_flow: float | None = None
@@ -373,6 +380,7 @@ class _CompiledNetwork:
         self._prepared_cache = None
         self._input_cache_time = None
         self._input_cache = None
+        self._inputs_key = None
 
     def operator_density(self) -> float:
         """Structural density (nnz fraction) of the compiled operator.
@@ -414,40 +422,45 @@ class _CompiledNetwork:
 
     # -- state expansion ---------------------------------------------------
 
-    def temperatures(self, state: np.ndarray) -> np.ndarray:
+    def temperatures(
+        self, state: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Temperatures of all state nodes (PCM via the enthalpy map).
 
         The piecewise branches follow
         :meth:`PCMMaterial.temperature_at_enthalpy`, vectorized over every
         PCM node at once with the liquid intercept and mushy slope
-        precomputed at compile time.
+        precomputed at compile time. Written into ``out`` when given,
+        which may be ``state`` itself: each enthalpy is read before its
+        slot is overwritten.
         """
+        if out is None:
+            out = state.copy()
+        elif out is not state:
+            np.copyto(out, state)
         if self._pcm_scalar is not None:
             mass, solidus, fusion, c_solid, c_liquid, intercept, slope = (
                 self._pcm_scalar
             )
-            temps = state.copy()
             specific = state[self.n_cap] / mass
             if specific <= 0.0:
-                temps[self.n_cap] = solidus + specific / c_solid
+                out[self.n_cap] = solidus + specific / c_solid
             elif specific >= fusion:
-                temps[self.n_cap] = intercept + specific / c_liquid
+                out[self.n_cap] = intercept + specific / c_liquid
             else:
-                temps[self.n_cap] = solidus + specific * slope
-            return temps
-        temps = np.empty(self.n_state)
-        temps[: self.n_cap] = state[: self.n_cap]
+                out[self.n_cap] = solidus + specific * slope
+            return out
         if self.n_pcm:
             specific = state[self.n_cap :] / self.pcm_masses
             solid = self.pcm_solidus + specific / self.pcm_c_solid
             liquid = self.pcm_liquid_intercept + specific / self.pcm_c_liquid
             mushy = self.pcm_solidus + specific * self.pcm_mushy_slope
-            temps[self.n_cap :] = np.where(
+            out[self.n_cap :] = np.where(
                 specific <= 0.0,
                 solid,
                 np.where(specific >= self.pcm_fusion, liquid, mushy),
             )
-        return temps
+        return out
 
     def boundary_temperature(self, name: str, time_s: float) -> float:
         return self.boundary_functions[name](time_s)
@@ -546,41 +559,63 @@ class _CompiledNetwork:
         self._op_cache = (matrix, inlet_vector)
         return self._op_cache
 
-    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(K, state-independent derivative terms) at a time, cached per time.
+    def _constants_at(self, time_s: float) -> tuple[object, np.ndarray]:
+        """(K, state-independent derivative terms) at a time.
 
         The constant vector collects node powers, boundary-edge flows, and
         the air path's inlet contribution, already divided by capacity. RK4
-        evaluates the midpoint twice per step, so one step costs three
-        distinct input evaluations instead of four.
+        evaluates the midpoint twice per step, so a repeated time returns
+        the cached pair at once. Otherwise the inputs are evaluated. The
+        pair is a pure function of them, and the flow enters only through
+        the operator caches, which compare flows with ``==``. So when the
+        powers and boundary temperatures are bit-equal (``tobytes()``) to
+        the previous evaluation's and the flow is equal, as
+        piecewise-constant schedules make them almost always, the previous
+        pair is returned without a rebuild.
         """
         if time_s == self._input_cache_time and self._input_cache is not None:
             return self._input_cache
         if self.static_boundary_flows is not None:
             boundary = self.boundary_const
-            base = self.static_boundary_flows.copy()
         else:
             boundary = self._boundaries_at(time_s)
-            base = self.boundary_matrix @ boundary
-        base[: self.n_cap] += self._powers_at(time_s)
+        powers = self._powers_at(time_s)
         flow = 0.0
         if self.air_path is not None:
             flow = self.air_path.flow_at_time(time_s)
-        _, inlet_vector = self._operator_for_flow(flow)
-        if self.air_path is not None:
-            base += inlet_vector * boundary[self.inlet_index]
-        base *= self.inv_capacity
-        inputs = (self._prepared_for_flow(flow), base)
+        key = (flow, powers.tobytes(), boundary.tobytes())
+        if key == self._inputs_key:
+            self.inputs_reused += 1
+        else:
+            self.inputs_computed += 1
+            if self.static_boundary_flows is not None:
+                base = self.static_boundary_flows.copy()
+            else:
+                base = self.boundary_matrix @ boundary
+            base[: self.n_cap] += powers
+            _, inlet_vector = self._operator_for_flow(flow)
+            if self.air_path is not None:
+                base += inlet_vector * boundary[self.inlet_index]
+            base *= self.inv_capacity
+            self._inputs_key = key
+            self._input_cache = (self._prepared_for_flow(flow), base)
         self._input_cache_time = time_s
-        self._input_cache = inputs
-        return inputs
+        return self._input_cache
 
     # -- physics --------------------------------------------------------------
 
-    def rhs(self, state: np.ndarray, time_s: float) -> np.ndarray:
-        """Packed state derivative; mirrors ThermalNetwork.state_derivative."""
+    def rhs(
+        self, state: np.ndarray, time_s: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Packed state derivative; mirrors ThermalNetwork.state_derivative.
+
+        ``out`` receives the node temperatures on the way (see
+        :meth:`temperatures`); the derivative is the backend's array.
+        """
         operator, constants = self._constants_at(time_s)
-        return self.backend.apply(operator, self.temperatures(state), constants)
+        return self.backend.apply(
+            operator, self.temperatures(state, out), constants
+        )
 
     def observe(
         self, state: np.ndarray, time_s: float
@@ -693,12 +728,31 @@ def stable_step_s(network: ThermalNetwork, safety: float = DEFAULT_STEP_SAFETY) 
     return safety * network.min_time_constant_s(flow)
 
 
-def _validate_run_args(duration_s: float, output_interval_s: float) -> None:
-    if duration_s <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration_s}")
-    if output_interval_s <= 0:
+def _validate_run_args(
+    duration_s: float,
+    output_interval_s: float,
+    max_step_s: float | None,
+    stop_at: tuple[str, float] | None,
+) -> None:
+    """Reject run arguments before anything is built.
+
+    Every test is an in-range comparison that NaN fails; an infinite
+    ``max_step_s`` is allowed and caps nothing.
+    """
+    if not 0 < duration_s < math.inf:
         raise ConfigurationError(
-            f"output interval must be positive, got {output_interval_s}"
+            f"duration must be positive and finite, got {duration_s}"
+        )
+    if not 0 < output_interval_s < math.inf:
+        raise ConfigurationError(
+            f"output interval must be positive and finite, got "
+            f"{output_interval_s}"
+        )
+    if max_step_s is not None and not max_step_s > 0:
+        raise ConfigurationError(f"max step must be positive, got {max_step_s}")
+    if stop_at is not None and not -math.inf < stop_at[1] < math.inf:
+        raise ConfigurationError(
+            f"stop_at temperature must be finite, got {stop_at[1]}"
         )
 
 
@@ -710,10 +764,61 @@ def _resolve_step(
 ) -> float:
     step = stable_step_s(network, step_safety)
     if max_step_s is not None:
-        if max_step_s <= 0:
-            raise ConfigurationError(f"max step must be positive, got {max_step_s}")
         step = min(step, max_step_s)
     return min(step, output_interval_s)
+
+
+def _rk4_step(
+    rhs: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
+    state: np.ndarray,
+    time_now: float,
+    dt: float,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """One classical RK4 step from ``state`` into ``out``.
+
+    The single-network and batch loops share this routine. It performs
+    the IEEE operations of ``state + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)``
+    in that association order, with stage inputs ``state + (dt/2)*k1``,
+    ``state + (dt/2)*k2`` and ``state + dt*k3``, on the ``(scratch,
+    stage, acc)`` buffers of ``work``, allocated once per run.
+    ``rhs(y, t, temps)`` writes y's temperatures into ``temps``: a stage
+    input is dead once its temperatures are known, so it holds them
+    itself, and k1's go to ``scratch``, so ``state`` is read-only here.
+    ``out`` may be ``state``.
+    """
+    scratch, stage, acc = work
+    half = 0.5 * dt
+    midpoint = time_now + half
+    k1 = rhs(state, time_now, scratch)
+    np.multiply(k1, half, out=stage)
+    np.add(state, stage, out=stage)
+    k2 = rhs(stage, midpoint, stage)
+    np.multiply(k2, half, out=stage)
+    np.add(state, stage, out=stage)
+    k3 = rhs(stage, midpoint, stage)
+    np.multiply(k3, dt, out=stage)
+    np.add(state, stage, out=stage)
+    k4 = rhs(stage, time_now + dt, stage)
+    np.multiply(k2, 2.0, out=acc)
+    np.add(k1, acc, out=acc)
+    np.multiply(k3, 2.0, out=stage)
+    np.add(acc, stage, out=acc)
+    np.add(acc, k4, out=acc)
+    np.multiply(acc, dt / 6.0, out=acc)
+    np.add(state, acc, out=out)
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every element is finite, by one sum where it can be.
+
+    An inf or NaN element makes the sum inf or NaN, so a finite sum
+    proves every element finite. A non-finite sum can also come from
+    finite values that overflow, so only then does the elementwise test
+    decide.
+    """
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
 
 
 def simulate_transient(
@@ -766,7 +871,7 @@ def simulate_transient(
         above the temperature. The traces stop there; each sample equals
         the full run's, since the step grid does not depend on the horizon.
     """
-    _validate_run_args(duration_s, output_interval_s)
+    _validate_run_args(duration_s, output_interval_s, max_step_s, stop_at)
     if method not in ("rk4", "bdf"):
         raise ConfigurationError(
             f"method must be 'rk4' or 'bdf', got {method!r}"
@@ -812,6 +917,7 @@ def _integrate_rk4(
     n_outputs = len(times)
 
     state = network.initial_state()
+    work = (np.empty_like(state), np.empty_like(state), np.empty_like(state))
     n_cap = compiled.n_cap
     buffers = _TraceBuffers(compiled, n_outputs)
     watched = None if stop_at is None else buffers.watch(stop_at)
@@ -822,14 +928,10 @@ def _integrate_rk4(
         target = times[sample_index]
         while time_now < target - 1e-9:
             dt = min(step, target - time_now)
-            k1 = compiled.rhs(state, time_now)
-            k2 = compiled.rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
-            k3 = compiled.rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
-            k4 = compiled.rhs(state + dt * k3, time_now + dt)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _rk4_step(compiled.rhs, state, time_now, dt, work, state)
             time_now += dt
             steps_taken += 1
-            if not np.all(np.isfinite(state)):
+            if not _all_finite(state):
                 raise SolverError(
                     f"non-finite state at t={time_now:.1f}s in network "
                     f"{network.name!r}; step {step:.3g}s may be unstable"
@@ -844,6 +946,7 @@ def _integrate_rk4(
         obs.count("solver.method.rk4")
         obs.count("solver.rk4_steps", steps_taken)
         obs.count("solver.rhs_evals", 4 * steps_taken)
+        _count_inputs(obs, compiled)
         obs.record("solver.step_s", step)
 
     if commit_final_state:
@@ -851,6 +954,14 @@ def _integrate_rk4(
             network.pcm_node(name).sample.enthalpy_j = float(state[n_cap + i])
 
     return buffers.result(times)
+
+
+def _count_inputs(
+    obs: ObsRegistry, evaluator: _CompiledNetwork | _BatchCompiledNetwork
+) -> None:
+    """Record how many input evaluations rebuilt or reused the constants."""
+    obs.count("solver.inputs.computed", evaluator.inputs_computed)
+    obs.count("solver.inputs.reused", evaluator.inputs_reused)
 
 
 def _simulate_bdf(
@@ -891,6 +1002,7 @@ def _simulate_bdf(
         obs.count("solver.runs")
         obs.count("solver.method.bdf")
         obs.count("solver.rhs_evals", int(solution.nfev))
+        _count_inputs(obs, compiled)
 
     n_cap = compiled.n_cap
     buffers = _TraceBuffers(compiled, n_outputs)
@@ -965,26 +1077,30 @@ class _BatchCompiledNetwork:
             )
 
         self._input_cache_time: float | None = None
-        self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._input_cache: tuple[object, np.ndarray] | None = None
+        self._inputs_key: tuple | None = None
+        self.inputs_computed = 0
+        self.inputs_reused = 0
         self._op_cache_key: bytes | None = None
         self._op_cache: tuple[object, np.ndarray] | None = None
 
-    def temperatures(self, state: np.ndarray) -> np.ndarray:
-        """Stacked node temperatures; same branch arithmetic as the
-        single-network path, broadcast over the member axis."""
-        temps = np.empty_like(state)
-        temps[:, : self.n_cap] = state[:, : self.n_cap]
+    def temperatures(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Stacked node temperatures into ``out`` (which may be ``state``);
+        same branch arithmetic as the single-network path, broadcast over
+        the member axis."""
+        if out is not state:
+            np.copyto(out, state)
         if self.n_pcm:
             specific = state[:, self.n_cap :] / self.pcm_masses
             solid = self.pcm_solidus + specific / self.pcm_c_solid
             liquid = self.pcm_liquid_intercept + specific / self.pcm_c_liquid
             mushy = self.pcm_solidus + specific * self.pcm_mushy_slope
-            temps[:, self.n_cap :] = np.where(
+            out[:, self.n_cap :] = np.where(
                 specific <= 0.0,
                 solid,
                 np.where(specific >= self.pcm_fusion, liquid, mushy),
             )
-        return temps
+        return out
 
     def _operators_for(self, flows: np.ndarray) -> tuple[object, np.ndarray]:
         """Stacked per-member (K, inlet vector) operators at member flows,
@@ -1002,41 +1118,50 @@ class _BatchCompiledNetwork:
         self._op_cache = (self.backend.prepare_batch(operators), inlet_vectors)
         return self._op_cache
 
-    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (K, state-independent terms) at a time, cached per time."""
+    def _constants_at(self, time_s: float) -> tuple[object, np.ndarray]:
+        """Stacked (K, state-independent terms) at a time: cached per time,
+        and reused while the stacked inputs stay bit-equal, as in
+        :meth:`_CompiledNetwork._constants_at`."""
         if time_s == self._input_cache_time and self._input_cache is not None:
             return self._input_cache
         if self.static_boundary:
             boundary = self.boundary_const
-            base = self.static_boundary_flows.copy()
         else:
             boundary = np.stack(
                 [m._boundaries_at(time_s) for m in self.members]
             )
-            base = np.einsum("nij,nj->ni", self.boundary_matrix, boundary)
-        base[:, : self.n_cap] += np.stack(
-            [m._powers_at(time_s) for m in self.members]
-        )
+        powers = np.stack([m._powers_at(time_s) for m in self.members])
         if self.air:
             flows = np.array(
                 [m.air_path.flow_at_time(time_s) for m in self.members]
             )
         else:
             flows = np.zeros(self.n_members)
-        operators, inlet_vectors = self._operators_for(flows)
-        if self.air:
-            base += inlet_vectors * boundary[:, self.inlet_index, None]
-        base *= self.inv_capacity
-        inputs = (operators, base)
+        key = (flows.tobytes(), powers.tobytes(), boundary.tobytes())
+        if key == self._inputs_key:
+            self.inputs_reused += 1
+        else:
+            self.inputs_computed += 1
+            if self.static_boundary:
+                base = self.static_boundary_flows.copy()
+            else:
+                base = np.einsum("nij,nj->ni", self.boundary_matrix, boundary)
+            base[:, : self.n_cap] += powers
+            operators, inlet_vectors = self._operators_for(flows)
+            if self.air:
+                base += inlet_vectors * boundary[:, self.inlet_index, None]
+            base *= self.inv_capacity
+            self._inputs_key = key
+            self._input_cache = (operators, base)
         self._input_cache_time = time_s
-        self._input_cache = inputs
-        return inputs
+        return self._input_cache
 
-    def rhs(self, state: np.ndarray, time_s: float) -> np.ndarray:
-        """Stacked state derivative for all members; shape ``(N, n_state)``."""
+    def rhs(self, state: np.ndarray, time_s: float, out: np.ndarray) -> np.ndarray:
+        """Stacked state derivative for all members; shape ``(N, n_state)``.
+        ``out`` receives the temperatures on the way."""
         operators, constants = self._constants_at(time_s)
         return self.backend.apply_batch(
-            operators, self.temperatures(state), constants
+            operators, self.temperatures(state, out), constants
         )
 
 
@@ -1074,7 +1199,7 @@ def simulate_transient_batch(
     ``stop_at`` is :func:`simulate_transient`'s, met once every live
     member has reached the temperature at some sample.
     """
-    _validate_run_args(duration_s, output_interval_s)
+    _validate_run_args(duration_s, output_interval_s, max_step_s, stop_at)
     if not networks:
         raise ConfigurationError("batch must contain at least one network")
     for network in networks:
@@ -1104,6 +1229,8 @@ def simulate_transient_batch(
         n_cap = batch.n_cap
 
         state = np.stack([network.initial_state() for network in networks])
+        advanced = np.empty_like(state)
+        work = (np.empty_like(state), np.empty_like(state), np.empty_like(state))
         active = np.ones(n_members, dtype=bool)
         failures: dict[int, str] = {}
         buffers = [_TraceBuffers(member, n_outputs) for member in members]
@@ -1117,25 +1244,24 @@ def simulate_transient_batch(
             target = times[sample_index]
             while time_now < target - 1e-9:
                 dt = min(step, target - time_now)
-                k1 = batch.rhs(state, time_now)
-                k2 = batch.rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
-                k3 = batch.rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
-                k4 = batch.rhs(state + dt * k3, time_now + dt)
-                advanced = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                _rk4_step(batch.rhs, state, time_now, dt, work, advanced)
                 time_now += dt
                 steps_taken += 1
-                finite = np.all(np.isfinite(advanced), axis=1)
-                newly_diverged = active & ~finite
-                if np.any(newly_diverged):
-                    for member_index in np.flatnonzero(newly_diverged):
-                        failures[int(member_index)] = (
-                            f"non-finite state at t={time_now:.1f}s in network "
-                            f"{networks[member_index].name!r}; step {step:.3g}s "
-                            f"may be unstable"
-                        )
-                    active &= finite
-                # Diverged members stay frozen at their last finite state.
-                state = np.where(active[:, None], advanced, state)
+                if not math.isfinite(advanced.sum()):
+                    # Some row's sum is not finite: test each row exactly.
+                    finite = np.isfinite(advanced).all(axis=1)
+                    newly_diverged = active & ~finite
+                    if np.any(newly_diverged):
+                        for member_index in np.flatnonzero(newly_diverged):
+                            failures[int(member_index)] = (
+                                f"non-finite state at t={time_now:.1f}s in "
+                                f"network {networks[member_index].name!r}; "
+                                f"step {step:.3g}s may be unstable"
+                            )
+                        active &= finite
+                # Diverged members stay frozen at their last finite state
+                # (the selection of np.where(active, advanced, state)).
+                np.copyto(state, advanced, where=active[:, None])
             for member_index in range(n_members):
                 if active[member_index]:
                     buffers[member_index].record(
@@ -1155,6 +1281,7 @@ def simulate_transient_batch(
             obs.count("solver.batch_members", n_members)
             obs.count("solver.rk4_steps", steps_taken)
             obs.count("solver.rhs_evals", 4 * steps_taken * n_members)
+            _count_inputs(obs, batch)
             obs.record("solver.step_s", step)
 
         if commit_final_state:

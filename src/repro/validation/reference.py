@@ -34,7 +34,7 @@ from repro.server.configs import one_u_commodity
 from repro.server.wax_box import WaxBox, WaxLoadout
 from repro.thermal.airflow import AirPath, AirSegment
 from repro.thermal.convection import ConvectiveCoupling
-from repro.thermal.network import ThermalNetwork
+from repro.thermal.network import ThermalNetwork, affine_power_vector
 from repro.thermal.solver import TransientResult
 from repro.units import ALUMINUM_SPECIFIC_HEAT, grams
 
@@ -195,20 +195,29 @@ def build_reference_server(
                 )
             )
 
-        def load_power(idle_w: float, peak_w: float) -> Callable[[float], float]:
+        # Each loaded node's ``(idle, span, False)`` for the solver's
+        # power vector; its closure stays on the node as the reference.
+        affine: dict[str, tuple[float, float, bool]] = {}
+
+        def load_power(
+            node: str, idle_w: float, peak_w: float
+        ) -> Callable[[float], float]:
             span = peak_w - idle_w
+            affine[node] = (idle_w, span, False)
             return lambda t: idle_w + span * utilization(t)
 
         # Front of chassis: drive, optical bay, panel electronics.
-        add("hdd", "front_disk", 160.0, 1.5, load_power(4.0, 6.0))
-        add("dvd", "front_panel", 90.0, 0.9, load_power(0.8, 1.2))
-        add("panel", "front_panel", 60.0, 0.6, load_power(1.2, 1.8))
+        add("hdd", "front_disk", 160.0, 1.5, load_power("hdd", 4.0, 6.0))
+        add("dvd", "front_panel", 90.0, 0.9, load_power("dvd", 0.8, 1.2))
+        add("panel", "front_panel", 60.0, 0.6, load_power("panel", 1.2, 1.8))
 
         # Sockets: die + heat sink pairs in distinct stream segments.
         for index, zone in ((0, "cpu_a"), (1, "cpu_b")):
             die = f"cpu_die[{index}]"
             sink = f"cpu_sink[{index}]"
-            network.add_capacitive_node(die, 60.0, start, load_power(6.0, 46.0))
+            network.add_capacitive_node(
+                die, 60.0, start, load_power(die, 6.0, 46.0)
+            )
             add(sink, zone, 380.0, 2.1, 0.0)
             network.add_conductance(die, sink, 5.0)
 
@@ -216,7 +225,8 @@ def build_reference_server(
         # power distributed uniformly (the paper's approximation).
         for index in range(10):
             zone = "cpu_a" if index < 5 else "cpu_b"
-            add(f"dimm[{index}]", zone, 40.0, 0.5, load_power(1.2, 2.0))
+            dimm = f"dimm[{index}]"
+            add(dimm, zone, 40.0, 0.5, load_power(dimm, 1.2, 2.0))
 
         # Board electronics and VRMs split across the two socket zones;
         # together they carry the residual between component power and the
@@ -228,20 +238,24 @@ def build_reference_server(
             6.0 + 1.2 + 1.8 + 2 * 46.0 + 10 * 2.0
         )
         for index, zone in ((0, "cpu_a"), (1, "cpu_b")):
+            board = f"board[{index}]"
             add(
-                f"board[{index}]",
+                board,
                 zone,
                 300.0,
                 2.0,
-                load_power(0.5 * residual_idle, 0.5 * residual_peak),
+                load_power(board, 0.5 * residual_idle, 0.5 * residual_peak),
             )
+
+        def psu_power(t: float) -> float:
+            return power_model.psu_loss_w(utilization(t))
 
         add(
             "psu",
             "rear",
             chassis.psu_heat_capacity_j_per_k,
             chassis.psu_reference_conductance_w_per_k,
-            lambda t: power_model.psu_loss_w(utilization(t)),
+            psu_power,
         )
 
         loadout = validation_loadout()
@@ -297,6 +311,10 @@ def build_reference_server(
         )
         network.set_air_path(air_path)
         network.validate()
+        # No DVFS here: every node runs at a frequency factor of 1.0.
+        network.power_vector_fn = affine_power_vector(
+            network, affine, {"psu": psu_power}, utilization, lambda _t: 1.0
+        )
         return network
 
     return ReferenceServer(sensors=sensors, noise_seed=noise_seed, build=build)

@@ -1,5 +1,7 @@
 """Tests for thermal network construction and physics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,27 @@ class TestConstruction:
         network = ThermalNetwork()
         with pytest.raises(ConfigurationError):
             network.add_capacitive_node("a", 0.0, 25.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_conductance_rejected(self, value):
+        # An infinite conductance used to surface as "step 0s may be
+        # unstable", a NaN one as "has no thermal links".
+        network = ThermalNetwork()
+        network.add_capacitive_node("a", 10.0, 25.0)
+        network.add_boundary_node("b", 25.0)
+        with pytest.raises(ConfigurationError, match="conductance_w_per_k"):
+            network.add_conductance("a", "b", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_capacity_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="heat_capacity_j_per_k"):
+            ThermalNetwork().add_capacitive_node("a", value, 25.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_initial_temperature_rejected(self, value):
+        # A NaN start used to fail at the first step as "unstable".
+        with pytest.raises(ConfigurationError, match="initial_temperature_c"):
+            ThermalNetwork().add_capacitive_node("a", 10.0, value)
 
     def test_air_coupling_to_unknown_node_rejected(self):
         network = ThermalNetwork()

@@ -1,5 +1,7 @@
 """Tests for the transient solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,11 @@ from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.materials.pcm import PCMSample
 from repro.thermal.network import ThermalNetwork
-from repro.thermal.solver import simulate_transient, stable_step_s
+from repro.thermal.solver import (
+    simulate_transient,
+    simulate_transient_batch,
+    stable_step_s,
+)
 from repro.units import hours
 
 
@@ -153,6 +159,56 @@ class TestGuards:
     def test_stable_step_safety_validated(self):
         with pytest.raises(ConfigurationError):
             stable_step_s(rc_network(), safety=0.0)
+
+
+#: Each way of running a transient, called with the run's keyword arguments.
+RUNNERS = {
+    "rk4": lambda **kw: simulate_transient(rc_network(), **kw),
+    "bdf": lambda **kw: simulate_transient(rc_network(), method="bdf", **kw),
+    "batch": lambda **kw: simulate_transient_batch([rc_network()], **kw),
+}
+
+
+class TestNonFiniteRunArguments:
+    """NaN and infinite run arguments fail up front, with ConfigurationError.
+
+    They used to get through: an infinite output interval returned one
+    sample at t = NaN, a NaN interval or a NaN or infinite duration failed
+    inside the sample grid with ValueError or OverflowError, a NaN max
+    step was ignored (``min(step, nan)`` is ``step``), and a NaN stop
+    temperature ran to the horizon.
+    """
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration(self, runner, duration):
+        with pytest.raises(ConfigurationError, match="duration"):
+            RUNNERS[runner](duration_s=duration, output_interval_s=60.0)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_output_interval(self, runner, interval):
+        with pytest.raises(ConfigurationError, match="output interval"):
+            RUNNERS[runner](duration_s=600.0, output_interval_s=interval)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_nan_max_step(self, runner):
+        with pytest.raises(ConfigurationError, match="max step"):
+            RUNNERS[runner](duration_s=600.0, max_step_s=math.nan)
+
+    @pytest.mark.parametrize("runner", ["rk4", "batch"])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_stop_at_temperature(self, runner, threshold):
+        with pytest.raises(ConfigurationError, match="stop_at temperature"):
+            RUNNERS[runner](duration_s=600.0, stop_at=("node", threshold))
+
+    def test_infinite_max_step_caps_nothing(self):
+        capped = simulate_transient(rc_network(), 600.0, 60.0, max_step_s=math.inf)
+        plain = simulate_transient(rc_network(), 600.0, 60.0)
+        assert (
+            capped.temperatures_c["node"].tobytes()
+            == plain.temperatures_c["node"].tobytes()
+        )
 
 
 class TestHorizonSampling:

@@ -2,9 +2,9 @@
 
 Each scenario exercises one component that dominates the library's
 wall-clock — the chassis RK4 transient and steady-state fixed point,
-the solver's right-hand-side kernels and backends, the vectorized
-cluster tick, fluid- and event-mode simulated days, the control loop,
-and the service front (:data:`SCENARIOS` lists them all). Scenarios
+the solver's right-hand-side kernels, the vectorized cluster tick,
+fluid- and event-mode simulated days, the control loop, and the
+service front (:data:`SCENARIOS` lists them all). Scenarios
 that compare a reference path against a fast one time the two with
 :func:`_interleaved_best`, and a scenario's :class:`Gate` turns the
 metric it returns into a pass/fail counter. Scenarios run with
@@ -407,42 +407,6 @@ def _fig7_batched(quick: bool) -> Callable[[], object]:
     return lambda: blockage_sweep("1u", fractions)
 
 
-def _solver_backend_sparse(quick: bool) -> Callable[[], object]:
-    from repro.thermal.backends import SparseBackend
-    from repro.thermal.solver import _CompiledNetwork
-    from repro.thermal.synthetic import RACK_SCALE_SERVERS, rack_scale_network
-
-    servers = 170 if quick else RACK_SCALE_SERVERS
-    network = rack_scale_network(servers=servers)
-    dense = _CompiledNetwork(network)
-    sparse = _CompiledNetwork(network)
-    sparse.set_backend(SparseBackend())
-    arms, _ = _rhs_arms(
-        network, (dense.rhs, sparse.rhs), n_steps=10 if quick else 25, seed=11
-    )
-
-    def run() -> dict[str, float]:
-        dense_s, sparse_s = _interleaved_best(arms, _RHS_CHUNKS)
-        get_registry().count("solver.bench.backend_nodes", dense.n_state)
-        return {"speedup": dense_s / sparse_s if sparse_s > 0 else float("inf")}
-
-    return run
-
-
-def _solver_backend_transient(quick: bool) -> Callable[[], object]:
-    from repro.thermal.solver import simulate_transient
-    from repro.thermal.synthetic import RACK_SCALE_SERVERS, rack_scale_network
-
-    servers = 170 if quick else RACK_SCALE_SERVERS
-    horizon = 900.0 if quick else 1800.0
-    network = rack_scale_network(servers=servers)
-    # backend="auto" must pick sparse here (the counters prove it: the
-    # scenario's solver.backend.sparse counter lands in the baseline).
-    return lambda: simulate_transient(
-        network, horizon, output_interval_s=450.0, backend="auto"
-    )
-
-
 def _service_latency(quick: bool) -> Callable[[], object]:
     """Round-trip overhead of the service control plane on cache hits.
 
@@ -608,18 +572,6 @@ SCENARIOS: tuple[Scenario, ...] = (
         _fig7_batched,
     ),
     Scenario(
-        "solver_backend_sparse",
-        "RK4-pattern derivative evaluations of the ~2.2k-node synthetic "
-        "rack network, dense NumPy backend then SciPy CSR",
-        _solver_backend_sparse,
-        gate=Gate(
-            "speedup",
-            "solver.bench.sparse_speedup_ge_3x",
-            3.0,
-            floor_counter="solver.bench.sparse_speedup",
-        ),
-    ),
-    Scenario(
         "service_latency",
         "cache-hit round trips against a live in-process simulation "
         "service; gated on their p50",
@@ -631,13 +583,6 @@ SCENARIOS: tuple[Scenario, ...] = (
             50.0,
             upper=True,
         ),
-    ),
-    Scenario(
-        "solver_backend_transient",
-        "an end-to-end transient of the synthetic rack network under "
-        "backend='auto' (the solver.backend.sparse counter proves the "
-        "auto threshold fired)",
-        _solver_backend_transient,
     ),
 )
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
-from repro.obs import get_registry
 from repro.server.characterization import PlatformCharacterization, interp_float
 from repro.server.power import ServerPowerModel
 
@@ -157,12 +156,6 @@ class BatchedClusterThermalState:
         self._ua_scale = 1.0
         self._zone_delta_scale = 1.0
         self._wax_capacity_factor = 1.0
-
-        # Counted for parity with the solver's backend counters: the
-        # cluster state always runs the vectorized NumPy path.
-        obs = get_registry()
-        if obs.enabled:
-            obs.count("solver.backend.numpy")
 
     def set_fault_scales(
         self,

@@ -29,8 +29,7 @@ def blockage_sweep(platform: str, fractions: np.ndarray) -> dict[str, np.ndarray
     """Steady outlet and (hottest) CPU temperatures across a grille sweep.
 
     One :func:`~repro.thermal.steady_state.solve_steady_state_batch`
-    call (bit-identical to point-by-point solves); chassis networks are
-    far below the sparse thresholds, so ``"auto"`` keeps the dict sweep.
+    call (bit-identical to point-by-point solves).
     """
     spec = PLATFORM_BUILDERS[platform]()
     networks = [

@@ -15,7 +15,7 @@ datacenter simulator consumes.
 """
 
 from repro.server.components import Component, component_node_names
-from repro.server.power import DVFSState, ServerPowerModel
+from repro.server.power import ServerPowerModel
 from repro.server.wax_box import WaxBox, WaxLoadout
 from repro.server.chassis import ServerChassis, UtilizationSchedule
 from repro.server.configs import (
@@ -34,7 +34,6 @@ from repro.server.characterization import (
 __all__ = [
     "Component",
     "component_node_names",
-    "DVFSState",
     "ServerPowerModel",
     "WaxBox",
     "WaxLoadout",

@@ -35,19 +35,6 @@ DEFAULT_THROUGHPUT_EXPONENT = 1.0
 
 
 @dataclass(frozen=True)
-class DVFSState:
-    """An operating frequency point."""
-
-    frequency_ghz: float
-
-    def __post_init__(self) -> None:
-        if self.frequency_ghz <= 0:
-            raise ConfigurationError(
-                f"frequency must be positive, got {self.frequency_ghz}"
-            )
-
-
-@dataclass(frozen=True)
 class ServerPowerModel:
     """Utilization- and frequency-dependent wall power of one server.
 

@@ -20,13 +20,6 @@ from repro.thermal.airflow import (
     blockage_impedance_coefficient,
     operating_flow,
 )
-from repro.thermal.backends import (
-    BACKEND_NAMES,
-    SPARSE_AUTO_MAX_DENSITY,
-    SPARSE_AUTO_MIN_STATE,
-    SolverBackend,
-    resolve_backend,
-)
 from repro.thermal.convection import ConvectiveCoupling, flow_scaled_conductance
 from repro.thermal.network import (
     BoundaryNode,
@@ -37,15 +30,8 @@ from repro.thermal.network import (
 )
 from repro.thermal.solver import TransientResult, simulate_transient
 from repro.thermal.steady_state import solve_steady_state
-from repro.thermal.synthetic import rack_scale_network
 
 __all__ = [
-    "BACKEND_NAMES",
-    "SPARSE_AUTO_MAX_DENSITY",
-    "SPARSE_AUTO_MIN_STATE",
-    "SolverBackend",
-    "resolve_backend",
-    "rack_scale_network",
     "AirPath",
     "AirSegment",
     "FanBank",

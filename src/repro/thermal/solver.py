@@ -33,12 +33,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import ObsRegistry, get_registry
-from repro.thermal.backends import (
-    NumpyBackend,
-    SolverBackend,
-    count_backend_selection,
-    resolve_backend,
-)
 from repro.thermal.network import ThermalNetwork, constant_value_of
 from repro.units import AIR_VOLUMETRIC_HEAT_CAPACITY
 
@@ -184,11 +178,8 @@ class _CompiledNetwork:
       :meth:`_constants_at`).
     """
 
-    def __init__(
-        self, network: ThermalNetwork, backend: SolverBackend | None = None
-    ) -> None:
+    def __init__(self, network: ThermalNetwork) -> None:
         self.network = network
-        self.backend = backend if backend is not None else NumpyBackend()
         self.cap_names = network.capacitive_names
         self.pcm_names = network.pcm_names
         self.n_cap = len(self.cap_names)
@@ -353,7 +344,7 @@ class _CompiledNetwork:
 
         # -- per-run caches ----------------------------------------------------
         self._input_cache_time: float | None = None
-        self._input_cache: tuple[object, np.ndarray] | None = None
+        self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._inputs_key: tuple | None = None
         #: Input evaluations that rebuilt the constants / reused them.
         self.inputs_computed = 0
@@ -362,50 +353,12 @@ class _CompiledNetwork:
         self._g_cache: np.ndarray | None = None
         self._op_cache_flow: float | None = None
         self._op_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._prepared_cache_flow: float | None = None
-        self._prepared_cache: object | None = None
         if self.air_path is None:
             self._op_cache_flow = 0.0
             self._op_cache = (
                 self.laplacian * self.inv_capacity_rows,
                 np.zeros(self.n_state),
             )
-
-    # -- backend plumbing -----------------------------------------------------
-
-    def set_backend(self, backend: SolverBackend) -> None:
-        """Swap the operator-application backend, invalidating its cache."""
-        self.backend = backend
-        self._prepared_cache_flow = None
-        self._prepared_cache = None
-        self._input_cache_time = None
-        self._input_cache = None
-        self._inputs_key = None
-
-    def operator_density(self) -> float:
-        """Structural density (nnz fraction) of the compiled operator.
-
-        Probed at the run's initial flow — the operator the run builds
-        first anyway — and used by ``backend="auto"`` to decide whether
-        CSR is worth it.
-        """
-        flow = 0.0
-        if self.air_path is not None:
-            flow = self.air_path.flow_at_time(0.0)
-        matrix, _ = self._operator_for_flow(flow)
-        return np.count_nonzero(matrix) / matrix.size
-
-    def _prepared_for_flow(self, flow: float) -> object:
-        """The flow's operator in the backend's native form, cached."""
-        if (
-            flow == self._prepared_cache_flow
-            and self._prepared_cache is not None
-        ):
-            return self._prepared_cache
-        matrix, _ = self._operator_for_flow(flow)
-        self._prepared_cache_flow = flow
-        self._prepared_cache = self.backend.prepare(matrix)
-        return self._prepared_cache
 
     # -- structural signature (batched solves require identical structure) ----
 
@@ -559,7 +512,7 @@ class _CompiledNetwork:
         self._op_cache = (matrix, inlet_vector)
         return self._op_cache
 
-    def _constants_at(self, time_s: float) -> tuple[object, np.ndarray]:
+    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
         """(K, state-independent derivative terms) at a time.
 
         The constant vector collects node powers, boundary-edge flows, and
@@ -593,12 +546,12 @@ class _CompiledNetwork:
             else:
                 base = self.boundary_matrix @ boundary
             base[: self.n_cap] += powers
-            _, inlet_vector = self._operator_for_flow(flow)
+            operator, inlet_vector = self._operator_for_flow(flow)
             if self.air_path is not None:
                 base += inlet_vector * boundary[self.inlet_index]
             base *= self.inv_capacity
             self._inputs_key = key
-            self._input_cache = (self._prepared_for_flow(flow), base)
+            self._input_cache = (operator, base)
         self._input_cache_time = time_s
         return self._input_cache
 
@@ -610,12 +563,12 @@ class _CompiledNetwork:
         """Packed state derivative; mirrors ThermalNetwork.state_derivative.
 
         ``out`` receives the node temperatures on the way (see
-        :meth:`temperatures`); the derivative is the backend's array.
+        :meth:`temperatures`); the derivative is a fresh array.
         """
         operator, constants = self._constants_at(time_s)
-        return self.backend.apply(
-            operator, self.temperatures(state, out), constants
-        )
+        derivative = operator @ self.temperatures(state, out)
+        derivative += constants
+        return derivative
 
     def observe(
         self, state: np.ndarray, time_s: float
@@ -829,7 +782,6 @@ def simulate_transient(
     step_safety: float = DEFAULT_STEP_SAFETY,
     commit_final_state: bool = False,
     method: str = "rk4",
-    backend: str = "auto",
     stop_at: tuple[str, float] | None = None,
 ) -> TransientResult:
     """Integrate a network forward in time and sample its trajectory.
@@ -860,11 +812,6 @@ def simulate_transient(
         ``"bdf"``: SciPy's implicit BDF integrator on the same compiled
         right-hand side — an independent numerical path used as a
         cross-check (tests assert the two agree).
-    backend:
-        Operator-application backend: ``"auto"`` (default — dense NumPy,
-        switching to SciPy CSR past the size/density thresholds in
-        :mod:`repro.thermal.backends`), or an explicit ``"numpy"`` or
-        ``"sparse"``.
     stop_at:
         Optional ``(node, temperature_c)``, RK4 only: end the run after the
         first output sample at which that node (or air segment) is at or
@@ -882,10 +829,6 @@ def simulate_transient(
     obs = get_registry()
     with obs.timer("solver.transient"):
         compiled = _CompiledNetwork(network)
-        compiled.set_backend(
-            resolve_backend(backend, compiled.n_state, compiled.operator_density)
-        )
-        count_backend_selection(compiled.backend)
         obs.count("solver.compiled_builds")
         obs.count("solver.path.compiled")
 
@@ -1029,14 +972,9 @@ class _BatchCompiledNetwork:
     broadcasts over it.
     """
 
-    def __init__(
-        self,
-        members: list[_CompiledNetwork],
-        backend: SolverBackend | None = None,
-    ) -> None:
+    def __init__(self, members: list[_CompiledNetwork]) -> None:
         if not members:
             raise ConfigurationError("batch must contain at least one network")
-        self.backend = backend if backend is not None else NumpyBackend()
         first = members[0]
         for position, member in enumerate(members[1:], start=1):
             if member.structure() != first.structure():
@@ -1077,12 +1015,12 @@ class _BatchCompiledNetwork:
             )
 
         self._input_cache_time: float | None = None
-        self._input_cache: tuple[object, np.ndarray] | None = None
+        self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._inputs_key: tuple | None = None
         self.inputs_computed = 0
         self.inputs_reused = 0
         self._op_cache_key: bytes | None = None
-        self._op_cache: tuple[object, np.ndarray] | None = None
+        self._op_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def temperatures(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Stacked node temperatures into ``out`` (which may be ``state``);
@@ -1102,9 +1040,8 @@ class _BatchCompiledNetwork:
             )
         return out
 
-    def _operators_for(self, flows: np.ndarray) -> tuple[object, np.ndarray]:
-        """Stacked per-member (K, inlet vector) operators at member flows,
-        already converted to the backend's native batch form."""
+    def _operators_for(self, flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked per-member (K, inlet vector) operators at member flows."""
         key = flows.tobytes()
         if key == self._op_cache_key and self._op_cache is not None:
             return self._op_cache
@@ -1115,10 +1052,10 @@ class _BatchCompiledNetwork:
         operators = np.stack([pair[0] for pair in pairs])
         inlet_vectors = np.stack([pair[1] for pair in pairs])
         self._op_cache_key = key
-        self._op_cache = (self.backend.prepare_batch(operators), inlet_vectors)
+        self._op_cache = (operators, inlet_vectors)
         return self._op_cache
 
-    def _constants_at(self, time_s: float) -> tuple[object, np.ndarray]:
+    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (K, state-independent terms) at a time: cached per time,
         and reused while the stacked inputs stay bit-equal, as in
         :meth:`_CompiledNetwork._constants_at`."""
@@ -1160,9 +1097,11 @@ class _BatchCompiledNetwork:
         """Stacked state derivative for all members; shape ``(N, n_state)``.
         ``out`` receives the temperatures on the way."""
         operators, constants = self._constants_at(time_s)
-        return self.backend.apply_batch(
-            operators, self.temperatures(state, out), constants
+        derivative = np.einsum(
+            "nij,nj->ni", operators, self.temperatures(state, out)
         )
+        derivative += constants
+        return derivative
 
 
 def simulate_transient_batch(
@@ -1172,7 +1111,6 @@ def simulate_transient_batch(
     max_step_s: float | None = None,
     step_safety: float = DEFAULT_STEP_SAFETY,
     commit_final_state: bool = False,
-    backend: str = "auto",
     progress_cb: Callable[[int, int, float], None] | None = None,
     stop_at: tuple[str, float] | None = None,
 ) -> BatchTransientResult:
@@ -1208,13 +1146,7 @@ def simulate_transient_batch(
     obs = get_registry()
     with obs.timer("solver.transient_batch"):
         members = [_CompiledNetwork(network) for network in networks]
-        # All members share one structure, so member 0's size and density
-        # stand in for the whole batch when resolving "auto".
-        batch_backend = resolve_backend(
-            backend, members[0].n_state, members[0].operator_density
-        )
-        batch = _BatchCompiledNetwork(members, backend=batch_backend)
-        count_backend_selection(batch_backend)
+        batch = _BatchCompiledNetwork(members)
         obs.count("solver.compiled_builds", len(members))
         obs.count("solver.path.batched")
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import get_registry, timed
-from repro.thermal.backends import count_backend_selection, resolve_backend
 from repro.thermal.network import ThermalNetwork
 from repro.units import AIR_VOLUMETRIC_HEAT_CAPACITY
 
@@ -43,6 +42,19 @@ class SteadyStateResult:
         if not self.air_temperatures_c:
             raise KeyError("network has no air path")
         return list(self.air_temperatures_c.values())[-1]
+
+
+def _validate_sweep_args(tolerance_c: float, max_iterations: int) -> None:
+    """Reject sweep limits that no sweep could meet, before the first.
+
+    Both tests are in-range comparisons that NaN fails.
+    """
+    if not tolerance_c > 0:
+        raise ConfigurationError(f"tolerance must be positive, got {tolerance_c}")
+    if not max_iterations >= 1:
+        raise ConfigurationError(
+            f"max_iterations must be at least 1, got {max_iterations}"
+        )
 
 
 @timed("solver.steady_state")
@@ -69,6 +81,7 @@ def solve_steady_state(
     network.validate()
     if not 0 < relaxation <= 1.0:
         raise SolverError(f"relaxation must be in (0, 1], got {relaxation}")
+    _validate_sweep_args(tolerance_c, max_iterations)
 
     cap_names = network.capacitive_names
     pcm_names = network.pcm_names
@@ -175,7 +188,6 @@ def solve_steady_state_batch(
     tolerance_c: float = 1e-6,
     max_iterations: int = 20_000,
     relaxation: float = 0.8,
-    backend: str = "auto",
 ) -> list[SteadyStateResult]:
     """Solve many structurally-identical networks' steady states at once.
 
@@ -189,19 +201,12 @@ def solve_steady_state_batch(
     between members; only the structure (node names, edge endpoints, air
     segments) must match, otherwise :class:`ConfigurationError` is raised
     naming the mismatching member.
-
-    ``backend`` selects the sweep arithmetic. The default dict-of-arrays
-    sweep (``"numpy"``) keeps the bit-identity guarantee above.
-    ``"sparse"`` — or ``"auto"`` on a rack-scale network past the
-    thresholds in :mod:`repro.thermal.backends` — runs a
-    CSR-style gather/``reduceat`` sweep instead: the same damped Jacobi
-    fixed point, equivalent to ≤1e-9 but not bitwise (row sums
-    reassociate).
     """
     if not networks:
         raise SolverError("steady-state batch needs at least one network")
     if not 0 < relaxation <= 1.0:
         raise SolverError(f"relaxation must be in (0, 1], got {relaxation}")
+    _validate_sweep_args(tolerance_c, max_iterations)
     for network in networks:
         network.validate()
     first = networks[0]
@@ -279,34 +284,6 @@ def solve_steady_state_batch(
         )
         for e, edge in enumerate(first.conductances)
     ]
-
-    # Structural density of the implied neighbour operator: one entry per
-    # state endpoint of each edge plus one per air coupling.
-    state_set = set(state_names)
-    nnz = sum(
-        (a in state_set) + (b in state_set) for a, b, _ in edges
-    ) + sum(len(per_coupling) for _, per_coupling in segment_couplings)
-    resolved = resolve_backend(
-        backend, len(state_names), nnz / max(1, len(state_names)) ** 2
-    )
-    count_backend_selection(resolved)
-    if resolved.name == "sparse":
-        return _solve_steady_batch_sparse(
-            networks=networks,
-            state_names=state_names,
-            boundary_names=list(first.boundary_names),
-            temps=temps,
-            powers=powers,
-            has_air=has_air,
-            flows=flows,
-            capacity_rate=capacity_rate,
-            inlet=inlet,
-            segment_couplings=segment_couplings,
-            edges=edges,
-            tolerance_c=tolerance_c,
-            max_iterations=max_iterations,
-            relaxation=relaxation,
-        )
 
     def march_air(current: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Front-to-rear quasi-steady air march, all members at once."""
@@ -394,160 +371,6 @@ def solve_steady_state_batch(
             },
             air_temperatures_c={
                 name: float(values[m]) for name, values in air_temps.items()
-            },
-            flow_m3_s=float(flows[m]),
-            iterations=int(iterations[m]),
-        )
-        for m in range(n_members)
-    ]
-
-
-def _solve_steady_batch_sparse(
-    networks: list[ThermalNetwork],
-    state_names: list[str],
-    boundary_names: list[str],
-    temps: dict[str, np.ndarray],
-    powers: dict[str, np.ndarray],
-    has_air: bool,
-    flows: np.ndarray,
-    capacity_rate: np.ndarray,
-    inlet: np.ndarray,
-    segment_couplings: list[tuple[str, list[tuple[str, np.ndarray]]]],
-    edges: list[tuple[str, str, np.ndarray]],
-    tolerance_c: float,
-    max_iterations: int,
-    relaxation: float,
-) -> list[SteadyStateResult]:
-    """CSR-style sweep for rack-scale steady batches.
-
-    Same damped Jacobi fixed point as the dict sweep, but the per-node
-    neighbour accumulation becomes one gather plus a segmented
-    ``np.add.reduceat`` over a flat (member, entry) table, so cost scales
-    with the number of couplings instead of nodes × dict lookups. Row
-    sums reassociate relative to the dict path, so results are equivalent
-    to ~1e-9 rather than bitwise.
-    """
-    n_members = len(networks)
-    n_state = len(state_names)
-
-    columns = list(state_names) + boundary_names + [
-        segment_name for segment_name, _ in segment_couplings
-    ]
-    col_index = {name: i for i, name in enumerate(columns)}
-    temps_all = np.zeros((n_members, len(columns)))
-    for name in state_names + boundary_names:
-        temps_all[:, col_index[name]] = temps[name]
-
-    # Per-state-node entry lists, in the dict sweep's accumulation order
-    # (conductance edges first, then air couplings).
-    row_entries: list[list[tuple[int, np.ndarray]]] = [[] for _ in state_names]
-    state_pos = {name: i for i, name in enumerate(state_names)}
-    for node_a, node_b, conductances in edges:
-        if node_a in state_pos:
-            row_entries[state_pos[node_a]].append(
-                (col_index[node_b], conductances)
-            )
-        if node_b in state_pos:
-            row_entries[state_pos[node_b]].append(
-                (col_index[node_a], conductances)
-            )
-    for segment_name, per_coupling in segment_couplings:
-        for node_name, conductances in per_coupling:
-            row_entries[state_pos[node_name]].append(
-                (col_index[segment_name], conductances)
-            )
-    for name, entries in zip(state_names, row_entries):
-        if not entries:
-            raise SolverError(
-                f"node {name!r} has no conductance at steady state"
-            )
-
-    col_idx = np.array(
-        [col for entries in row_entries for col, _ in entries], dtype=np.intp
-    )
-    data = np.stack(
-        [g for entries in row_entries for _, g in entries], axis=1
-    )
-    row_ptr = np.cumsum([0] + [len(entries) for entries in row_entries])[:-1]
-    conductance_sum = np.add.reduceat(data, row_ptr, axis=1)
-    for i, name in enumerate(state_names):
-        if np.any(conductance_sum[:, i] <= 0):
-            raise SolverError(
-                f"node {name!r} has no conductance at steady state"
-            )
-    power_rows = np.stack(
-        [powers.get(name, np.zeros(n_members)) for name in state_names],
-        axis=1,
-    )
-    segment_cols = [
-        col_index[segment_name] for segment_name, _ in segment_couplings
-    ]
-
-    def march_air_columns() -> None:
-        upstream = inlet
-        for (_, per_coupling), segment_col in zip(
-            segment_couplings, segment_cols
-        ):
-            numerator = capacity_rate * upstream
-            denominator = capacity_rate.copy()
-            for node_name, conductances in per_coupling:
-                numerator = numerator + (
-                    conductances * temps_all[:, col_index[node_name]]
-                )
-                denominator = denominator + conductances
-            mixed = numerator / denominator
-            temps_all[:, segment_col] = mixed
-            upstream = mixed
-
-    active = np.ones(n_members, dtype=bool)
-    iterations = np.zeros(n_members, dtype=np.intp)
-    state_view = temps_all[:, :n_state]
-    for sweep in range(1, max_iterations + 1):
-        if has_air:
-            march_air_columns()
-        weighted = np.add.reduceat(
-            data * temps_all[:, col_idx], row_ptr, axis=1
-        )
-        target = (power_rows + weighted) / conductance_sum
-        update = relaxation * (target - state_view)
-        state_view += np.where(active[:, None], update, 0.0)
-        worst_update = np.abs(update).max(axis=1)
-        iterations[active] = sweep
-        active &= worst_update >= tolerance_c
-        if not active.any():
-            break
-    else:
-        unconverged = ", ".join(
-            f"{m} ({networks[m].name!r})" for m in np.nonzero(active)[0]
-        )
-        raise SolverError(
-            f"steady state failed to converge within {max_iterations} sweeps "
-            f"for batch members {unconverged}"
-        )
-
-    if has_air:
-        march_air_columns()
-
-    if not np.all(np.isfinite(state_view)):
-        raise SolverError("steady state produced non-finite temperatures")
-
-    obs = get_registry()
-    if obs.enabled:
-        obs.count("solver.steady_solves", n_members)
-        obs.count("solver.steady_sweeps", int(iterations.sum()))
-        obs.count("solver.path.sparse", n_members)
-
-    return [
-        SteadyStateResult(
-            temperatures_c={
-                name: float(temps_all[m, col_index[name]])
-                for name in state_names + boundary_names
-            },
-            air_temperatures_c={
-                segment_name: float(temps_all[m, segment_col])
-                for (segment_name, _), segment_col in zip(
-                    segment_couplings, segment_cols
-                )
             },
             flow_m3_s=float(flows[m]),
             iterations=int(iterations[m]),

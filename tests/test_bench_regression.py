@@ -176,6 +176,8 @@ class TestGates:
         # Each baseline gate counter is declared once, by its own
         # scenario, so a rename cannot silently drop a gate from CI.
         results = json.loads(BASELINE.read_text())["results"]
+        # The gate fails a baseline scenario the suite no longer runs.
+        assert set(results) == set(scenario_names())
         in_baseline = sorted(
             (name, counter)
             for name, result in results.items()

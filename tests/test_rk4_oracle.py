@@ -54,16 +54,18 @@ def oracle_constants(compiled: _CompiledNetwork, time_s: float):
     flow = 0.0
     if compiled.air_path is not None:
         flow = compiled.air_path.flow_at_time(time_s)
-    _, inlet_vector = compiled._operator_for_flow(flow)
+    operator, inlet_vector = compiled._operator_for_flow(flow)
     if compiled.air_path is not None:
         base += inlet_vector * boundary[compiled.inlet_index]
     base *= compiled.inv_capacity
-    return compiled._prepared_for_flow(flow), base
+    return operator, base
 
 
 def oracle_rhs(compiled: _CompiledNetwork, state: np.ndarray, time_s: float):
     operator, constants = oracle_constants(compiled, time_s)
-    return compiled.backend.apply(operator, compiled.temperatures(state), constants)
+    derivative = operator @ compiled.temperatures(state)
+    derivative += constants
+    return derivative
 
 
 def oracle_transient(
@@ -142,7 +144,9 @@ def oracle_batch(
             base += inlet_vectors * boundary[:, batch.inlet_index, None]
         base *= batch.inv_capacity
         temps = batch.temperatures(y, np.empty_like(y))
-        return batch.backend.apply_batch(operators, temps, base)
+        derivative = np.einsum("nij,nj->ni", operators, temps)
+        derivative += base
+        return derivative
 
     state = np.stack([network.initial_state() for network in networks])
     active = np.ones(n_members, dtype=bool)

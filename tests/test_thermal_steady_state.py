@@ -1,12 +1,14 @@
 """Tests for the steady-state solver."""
 
+import math
+
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import ConfigurationError, SolverError
 from repro.server.chassis import constant_utilization
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver import simulate_transient
-from repro.thermal.steady_state import solve_steady_state
+from repro.thermal.steady_state import solve_steady_state, solve_steady_state_batch
 from repro.units import hours
 
 
@@ -38,6 +40,26 @@ class TestAnalytic:
     def test_relaxation_validation(self):
         with pytest.raises(SolverError):
             solve_steady_state(rc_network(), relaxation=1.5)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_iterations": 0},
+            {"max_iterations": -1},
+            {"tolerance_c": 0.0},
+            {"tolerance_c": -1e-6},
+            {"tolerance_c": math.nan},
+        ],
+        ids=["no-sweeps", "negative-sweeps", "zero-tol", "negative-tol", "nan-tol"],
+    )
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_unmeetable_sweep_limits_rejected(self, batch, limits):
+        """Limits no sweep can meet fail before the first sweep."""
+        with pytest.raises(ConfigurationError, match="tolerance|max_iterations"):
+            if batch:
+                solve_steady_state_batch([rc_network()], **limits)
+            else:
+                solve_steady_state(rc_network(), **limits)
 
 
 class TestAgainstTransient:

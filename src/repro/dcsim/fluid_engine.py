@@ -12,13 +12,12 @@ engines:
     bit for bit.
 
 ``batched`` (default)
-    A stretch-advancing engine mirroring the ``_BatchedCore``
-    regime-adaptivity pattern from :mod:`repro.dcsim.event_engine`: it
-    precomputes the demand series for the full horizon, then detects
-    maximal runs of ticks where nothing can change the plan and advances
-    each run in one pass, falling back to the *same* scalar tick body at
-    every boundary. Those scalar ticks take their element of the series
-    instead of looking the trace up per tick.
+    A stretch-advancing engine: it precomputes the demand series for the
+    full horizon, then detects maximal runs of ticks where nothing can
+    change the plan and advances each run in one pass, falling back to
+    the *same* scalar tick body at every boundary. Those scalar ticks
+    take their element of the series instead of looking the trace up per
+    tick.
 
 A stretch of ticks is eligible only when every per-tick hook is provably
 inert for its whole span:

@@ -28,31 +28,6 @@ class LoadBalancer(abc.ABC):
         """Index of the server to dispatch to, or None if every slot in the
         cluster is busy (the job must queue)."""
 
-    def choose_many(
-        self, busy_slots: np.ndarray, slots_per_server: int, count: int
-    ) -> np.ndarray:
-        """Servers for ``count`` back-to-back arrivals with no completions
-        in between.
-
-        Semantically identical to calling :meth:`choose` ``count`` times
-        while incrementing the chosen server's busy count after each call,
-        stopping at the first ``None`` (the returned array may therefore be
-        shorter than ``count``; the remainder must queue). ``busy_slots``
-        itself is **not** mutated. Subclasses override this with a
-        vectorized equivalent; the base implementation is the sequential
-        definition itself and serves as the ground truth for equivalence
-        tests.
-        """
-        busy = np.array(busy_slots, copy=True)
-        chosen: list[int] = []
-        for _ in range(count):
-            index = self.choose(busy, slots_per_server)
-            if index is None:
-                break
-            busy[index] += 1
-            chosen.append(index)
-        return np.array(chosen, dtype=np.int64)
-
     def set_offline(self, offline_count: int) -> None:
         """Mark the first ``offline_count`` servers as unavailable.
 
@@ -99,53 +74,6 @@ class RoundRobin(LoadBalancer):
                 return index
         return None
 
-    def choose_many(
-        self, busy_slots: np.ndarray, slots_per_server: int, count: int
-    ) -> np.ndarray:
-        n = len(busy_slots)
-        if n == 0:
-            raise SimulationError("cannot balance over zero servers")
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        # Online servers in cyclic scan order starting at the pointer.
-        order = (self._next + np.arange(n, dtype=np.int64)) % n
-        order = order[order >= self._offline]
-        free = slots_per_server - np.asarray(busy_slots, dtype=np.int64)[order]
-        np.clip(free, 0, None, out=free)
-        total = int(free.sum())
-        m = min(count, total)
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
-        # Fast paths. One deal pass visits every server with a free slot
-        # once, in cyclic order — so when ``m`` fits in a single pass the
-        # assignment is the non-full servers' prefix, and when no server
-        # runs out of free slots mid-deal it is the full order tiled.
-        if m <= len(order):
-            available = order[free > 0]
-            if m <= len(available):
-                servers = available[:m]
-                self._next = int((servers[-1] + 1) % n)
-                return servers
-        passes = -(-m // len(order))
-        if int(free.min()) >= passes:
-            servers = np.tile(order, passes)[:m]
-            self._next = int((servers[-1] + 1) % n)
-            return servers
-        # Round-robin deals one slot per server per pass: expand each
-        # server into (round, position) candidate slots and take the first
-        # ``m`` in (round, position) order — exactly the sequence the
-        # scalar scan would produce, because a pass dispatches to every
-        # server with a slot still free before any server gets a second.
-        positions = np.repeat(np.arange(len(order), dtype=np.int64), free)
-        starts = np.cumsum(free) - free
-        rounds = np.arange(len(positions), dtype=np.int64) - np.repeat(
-            starts, free
-        )
-        take = np.lexsort((positions, rounds))[:m]
-        servers = order[positions[take]]
-        self._next = int((servers[-1] + 1) % n)
-        return servers
-
 
 class LeastLoaded(LoadBalancer):
     """Dispatch to the server with the most free slots (ties to the lowest
@@ -161,31 +89,3 @@ class LeastLoaded(LoadBalancer):
         if busy_slots[index] >= slots_per_server:
             return None
         return index
-
-    def choose_many(
-        self, busy_slots: np.ndarray, slots_per_server: int, count: int
-    ) -> np.ndarray:
-        if len(busy_slots) == 0:
-            raise SimulationError("cannot balance over zero servers")
-        if count <= 0 or self._offline >= len(busy_slots):
-            return np.empty(0, dtype=np.int64)
-        busy = np.asarray(busy_slots, dtype=np.int64)[self._offline:]
-        free = slots_per_server - busy
-        np.clip(free, 0, None, out=free)
-        total = int(free.sum())
-        m = min(count, total)
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
-        # Filling server ``i`` from occupancy ``b`` produces candidate
-        # slots with loads ``b, b+1, ...``; repeated least-loaded choice
-        # (ties to the lowest index) is exactly the candidate slots sorted
-        # by (load at pick time, index).
-        positions = np.repeat(np.arange(len(busy), dtype=np.int64), free)
-        starts = np.cumsum(free) - free
-        loads = (
-            np.repeat(busy, free)
-            + np.arange(len(positions), dtype=np.int64)
-            - np.repeat(starts, free)
-        )
-        take = np.lexsort((positions, loads))[:m]
-        return self._offline + positions[take]

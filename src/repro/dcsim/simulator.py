@@ -53,8 +53,9 @@ class SimulationConfig:
     inlet_temperature_c: float = 25.0
     wax_enabled: bool = True
     seed: int = 7
-    #: Simulation engine for both modes: "batched" (vectorized, the
-    #: default) or "reference" (per-event / per-tick scalar loop).
+    #: Simulation engine for both modes: "batched" (the default: fluid
+    #: stretches, a lean event loop) or "reference" (per-event / per-tick
+    #: scalar loop).
     #: Bit-identical by construction; see docs/EVENTSIM.md.
     engine: str = "batched"
 

@@ -329,9 +329,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cache_lines:
             print(f"[cache] {cache_lines}")
     return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -62,77 +62,3 @@ class TestLeastLoaded:
         with pytest.raises(SimulationError):
             LeastLoaded().choose(np.array([], dtype=int), 1)
 
-
-class TestChooseMany:
-    """Vectorized batch dispatch must equal repeated scalar dispatch."""
-
-    @staticmethod
-    def _sequential(balancer, busy, slot_limit, count):
-        # The base-class implementation is the sequential definition
-        # itself; call it unbound so policy overrides don't shadow it.
-        from repro.dcsim.loadbalancer import LoadBalancer
-
-        return LoadBalancer.choose_many(balancer, busy, slot_limit, count)
-
-    @pytest.mark.parametrize("policy", [RoundRobin, LeastLoaded])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_repeated_choose(self, policy, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 12))
-        slot_limit = int(rng.integers(1, 6))
-        busy = rng.integers(0, slot_limit + 1, size=n)
-        count = int(rng.integers(0, 3 * n + 2))
-        fast = policy()
-        slow = policy()
-        if isinstance(fast, RoundRobin):
-            start = int(rng.integers(0, n))
-            fast._next = slow._next = start
-        offline = int(rng.integers(0, n + 1))
-        fast.set_offline(offline)
-        slow.set_offline(offline)
-        got = fast.choose_many(busy, slot_limit, count)
-        want = self._sequential(slow, busy, slot_limit, count)
-        assert np.array_equal(got, want)
-        if isinstance(fast, RoundRobin) and len(got):
-            assert fast._next == slow._next
-
-    @pytest.mark.parametrize("policy", [RoundRobin, LeastLoaded])
-    def test_zero_slot_limit(self, policy):
-        busy = np.zeros(4, dtype=int)
-        assert len(policy().choose_many(busy, 0, 5)) == 0
-
-    @pytest.mark.parametrize("policy", [RoundRobin, LeastLoaded])
-    def test_all_offline(self, policy):
-        balancer = policy()
-        balancer.set_offline(4)
-        busy = np.zeros(4, dtype=int)
-        assert len(balancer.choose_many(busy, 2, 3)) == 0
-
-    def test_offline_least_loaded_ties(self):
-        # Offline server 0 is the emptiest; ties among the online
-        # remainder must still resolve to the lowest *online* index.
-        balancer = LeastLoaded()
-        balancer.set_offline(1)
-        busy = np.array([0, 2, 2, 2])
-        got = balancer.choose_many(busy, 3, 4)
-        slow = LeastLoaded()
-        slow.set_offline(1)
-        want = self._sequential(slow, busy, 3, 4)
-        assert np.array_equal(got, want)
-        # Only three free slots exist among the online servers; the
-        # offline emptiest server must never appear.
-        assert np.array_equal(got, [1, 2, 3])
-
-    def test_round_robin_offline_skips_and_rotates(self):
-        balancer = RoundRobin()
-        balancer.set_offline(2)
-        busy = np.zeros(5, dtype=int)
-        got = balancer.choose_many(busy, 1, 3)
-        assert np.array_equal(got, [2, 3, 4])
-        assert balancer._next == 0
-
-    def test_truncates_at_capacity(self):
-        balancer = RoundRobin()
-        busy = np.array([1, 0, 1])
-        got = balancer.choose_many(busy, 1, 5)
-        assert np.array_equal(got, [1])

@@ -1,15 +1,13 @@
-"""Equivalence and property tests for the event-engine rewrite.
+"""Equivalence and property tests for the event engines.
 
 The batched engine's contract is *bit-identity*: for any workload,
 policy, balancer, and fault schedule, it must produce byte-identical
 result traces and final enthalpies to the per-event reference loop.
-These tests drive both engines over hypothesis-generated scenarios (with
-the vectorized path forced on, so small test clusters actually exercise
-the mega-pass machinery) and check the typed event queue against a plain
-heap.
+These tests drive both engines over hypothesis-generated scenarios and
+hand-built arrivals at exact ties, and check the FIFO queue of saturated
+jobs against a deque.
 """
 
-import heapq
 from collections import deque
 
 import numpy as np
@@ -19,7 +17,6 @@ from hypothesis import strategies as st
 
 import repro.dcsim.event_engine as ee
 from repro.dcsim.cluster import ClusterTopology
-from repro.dcsim.event_engine import TypedEventQueue
 from repro.dcsim.loadbalancer import LeastLoaded, RoundRobin
 from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
 from repro.errors import ConfigurationError
@@ -29,6 +26,7 @@ from repro.faults.schedule import Fault, FaultSchedule
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.server.characterization import characterize_platform
 from repro.server.configs import one_u_commodity
+from repro.workload.jobs import DEFAULT_JOB_CLASSES, ArrivalStream
 from repro.workload.trace import LoadTrace
 
 SPEC = one_u_commodity()
@@ -69,19 +67,6 @@ def _assert_engines_agree(**kwargs):
     assert np.array_equal(enthalpy_b, enthalpy_r)
 
 
-@pytest.fixture
-def force_vectorized(monkeypatch):
-    """Push every tick down the mega-pass path regardless of size.
-
-    Test clusters are tiny, so without this the size and occupancy gates
-    would route everything to the scalar loop and the vectorized commit
-    logic would go untested.
-    """
-    monkeypatch.setattr(ee, "_VECTOR_MIN", 0)
-    monkeypatch.setattr(ee, "_VECTOR_OCCUPANCY", 1.0)
-    monkeypatch.setattr(ee, "_BAND_TICKS", 0)
-
-
 class TestEngineEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -92,51 +77,44 @@ class TestEngineEquivalence:
         outage=st.booleans(),
     )
     def test_bit_identical_traces(self, data, servers, seed, balancer, outage):
-        # Patch inside the example (not a fixture) so hypothesis's
-        # per-example reuse of the test context stays sound.
-        saved = (ee._VECTOR_MIN, ee._VECTOR_OCCUPANCY, ee._BAND_TICKS)
-        ee._VECTOR_MIN, ee._VECTOR_OCCUPANCY, ee._BAND_TICKS = 0, 1.0, 0
-        try:
-            levels = data.draw(
-                st.lists(
-                    st.floats(min_value=0.05, max_value=1.0),
-                    min_size=2,
-                    max_size=5,
-                )
+        levels = data.draw(
+            st.lists(
+                st.floats(min_value=0.05, max_value=1.0),
+                min_size=2,
+                max_size=5,
             )
-            schedule = None
-            if outage:
-                schedule = FaultSchedule(
-                    faults=(
-                        Fault(
-                            kind="server_outage",
-                            start_s=600.0,
-                            end_s=2400.0,
-                            magnitude=0.5,
-                        ),
-                        Fault(
-                            kind="power_cap",
-                            start_s=1200.0,
-                            end_s=3000.0,
-                            magnitude=0.4,
-                        ),
+        )
+        schedule = None
+        if outage:
+            schedule = FaultSchedule(
+                faults=(
+                    Fault(
+                        kind="server_outage",
+                        start_s=600.0,
+                        end_s=2400.0,
+                        magnitude=0.5,
                     ),
-                    name="equiv",
-                )
-            _assert_engines_agree(
-                levels=levels,
-                duration_s=3600.0,
-                servers=servers,
-                seed=seed,
-                balancer=balancer,
-                schedule=schedule,
+                    Fault(
+                        kind="power_cap",
+                        start_s=1200.0,
+                        end_s=3000.0,
+                        magnitude=0.4,
+                    ),
+                ),
+                name="equiv",
             )
-        finally:
-            ee._VECTOR_MIN, ee._VECTOR_OCCUPANCY, ee._BAND_TICKS = saved
+        _assert_engines_agree(
+            levels=levels,
+            duration_s=3600.0,
+            servers=servers,
+            seed=seed,
+            balancer=balancer,
+            schedule=schedule,
+        )
 
-    def test_saturating_burst_queues_identically(self, force_vectorized):
-        # A burst over capacity exercises the FIFO queue, the bulk-queue
-        # stretch, and the chunk path's saturation bail-out.
+    def test_saturating_burst_queues_identically(self):
+        # A burst over capacity exercises the FIFO queue and the
+        # bulk-queue stretch.
         _assert_engines_agree(
             levels=[0.2, 1.0, 1.0, 0.1],
             duration_s=7200.0,
@@ -147,8 +125,7 @@ class TestEngineEquivalence:
         )
 
     def test_default_gates_also_agree(self):
-        # No forcing: the production gate routing (size, occupancy,
-        # degenerate hold) must make the same traces too.
+        # A larger cluster through a load ramp.
         _assert_engines_agree(
             levels=[0.3, 0.8, 0.5],
             duration_s=7200.0,
@@ -158,7 +135,44 @@ class TestEngineEquivalence:
             schedule=None,
         )
 
-    def test_least_loaded_always_scalar_but_identical(self, force_vectorized):
+    def test_exact_ties_at_the_bulk_queue_cut(self):
+        # One slot on a nominal clock: (11, 1) and (12, 2) arrive while
+        # the server is full and queue in bulk up to the completion at
+        # 15.0; the arrival at 15.0 ties that completion (completions
+        # win), and the one at 60.0 sits on the first tick's boundary.
+        times, services = zip(
+            (10.0, 5.0), (11.0, 1.0), (12.0, 2.0), (15.0, 3.0),
+            (60.0, 4.0), (61.0, 1.0),
+        )
+        arrivals = ArrivalStream(
+            times_s=np.array(times),
+            service_s=np.array(services),
+            class_index=np.zeros(len(times), dtype=np.int64),
+            job_classes=DEFAULT_JOB_CLASSES[:1],
+        )
+        batched, reference = [
+            DatacenterSimulator(
+                CHARACTERIZATION,
+                SPEC.power_model,
+                MATERIAL,
+                _trace([0.5, 0.5], 300.0),
+                topology=ClusterTopology(server_count=1),
+                config=SimulationConfig(
+                    mode="event", slots_per_server=1, engine=engine
+                ),
+                arrivals=arrivals,
+            ).run()
+            for engine in ("batched", "reference")
+        ]
+        assert identical_results(batched, reference)
+        assert np.all(
+            batched.frequency_ghz == SPEC.power_model.nominal_frequency_ghz
+        )
+        # The first tick completes 5 + 1 + 2 + 3 s of work, the second
+        # 4 + 1 s.
+        assert batched.completed_work_s[:2].tolist() == [11.0, 5.0]
+
+    def test_least_loaded_always_scalar_but_identical(self):
         _assert_engines_agree(
             levels=[0.4, 0.9, 0.3],
             duration_s=3600.0,
@@ -199,89 +213,6 @@ class TestEngineKnob:
                 obs.disable()
 
 
-class TestTypedEventQueue:
-    """The typed store must behave exactly like a tuple heap."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e6),
-                st.integers(min_value=0, max_value=31),
-                st.floats(min_value=1e-3, max_value=1e4),
-            ),
-            max_size=200,
-        ),
-        data=st.data(),
-    )
-    def test_interleaved_push_pop_matches_heap(self, events, data):
-        queue = TypedEventQueue()
-        heap = []
-        pending = list(events)
-        while pending or heap:
-            if pending and (not heap or data.draw(st.booleans())):
-                batch = pending[: data.draw(st.integers(1, 8))]
-                del pending[: len(batch)]
-                w, s, v = (np.array(c) for c in zip(*batch))
-                queue.push_batch(
-                    w.astype(np.float64),
-                    s.astype(np.int64),
-                    v.astype(np.float64),
-                )
-                for item in batch:
-                    heapq.heappush(heap, item)
-            else:
-                assert queue.peek() == heap[0]
-                assert queue.pop() == heapq.heappop(heap)
-            assert len(queue) == len(heap)
-        assert queue.peek() is None
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e4),
-                st.integers(min_value=0, max_value=7),
-                st.floats(min_value=1e-3, max_value=1e3),
-            ),
-            max_size=120,
-        ),
-        cut=st.floats(min_value=0.0, max_value=1.2e4),
-    )
-    def test_pop_runs_until_splits_at_the_cut(self, events, cut):
-        queue = TypedEventQueue()
-        for w, s, v in events:
-            queue.push(w, s, v)
-        # Identity anchors (t0=0, w0=0, tf=1) make the work cut equal the
-        # time cut, so the expected split is a plain filter.
-        w_pop, s_pop, v_pop = queue.pop_runs_until(
-            0.0, 0.0, 1.0, cut, inclusive=False
-        )
-        expected = sorted(e for e in events if e[0] < cut)
-        got = sorted(zip(w_pop.tolist(), s_pop.tolist(), v_pop.tolist()))
-        assert got == expected
-        assert len(queue) == len(events) - len(expected)
-        remaining = sorted(e for e in events if e[0] >= cut)
-        drained = sorted(
-            queue.pop() for _ in range(len(queue))
-        )
-        assert drained == remaining
-
-    def test_drain_to_pending_preserves_contents(self):
-        queue = TypedEventQueue()
-        rng = np.random.default_rng(0)
-        w = rng.uniform(0, 100, size=50)
-        queue.push_batch(
-            w, rng.integers(0, 4, size=50), rng.uniform(1, 10, size=50)
-        )
-        queue.push(5.0, 1, 2.0)
-        queue.drain_to_pending()
-        assert not queue._runs
-        drained = [queue.pop() for _ in range(len(queue))]
-        assert drained == sorted(drained)
-        assert len(drained) == 51
-
-
 class TestQueueCompaction:
     def test_compaction_does_not_change_behaviour(self, monkeypatch):
         # Force compaction after every few consumed entries on one arm;
@@ -302,7 +233,7 @@ class TestQueueCompaction:
         assert identical_results(eager, lazy)
         assert np.array_equal(enthalpy_e, enthalpy_l)
 
-    def test_consumed_prefix_is_compacted(self, force_vectorized, monkeypatch):
+    def test_consumed_prefix_is_compacted(self, monkeypatch):
         monkeypatch.setattr(ee, "QUEUE_COMPACT_THRESHOLD", 4)
         # Saturate a tiny cluster so the FIFO queue builds a backlog,
         # then verify the consumed prefix never grows past the threshold.
@@ -330,7 +261,7 @@ class TestQueueCompaction:
     )
     def test_fifo_accounting_matches_deque_oracle(self, ops, threshold):
         # The compaction audit's pin: drive the list+head FIFO through
-        # the exact append/consume/compact protocol the scalar path uses
+        # the exact append/consume/compact protocol the event loops use
         # (a float op = append, None = consume) against a plain deque.
         # Accounting must agree op for op, and the consumed prefix must
         # stay bounded by the compaction rule.
@@ -363,22 +294,3 @@ class TestQueueCompaction:
             assert core.queue_high_water == high_water
         finally:
             ee.QUEUE_COMPACT_THRESHOLD = saved
-
-    def test_pending_work_times_mirror_heap(self):
-        # The scalar-band forecast reads pending_work_times() after a
-        # drain; it must be the heap's contents exactly (any order).
-        queue = TypedEventQueue()
-        rng = np.random.default_rng(7)
-        w = rng.uniform(0, 500, size=80)
-        queue.push_batch(
-            w, rng.integers(0, 8, size=80), rng.uniform(1, 20, size=80)
-        )
-        queue.push(1.5, 0, 3.0)
-        queue.push(2.5, 1, 4.0)
-        queue.drain_to_pending()
-        times = queue.pending_work_times()
-        assert sorted(times.tolist()) == sorted(w.tolist() + [1.5, 2.5])
-        # And an empty queue forecasts over an empty array, not a crash.
-        empty = TypedEventQueue()
-        empty.drain_to_pending()
-        assert empty.pending_work_times().size == 0

@@ -111,3 +111,31 @@ class TestExport:
 
         main(["table1", "--output-dir", str(tmp_path)])
         assert (tmp_path / "table1_summary.json").exists()
+
+    def test_module_entry_point(self):
+        # ``python -m repro.experiments`` is the CLI without installing
+        # the package. It must execute the registry once: runpy warns
+        # when the package import has already loaded the module it runs.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src if not path else src + os.pathsep + path,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "repro-experiments" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

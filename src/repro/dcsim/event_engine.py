@@ -135,7 +135,6 @@ class _CoreBase:
         load_balancer,
     ) -> None:
         self.arr_times = arr_times
-        self.arr_services = arr_services
         # Python-float mirrors for the scalar hot path.
         self.arr_times_list = arr_times.tolist()
         self.arr_services_list = arr_services.tolist()
@@ -175,9 +174,6 @@ class _ReferenceCore(_CoreBase):
     def __init__(self, arr_times, arr_services, n_servers, load_balancer):
         super().__init__(arr_times, arr_services, n_servers, load_balancer)
         self.heap: list[tuple[float, int, float]] = []
-
-    def pending_completions(self) -> int:
-        return len(self.heap)
 
     def process_until(
         self, tick_time: float, t0: float, w0: float, tf: float, slot_limit: int

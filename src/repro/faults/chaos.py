@@ -44,10 +44,8 @@ from repro.errors import FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
     Violation,
-    check_energy_balance,
-    check_finite,
     check_monotone_recovery,
-    check_state_of_charge,
+    check_run,
     identical_results,
 )
 from repro.faults.schedule import (
@@ -386,19 +384,7 @@ def run_schedule(
     injector = FaultInjector(schedule)
     simulator = build_simulator(config, injector)
     result = simulator.run()
-    final_state = simulator.final_state
-    violations = list(check_finite(result))
-    violations += check_state_of_charge(result, final_state=final_state)
-    violations += check_energy_balance(
-        result,
-        tick_interval_s=config.tick_interval_s,
-        initial_enthalpy_j_per_kg=simulator.initial_specific_enthalpy_j_per_kg,
-        final_state=final_state,
-        wax_mass_kg=final_state.wax_mass_kg,
-        # A mid-run wax-capacity change invalidates the simple
-        # banked-vs-integrated product (the mass varies over the run).
-        check_enthalpy_closure=PCM_DEGRADATION not in schedule.kinds(),
-    )
+    violations = check_run(simulator, result)
     if config.mode == "fluid":
         # Event mode queues capped work and drains the backlog after
         # clearance, which can legitimately re-heat the room inside the

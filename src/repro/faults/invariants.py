@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dcsim.simulator import SimulationResult
+from repro.faults.schedule import PCM_DEGRADATION
 from repro.units import hours
 
 
@@ -167,6 +168,32 @@ def check_energy_balance(
                     f"vs integrated {integrated_j:.6g} J",
                 )
             )
+    return violations
+
+
+def check_run(simulator, result: SimulationResult) -> list[Violation]:
+    """The finite, state-of-charge and energy checks of one simulator run.
+
+    ``simulator`` is the :class:`~repro.dcsim.simulator.DatacenterSimulator`
+    whose run returned ``result``; its tick, initial wax enthalpy and final
+    state complete the checks. The wax-enthalpy closure is skipped when the
+    simulator's fault injector schedules a PCM degradation, because a
+    mid-run wax-capacity change invalidates the simple banked-vs-integrated
+    product (the mass varies over the run).
+    """
+    final_state = simulator.final_state
+    injector = simulator.fault_injector
+    degraded = injector is not None and PCM_DEGRADATION in injector.schedule.kinds()
+    violations = check_finite(result)
+    violations += check_state_of_charge(result, final_state=final_state)
+    violations += check_energy_balance(
+        result,
+        tick_interval_s=simulator.config.tick_interval_s,
+        initial_enthalpy_j_per_kg=simulator.initial_specific_enthalpy_j_per_kg,
+        final_state=final_state,
+        wax_mass_kg=final_state.wax_mass_kg,
+        check_enthalpy_closure=not degraded,
+    )
     return violations
 
 

@@ -6,9 +6,9 @@ statistics, monotonic counters, and last-written gauge values — plus
 free-form metadata (git sha, python version, scenario name).
 
 The serialized form is versioned (``schema`` field) so downstream
-consumers — the benchmark regression gate, CI artifact diffing, external
-dashboards — can evolve without guessing. Reports round-trip exactly
-through JSON and export to flat CSV for spreadsheet triage.
+consumers, such as external dashboards, can evolve without guessing.
+Reports round-trip exactly through JSON and export to flat CSV for
+spreadsheet triage.
 """
 
 from __future__ import annotations

@@ -415,9 +415,6 @@ class _CompiledNetwork:
             )
         return out
 
-    def boundary_temperature(self, name: str, time_s: float) -> float:
-        return self.boundary_functions[name](time_s)
-
     # -- time-dependent inputs ---------------------------------------------
 
     def _powers_at(self, time_s: float) -> np.ndarray:

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.dcsim.simulator import _Plant
+from repro.faults.invariants import check_run
 from repro.server.characterization import characterize_platform
 from repro.server.configs import (
     open_compute_blade,
@@ -65,6 +67,43 @@ def rng(request):
     """
     seed = zlib.crc32(request.node.nodeid.encode())
     return np.random.default_rng(seed)
+
+
+class PlantInvariants:
+    """The simulator runs one test made, each checked as it finished."""
+
+    def __init__(self) -> None:
+        self.runs = 0
+        self.violations: list[str] = []
+
+    def verify(self, simulates: bool = True) -> None:
+        """Every checked run held; the test ran the simulator iff
+        ``simulates`` (a run that bypassed the check would read 0)."""
+        assert not self.violations, "\n".join(self.violations)
+        assert (self.runs > 0) == simulates, f"{self.runs} runs checked"
+
+
+@pytest.fixture
+def plant_invariants(monkeypatch):
+    """Check every simulator run of the test at the plant.
+
+    ``_Plant.finish`` ends every fluid, event and geo run; wrapping it
+    applies :func:`repro.faults.invariants.check_run` (finite traces,
+    state of charge in [0, 1], energy closure) to each result, from the
+    test side, so the library gains no option. Call
+    :meth:`PlantInvariants.verify` after the runs.
+    """
+    checks = PlantInvariants()
+    finish = _Plant.finish
+
+    def checked_finish(plant, initial_power_w):
+        result = finish(plant, initial_power_w)
+        checks.runs += 1
+        checks.violations += [str(v) for v in check_run(plant.sim, result)]
+        return result
+
+    monkeypatch.setattr(_Plant, "finish", checked_finish)
+    return checks
 
 
 @pytest.fixture(scope="session")

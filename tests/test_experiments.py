@@ -158,8 +158,9 @@ class TestFig1:
 
 @pytest.mark.slow
 class TestFig4:
-    def test_paper_shape(self):
+    def test_paper_shape(self, plant_invariants):
         result = run_experiment("fig4")
+        plant_invariants.verify(simulates=False)
         # Paper: 0.22 degC mean steady-state difference between the real
         # server and the model; we require the same sub-degree agreement
         # against our independent reference model.
@@ -231,8 +232,9 @@ class TestFig7Quick:
 
 @pytest.mark.slow
 class TestFig9Quick:
-    def test_paper_shape(self):
+    def test_paper_shape(self, plant_invariants):
         result = run_experiment("fig9", quick=True)
+        plant_invariants.verify()
         # The reconfigured blade carries 3x the insert-swap wax...
         assert result.summary["reconfigured_capacity_ratio"] == pytest.approx(3.0)
         # ...and buys a strictly larger peak reduction with it.
@@ -249,8 +251,9 @@ class TestFig9Quick:
 
 @pytest.mark.slow
 class TestFig11:
-    def test_paper_shape(self):
+    def test_paper_shape(self, plant_invariants):
         result = run_experiment("fig11")
+        plant_invariants.verify()
         reductions = {
             p: result.summary[f"{p}_peak_reduction"] for p in ("1u", "2u", "ocp")
         }
@@ -292,8 +295,9 @@ class TestFig11:
 
 @pytest.mark.slow
 class TestFig12:
-    def test_paper_shape(self):
+    def test_paper_shape(self, plant_invariants):
         result = run_experiment("fig12")
+        plant_invariants.verify()
         gains = {
             p: result.summary[f"{p}_peak_throughput_gain"]
             for p in ("1u", "2u", "ocp")
@@ -334,8 +338,9 @@ class TestFig12:
 
 @pytest.mark.slow
 class TestAblationsQuick:
-    def test_paper_shape(self):
+    def test_paper_shape(self, plant_invariants):
         result = run_experiment("ablations", quick=True)
+        plant_invariants.verify()
         # More wax helps up to the deployed volume (the paper's observation);
         # the deployed 1.2 L sits at or near the knee of the curve.
         assert result.summary["reduction_monotonic_up_to_deployed"] == 1.0
@@ -357,8 +362,9 @@ class TestAblationsQuick:
 
 @pytest.mark.slow
 class TestExtensionsQuick:
-    def test_paper_shape(self):
+    def test_paper_shape(self, plant_invariants):
         result = run_experiment("extensions", quick=True)
+        plant_invariants.verify()
         # Energy arbitrage is *negligible*: PCM's value is capacity (peak kW),
         # not energy (kWh) — the wax banks ~2% of a day's heat. This is why
         # the paper quantifies the cooling-plant savings and only mentions

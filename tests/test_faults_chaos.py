@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector, FaultSchedule, pcm_degradation_after
 from repro.faults.chaos import (
     BUNDLE_SCHEMA,
     ChaosConfig,
@@ -40,7 +40,13 @@ from repro.faults.chaos import (
     run_seeds,
     write_bundle,
 )
-from repro.faults.invariants import Violation, identical_results
+from repro.faults.invariants import (
+    Violation,
+    check_energy_balance,
+    check_run,
+    identical_results,
+)
+from repro.materials.library import Stability
 from repro.units import hours
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "faults"
@@ -120,6 +126,38 @@ class TestTransparency:
         ).run()
         assert identical_results(first, second)
         assert result_fingerprint(first) == result_fingerprint(second)
+
+
+class TestCheckRun:
+    def _run(self, schedule: FaultSchedule):
+        simulator = build_simulator(FIXTURE_CONFIG, FaultInjector(schedule))
+        return simulator, simulator.run()
+
+    def test_closure_skipped_only_under_pcm_degradation(self):
+        """A run whose wax degrades mid-run fails the banked-vs-integrated
+        closure, so check_run skips it there, and only there."""
+        degradation = pcm_degradation_after(
+            Stability.GOOD, 6.0, 0.0, FIXTURE_CONFIG.duration_s
+        )
+        simulator, result = self._run(FaultSchedule((degradation,)))
+        assert check_run(simulator, result) == []
+        final = simulator.final_state
+        closure = check_energy_balance(
+            result,
+            FIXTURE_CONFIG.tick_interval_s,
+            simulator.initial_specific_enthalpy_j_per_kg,
+            final,
+            final.wax_mass_kg,
+        )
+        assert [v.invariant for v in closure] == ["energy_balance"]
+
+    def test_closure_checked_without_pcm_degradation(self):
+        simulator, result = self._run(FaultSchedule.empty())
+        assert check_run(simulator, result) == []
+        simulator.initial_specific_enthalpy_j_per_kg += 1000.0
+        violations = check_run(simulator, result)
+        assert [v.invariant for v in violations] == ["energy_balance"]
+        assert "closure" in violations[0].message
 
 
 class TestBundles:

@@ -4,7 +4,9 @@ Each ``fig*``/``table*`` experiment runs in quick mode and is compared
 against a checked-in fingerprint under ``tests/golden/``: summary and
 paper scalars at tight tolerance, table rows verbatim, and per-series
 statistics (length, mean, extrema, endpoints) so a drifting curve fails
-even when its headline number survives.
+even when its headline number survives. Every simulator run an
+experiment makes must also hold the fault invariants (finite traces,
+state of charge, energy closure; the ``plant_invariants`` fixture).
 
 Regenerate deliberately after a physics change with::
 
@@ -41,6 +43,12 @@ GOLDEN_EXPERIMENTS = (
     "fig11_faults",
     "fig12",
     "control_tournament",
+)
+
+#: The golden experiments whose quick run drives the datacenter
+#: simulator; every run is checked at the plant (``plant_invariants``).
+SIMULATING = frozenset(
+    {"fig1", "fig9", "fig11", "fig11_faults", "fig12", "control_tournament"}
 )
 
 #: Relative tolerance for scalar comparisons. The experiments are
@@ -110,8 +118,9 @@ def _assert_scalars_match(section: str, measured: dict, golden: dict):
 
 
 @pytest.mark.parametrize("experiment_id", GOLDEN_EXPERIMENTS)
-def test_figure_matches_golden(experiment_id, update_golden):
+def test_figure_matches_golden(experiment_id, update_golden, plant_invariants):
     fingerprint = _fingerprint(_result(experiment_id))
+    plant_invariants.verify(simulates=experiment_id in SIMULATING)
     path = _golden_path(experiment_id)
 
     if update_golden:

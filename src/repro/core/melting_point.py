@@ -17,6 +17,7 @@ poorly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,10 +77,17 @@ def batched_fluid_peaks(
     candidates stacked into one :class:`BatchedClusterThermalState`, so
     the whole melting-point grid advances in a single array loop. Every
     server of a member sees one utilization, no inlet offset and no
-    fault, so each member is stepped as one server column and totalled
-    over the cluster by :func:`uniform_totals`. Each member's trajectory
-    — and therefore its peak — is bit-identical to a serial simulation
-    of that candidate.
+    fault, so each member is stepped as one server column. Each member's
+    trajectory — and therefore its peak — is bit-identical to a serial
+    simulation of that candidate:
+
+    * the demand is looked up for every tick at once: ``np.interp`` and
+      ``np.clip`` are elementwise, so the series equals the per-tick
+      lookups of the fluid engine;
+    * the peak is taken before the sum: :func:`uniform_totals` fills and
+      sums n equal doubles, which is monotone in the value, so the
+      largest cluster total over the ticks is the total of each member's
+      largest per-server release, summed once per search.
     """
     n_candidates = len(materials)
     n_servers = topology.server_count
@@ -97,14 +105,15 @@ def batched_fluid_peaks(
         wax_enabled=wax_enabled,
     )
     nominal = power_model.nominal_frequency_ghz
-    tf = power_model.throughput_factor(nominal)
-    peaks = np.full(n_candidates, -np.inf)
+    demand = np.clip(trace.value_at(ticks - 0.5 * dt), 0.0, 1.0)
+    busy = np.minimum(demand / power_model.throughput_factor(nominal), 1.0)
+    largest = np.full((n_candidates, 1), -np.inf)
     utilization = np.empty((n_candidates, 1))
-    for t in ticks:
-        demand = float(np.clip(trace.value_at(t - 0.5 * dt), 0.0, 1.0))
-        utilization[:] = np.minimum(demand / tf, 1.0)
+    for fraction in busy.tolist():
+        utilization.fill(fraction)
         _power, release, _wax = state.step(dt, utilization, nominal)
-        np.maximum(peaks, uniform_totals(release, n_servers), out=peaks)
+        np.maximum(largest, release, out=largest)
+    peaks = uniform_totals(largest, n_servers)
     obs = get_registry()
     if obs.enabled:
         obs.count("dcsim.batched_runs")
@@ -164,10 +173,13 @@ def optimize_melting_point(
         to a serial search.
     """
     low, high = window_c
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ConfigurationError(f"melting window must be finite: [{low}, {high}]")
     if not low < high:
         raise ConfigurationError(f"melting window is inverted: [{low}, {high}]")
-    if step_c <= 0:
-        raise ConfigurationError(f"grid step must be positive, got {step_c}")
+    # In-range test: NaN fails every comparison, so it fails it too.
+    if not 0.0 < step_c < math.inf:
+        raise ConfigurationError(f"grid step must be positive and finite, got {step_c}")
     topology = topology or ClusterTopology()
     config = config or SimulationConfig(mode="fluid")
     if not config.wax_enabled:

@@ -9,6 +9,7 @@ behaviour, which the ablation benchmark demonstrates.
 from __future__ import annotations
 
 import abc
+import operator
 
 import numpy as np
 
@@ -84,8 +85,11 @@ class LeastLoaded(LoadBalancer):
             raise SimulationError("cannot balance over zero servers")
         if self._offline >= len(busy_slots):
             return None
+        # ``min`` and the first index equal to it: the first minimum, as
+        # ``np.argmin`` picks, on a Python list (the batched event loop's
+        # occupancy) without converting it to an array on every dispatch.
         candidates = busy_slots[self._offline:]
-        index = self._offline + int(np.argmin(candidates))
-        if busy_slots[index] >= slots_per_server:
+        least = min(candidates)
+        if least >= slots_per_server:
             return None
-        return index
+        return self._offline + operator.indexOf(candidates, least)

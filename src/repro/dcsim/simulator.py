@@ -20,6 +20,7 @@ matching the normalization of the paper's Figure 12.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -68,8 +69,12 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"engine must be 'batched' or 'reference', got {self.engine!r}"
             )
-        if self.tick_interval_s <= 0:
-            raise ConfigurationError("tick interval must be positive")
+        # In-range test: NaN fails every comparison, so it fails it too.
+        if not 0.0 < self.tick_interval_s < math.inf:
+            raise ConfigurationError(
+                f"tick interval must be positive and finite, got "
+                f"{self.tick_interval_s}"
+            )
         if self.slots_per_server <= 0:
             raise ConfigurationError("slots per server must be positive")
 

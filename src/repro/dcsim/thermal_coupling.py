@@ -23,6 +23,8 @@ every other code path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -117,6 +119,11 @@ class BatchedClusterThermalState:
         self.cluster_count = cluster_count
         self.server_count = server_count
         self.wax_mass_kg = characterization.wax_mass_kg
+        # The frozen characterization's lookup tables as arrays, converted
+        # once here instead of by every ``np.interp`` call.
+        self._grid = np.asarray(characterization.utilization_grid, dtype=float)
+        self._zone_deltas = np.asarray(characterization.zone_temp_delta_c, dtype=float)
+        self._uas = np.asarray(characterization.wax_ua_w_per_k, dtype=float)
         self.inlet_temperature_c = self._per_cluster(
             "inlet_temperature_c", inlet_temperature_c, float
         ).copy()
@@ -254,22 +261,25 @@ class BatchedClusterThermalState:
             * self._fusion[:, 0]
         )
 
-    def _frequency_factors(self, frequency_ghz: float | np.ndarray) -> np.ndarray:
-        """Per-cluster DVFS power factors via the scalar power model."""
+    def _frequency_factors(
+        self, frequency_ghz: float | np.ndarray
+    ) -> float | np.ndarray:
+        """DVFS power factors via the scalar power model: one float for a
+        scalar frequency, else a ``(clusters, 1)`` column, one per cluster."""
+        if np.isscalar(frequency_ghz):
+            return self.power_model.frequency_factor(float(frequency_ghz))
         frequencies = self._per_cluster("frequency_ghz", frequency_ghz, float)
         return np.array(
-            [
-                self.power_model.frequency_factor(float(frequency))
-                for frequency in frequencies
-            ]
+            [[self.power_model.frequency_factor(float(f))] for f in frequencies]
         )
 
     def effective_utilization(
         self, utilization: np.ndarray, frequency_ghz: float | np.ndarray
     ) -> np.ndarray:
-        """Power-equivalent utilization (folds in DVFS)."""
+        """Power-equivalent ``(clusters, servers)`` utilization (folds in
+        DVFS): each server's busy fraction times its cluster's factor."""
         factors = self._frequency_factors(frequency_ghz)
-        return np.asarray(utilization) * factors[:, None]
+        return np.asarray(utilization, dtype=float) * factors
 
     def power_w(
         self, utilization: np.ndarray, frequency_ghz: float | np.ndarray
@@ -287,7 +297,7 @@ class BatchedClusterThermalState:
         without advancing it (used by throttling policies to preview what
         the wax could absorb this tick)."""
         u_eff = self.effective_utilization(utilization, frequency_ghz)
-        ua = self.characterization.ua_at(u_eff)
+        ua = np.interp(u_eff, self._grid, self._uas)
         if self._ua_scale != 1.0:
             ua = ua * self._ua_scale
         exchange = ua * (self.zone_temperature_c - self.wax_temperature_c)
@@ -307,8 +317,9 @@ class BatchedClusterThermalState:
         ``(clusters, servers)``; ``frequency_ghz`` is each cluster's DVFS
         state this tick (scalar broadcasts to every cluster).
         """
-        if dt_s <= 0:
-            raise ConfigurationError(f"tick must be positive, got {dt_s}")
+        # In-range test: NaN fails every comparison, so it fails it too.
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"tick must be positive and finite, got {dt_s}")
         utilization = np.asarray(utilization, dtype=float)
         if utilization.shape != (self.cluster_count, self.server_count):
             raise ConfigurationError(
@@ -316,8 +327,9 @@ class BatchedClusterThermalState:
                 f"({self.cluster_count}, {self.server_count}), got "
                 f"{utilization.shape}"
             )
-        # In-range tests: NaN fails every comparison, so it fails them too.
-        if not (np.all(utilization >= -1e-9) and np.all(utilization <= 1.0 + 1e-9)):
+        # In-range test on the extremes: a NaN makes both NaN, and NaN
+        # fails every comparison.
+        if not (utilization.min() >= -1e-9 and utilization.max() <= 1.0 + 1e-9):
             raise ConfigurationError("utilization must be finite and lie in [0, 1]")
 
         u_eff = self.effective_utilization(utilization, frequency_ghz)
@@ -325,7 +337,7 @@ class BatchedClusterThermalState:
             self.power_model.dynamic_range_w * u_eff
         )
 
-        zone_delta = self.characterization.zone_delta_at(u_eff)
+        zone_delta = np.interp(u_eff, self._grid, self._zone_deltas)
         if self._zone_delta_scale != 1.0:
             zone_delta = zone_delta * self._zone_delta_scale
         target = (
@@ -333,7 +345,7 @@ class BatchedClusterThermalState:
         )
         blend = 1.0 - np.exp(-dt_s / self.characterization.zone_time_constant_s)
 
-        ua = self.characterization.ua_at(u_eff)
+        ua = np.interp(u_eff, self._grid, self._uas)
         if self._ua_scale != 1.0:
             ua = ua * self._ua_scale
 
@@ -391,8 +403,9 @@ class UniformStretchAdvancer:
     """
 
     def __init__(self, state: "ClusterThermalState", dt_s: float) -> None:
-        if dt_s <= 0:
-            raise ConfigurationError(f"tick must be positive, got {dt_s}")
+        # In-range test: NaN fails every comparison, so it fails it too.
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"tick must be positive and finite, got {dt_s}")
         self._state = state
         characterization = state.characterization
         self._characterization = characterization

@@ -4,10 +4,11 @@ Instrumented modules (the transient solver, the datacenter simulator, the
 experiment registry, the validation harness) report into a process-global
 :class:`~repro.obs.registry.ObsRegistry`. Collection is **off by
 default** and near-free while off; turn it on with ``REPRO_OBS=1`` or
-:func:`~repro.obs.registry.enable`. Snapshots export as versioned JSON
-or CSV through :class:`~repro.obs.report.RunReport`.
+:func:`~repro.obs.registry.enable`. Snapshots are
+:class:`~repro.obs.report.RunReport` objects; experiments export theirs
+as a ``perf`` section.
 
-See ``docs/OBSERVABILITY.md`` for the full API and schema.
+See ``docs/OBSERVABILITY.md`` for the full API.
 """
 
 from repro.obs.registry import (
@@ -25,12 +26,11 @@ from repro.obs.registry import (
     timed,
     timer,
 )
-from repro.obs.report import SCHEMA, RunReport, TimerStat
+from repro.obs.report import RunReport, TimerStat
 from repro.obs.trace import bind_trace, current_trace_id, new_trace_id
 
 __all__ = [
     "ENV_TOGGLE",
-    "SCHEMA",
     "ObsRegistry",
     "RunReport",
     "TimerStat",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.melting_point import optimize_melting_point
 from repro.dcsim.cluster import ClusterTopology
@@ -206,3 +208,136 @@ class TestBatchedFluidEquivalence:
                 config=SimulationConfig(mode="fluid", wax_enabled=True),
             ).run()
             assert peak == serial.peak_cooling_load_w
+
+
+def _per_tick_peaks(
+    characterization, power_model, materials, wax_enabled, trace, topology, config
+):
+    """The search loop as it was: a demand lookup and a cluster total
+    every tick, the peak taken over the totals."""
+    from repro.dcsim.thermal_coupling import (
+        BatchedClusterThermalState,
+        uniform_totals,
+    )
+
+    n_servers = topology.server_count
+    dt = config.tick_interval_s
+    n_ticks = int(np.floor(trace.duration_s / dt))
+    ticks = (np.arange(n_ticks) + 1) * dt
+    state = BatchedClusterThermalState(
+        characterization=characterization,
+        power_model=power_model,
+        material=materials,
+        cluster_count=len(materials),
+        server_count=1,
+        inlet_temperature_c=config.inlet_temperature_c,
+        initial_utilization=float(np.clip(trace.value_at(0.0), 0.0, 1.0)),
+        wax_enabled=wax_enabled,
+    )
+    nominal = power_model.nominal_frequency_ghz
+    tf = power_model.throughput_factor(nominal)
+    peaks = np.full(len(materials), -np.inf)
+    utilization = np.empty((len(materials), 1))
+    for t in ticks:
+        demand = float(np.clip(trace.value_at(t - 0.5 * dt), 0.0, 1.0))
+        utilization[:] = np.minimum(demand / tf, 1.0)
+        _power, release, _wax = state.step(dt, utilization, nominal)
+        np.maximum(peaks, uniform_totals(release, n_servers), out=peaks)
+    return peaks
+
+
+def _boundary_materials(characterization, power_model, trace, config):
+    """Paraffins whose solidus, or liquidus, is exactly the search's
+    initial zone temperature, so the wax starts on that phase boundary
+    (enthalpy exactly 0, or exactly the heat of fusion)."""
+    import dataclasses
+
+    from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+    from repro.materials.library import commercial_paraffin_with_melting_point
+
+    base = commercial_paraffin_with_melting_point(40.0)
+    zone = float(
+        BatchedClusterThermalState(
+            characterization,
+            power_model,
+            base,
+            cluster_count=1,
+            server_count=1,
+            inlet_temperature_c=config.inlet_temperature_c,
+            initial_utilization=float(np.clip(trace.value_at(0.0), 0.0, 1.0)),
+        ).zone_temperature_c[0, 0]
+    )
+    half = 0.5 * base.melting_range_c
+    at_solidus = dataclasses.replace(base, melting_point_c=zone + half)
+    at_liquidus = dataclasses.replace(base, melting_point_c=zone - half)
+    assert at_solidus.solidus_c == zone
+    assert at_liquidus.liquidus_c == zone
+    return [at_solidus, at_liquidus]
+
+
+class TestSearchAgainstPerTickLoop:
+    """One demand lookup and one fill-and-sum per search give the peaks
+    of a lookup and a total every tick, byte for byte."""
+
+    @given(
+        servers=st.one_of(st.integers(1, 1008), st.sampled_from([1, 8, 129, 1008])),
+        melting_points=st.lists(
+            st.sampled_from([36.0, 39.0, 40.5, 43.0, 47.0, 52.0, 60.0]),
+            min_size=0,
+            max_size=6,
+        ),
+        wax=st.lists(st.booleans(), min_size=10, max_size=10),
+        inlet_c=st.sampled_from([20.0, 25.0, 30.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_byte_equal_peaks(
+        self,
+        one_u_spec,
+        one_u_characterization,
+        short_diurnal_trace,
+        servers,
+        melting_points,
+        wax,
+        inlet_c,
+    ):
+        from repro.core.melting_point import batched_fluid_peaks
+        from repro.materials.library import commercial_paraffin_with_melting_point
+
+        config = SimulationConfig(mode="fluid", inlet_temperature_c=inlet_c)
+        args = (one_u_characterization, one_u_spec.power_model)
+        materials = _boundary_materials(*args, short_diurnal_trace, config)
+        materials += [
+            commercial_paraffin_with_melting_point(melt) for melt in melting_points
+        ]
+        wax_enabled = np.array(wax[: len(materials)])
+        topology = ClusterTopology(server_count=servers)
+        peaks = batched_fluid_peaks(
+            *args, materials, wax_enabled, short_diurnal_trace, topology, config
+        )
+        reference = _per_tick_peaks(
+            *args, materials, wax_enabled, short_diurnal_trace, topology, config
+        )
+        assert peaks.tobytes() == reference.tobytes()
+
+
+class TestNonFiniteInputsRejected:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"step_c": np.nan},
+            {"step_c": np.inf},
+            {"window_c": (-np.inf, 60.0)},
+            {"window_c": (40.0, np.inf)},
+            {"window_c": (np.nan, 60.0)},
+        ],
+    )
+    def test_search_rejects_non_finite_grid(
+        self, one_u_characterization, one_u_spec, short_diurnal_trace, kwargs
+    ):
+        with pytest.raises(ConfigurationError, match="melting window|grid step"):
+            optimize_melting_point(
+                one_u_characterization,
+                one_u_spec.power_model,
+                short_diurnal_trace,
+                **kwargs,
+            )

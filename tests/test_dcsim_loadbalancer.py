@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dcsim.loadbalancer import LeastLoaded, RoundRobin
 from repro.errors import SimulationError
@@ -62,3 +64,34 @@ class TestLeastLoaded:
         with pytest.raises(SimulationError):
             LeastLoaded().choose(np.array([], dtype=int), 1)
 
+
+def _argmin_choice(busy_slots, slots_per_server, offline):
+    """``LeastLoaded.choose`` as it was: ``np.argmin`` over the online
+    servers."""
+    if offline >= len(busy_slots):
+        return None
+    index = offline + int(np.argmin(busy_slots[offline:]))
+    if busy_slots[index] >= slots_per_server:
+        return None
+    return index
+
+
+class TestLeastLoadedOnListsAndArrays:
+    """The batched event loop passes a Python list, the reference loop an
+    array: both pick the first minimum, as ``np.argmin`` does."""
+
+    @given(
+        busy=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        slots=st.integers(1, 4),
+        offline=st.integers(0, 42),
+    )
+    @settings(max_examples=300)
+    # Ties among the online servers, and a saturated online remainder.
+    @example(busy=[0, 0, 1, 1, 1], slots=4, offline=2)
+    @example(busy=[0, 0, 4, 4], slots=4, offline=2)
+    def test_list_and_array_pick_the_argmin(self, busy, slots, offline):
+        balancer = LeastLoaded()
+        balancer.set_offline(offline)
+        expected = _argmin_choice(np.array(busy), slots, offline)
+        assert balancer.choose(list(busy), slots) == expected
+        assert balancer.choose(np.array(busy), slots) == expected

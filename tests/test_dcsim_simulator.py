@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(tick_interval_s=0.0)
 
+    @pytest.mark.parametrize("tick", [np.nan, np.inf])
+    def test_non_finite_tick_rejected(self, tick):
+        # Either would pass a ``<= 0`` check and fail later inside run().
+        with pytest.raises(ConfigurationError, match="tick interval"):
+            SimulationConfig(tick_interval_s=tick)
+
 
 class TestFluidMode:
     def test_demand_tracks_trace(

@@ -335,3 +335,244 @@ class TestUniformTotals:
                 row = np.full(servers, value)
                 assert total == np.sum(row), servers
                 assert total / servers == np.mean(row), servers
+
+
+# -- the step before it folded the DVFS factor once, checked the range in
+# -- one pass and held the lookup tables as arrays: the oracle of the step
+
+
+def _reference_effective_utilization(state, utilization, frequency_ghz):
+    frequencies = np.broadcast_to(
+        np.asarray(frequency_ghz, dtype=float), (state.cluster_count,)
+    )
+    factors = np.array(
+        [state.power_model.frequency_factor(float(f)) for f in frequencies]
+    )
+    return np.asarray(utilization) * factors[:, None]
+
+
+def _reference_power_w(state, utilization, frequency_ghz):
+    u_eff = _reference_effective_utilization(state, utilization, frequency_ghz)
+    return state.power_model.idle_power_w + (
+        state.power_model.dynamic_range_w * u_eff
+    )
+
+
+def _reference_wax_exchange_w(state, utilization, frequency_ghz):
+    u_eff = _reference_effective_utilization(state, utilization, frequency_ghz)
+    ua = state.characterization.ua_at(u_eff)
+    ua_scale = state.fault_scales[0]
+    if ua_scale != 1.0:
+        ua = ua * ua_scale
+    exchange = ua * (state.zone_temperature_c - state.wax_temperature_c)
+    return np.where(state.wax_enabled[:, None], exchange, 0.0)
+
+
+def _reference_step(state, dt_s, utilization, frequency_ghz):
+    """``BatchedClusterThermalState.step`` as it was, on ``state``."""
+    if dt_s <= 0:
+        raise ConfigurationError(f"tick must be positive, got {dt_s}")
+    utilization = np.asarray(utilization, dtype=float)
+    if utilization.shape != (state.cluster_count, state.server_count):
+        raise ConfigurationError("utilization shape")
+    if not (np.all(utilization >= -1e-9) and np.all(utilization <= 1.0 + 1e-9)):
+        raise ConfigurationError("utilization must be finite and lie in [0, 1]")
+
+    u_eff = _reference_effective_utilization(state, utilization, frequency_ghz)
+    power = state.power_model.idle_power_w + (
+        state.power_model.dynamic_range_w * u_eff
+    )
+    ua_scale, zone_delta_scale, _ = state.fault_scales
+    zone_delta = state.characterization.zone_delta_at(u_eff)
+    if zone_delta_scale != 1.0:
+        zone_delta = zone_delta * zone_delta_scale
+    target = state.inlet_temperature_c[:, None] + state.inlet_offset_c + zone_delta
+    blend = 1.0 - np.exp(-dt_s / state.characterization.zone_time_constant_s)
+
+    ua = state.characterization.ua_at(u_eff)
+    if ua_scale != 1.0:
+        ua = ua * ua_scale
+
+    state.zone_temperature_c += blend * (target - state.zone_temperature_c)
+    exchange = ua * (state.zone_temperature_c - state.wax_temperature_c)
+    wax_heat = np.where(state.wax_enabled[:, None], exchange, 0.0)
+    state.specific_enthalpy_j_per_kg += np.where(
+        state.wax_enabled[:, None],
+        wax_heat * dt_s / state.effective_wax_mass_kg,
+        0.0,
+    )
+    return power, power - wax_heat, wax_heat
+
+
+def _same(new, old):
+    """Equal shape, dtype and bytes."""
+    new, old = np.asarray(new), np.asarray(old)
+    return (new.shape, new.dtype, new.tobytes()) == (
+        old.shape,
+        old.dtype,
+        old.tobytes(),
+    )
+
+
+def _twin_states(spec, characterization, rng, clusters, servers, draw):
+    """Two equal batched states from one set of drawn knobs."""
+    from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+
+    kwargs = dict(
+        characterization=characterization,
+        power_model=spec.power_model,
+        material=[
+            commercial_paraffin_with_melting_point(float(melt))
+            for melt in rng.choice(np.arange(36.0, 60.5, 0.5), clusters)
+        ],
+        cluster_count=clusters,
+        server_count=servers,
+        inlet_temperature_c=rng.uniform(18.0, 45.0, clusters),
+        initial_utilization=rng.uniform(0.0, 1.0, clusters),
+        wax_enabled=rng.random(clusters) < 0.75,
+        inlet_offset_c=(
+            rng.normal(0.0, 2.0, (clusters, servers)) if draw["offsets"] else None
+        ),
+    )
+    states = [BatchedClusterThermalState(**kwargs) for _ in range(2)]
+    if draw["faults"]:
+        scales = dict(
+            ua_scale=float(rng.uniform(0.3, 1.5)),
+            zone_delta_scale=float(rng.uniform(0.5, 1.5)),
+            wax_capacity_factor=float(rng.uniform(0.2, 1.0)),
+        )
+        for state in states:
+            state.set_fault_scales(**scales)
+    return states
+
+
+def _utilization(rng, clusters, servers):
+    """Per-server busy fractions with exact 0, 1 and uniform rows mixed in."""
+    u = rng.uniform(0.0, 1.0, (clusters, servers))
+    u[rng.random((clusters, servers)) < 0.1] = 0.0
+    u[rng.random((clusters, servers)) < 0.1] = 1.0
+    u[rng.random(clusters) < 0.3] = rng.uniform(0.0, 1.0)
+    return u
+
+
+def _check_against_reference(spec, characterization, seed, clusters, servers, draw):
+    rng = np.random.default_rng(seed)
+    state, reference = _twin_states(
+        spec, characterization, rng, clusters, servers, draw
+    )
+    model = spec.power_model
+    frequencies = [model.min_frequency_ghz, 2.0, model.nominal_frequency_ghz]
+    for _ in range(draw["steps"]):
+        u = _utilization(rng, clusters, servers)
+        if draw["per_cluster_frequency"]:
+            f = rng.choice(frequencies, clusters)
+        else:
+            f = float(rng.choice(frequencies))
+        dt = float(rng.choice([1.0, 60.0, 600.0, rng.uniform(0.5, 900.0)]))
+        assert _same(
+            state.effective_utilization(u, f),
+            _reference_effective_utilization(reference, u, f),
+        )
+        assert _same(state.power_w(u, f), _reference_power_w(reference, u, f))
+        assert _same(
+            state.wax_exchange_w(u, f), _reference_wax_exchange_w(reference, u, f)
+        )
+        new = state.step(dt, u, f)
+        old = _reference_step(reference, dt, u, f)
+        for a, b in zip(new, old):
+            assert _same(a, b)
+        assert _same(state.zone_temperature_c, reference.zone_temperature_c)
+        assert _same(
+            state.specific_enthalpy_j_per_kg, reference.specific_enthalpy_j_per_kg
+        )
+
+
+class TestStepAgainstReference:
+    """The step returns, and leaves in its zone and enthalpy arrays, the
+    reference step's bytes; the DVFS, power and wax-exchange helpers keep
+    their old values and shapes. Per-cluster materials (36-60 degC),
+    inlets (18-45 degC) and initial loads put the wax of one state in
+    every branch of the enthalpy map."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clusters=st.integers(1, 16),
+        servers=st.integers(1, 64),
+        draw=st.fixed_dictionaries(
+            {
+                "offsets": st.booleans(),
+                "faults": st.booleans(),
+                "per_cluster_frequency": st.booleans(),
+                "steps": st.integers(1, 8),
+            }
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_byte_equal_to_the_reference_step(
+        self, one_u_spec, one_u_characterization, seed, clusters, servers, draw
+    ):
+        _check_against_reference(
+            one_u_spec, one_u_characterization, seed, clusters, servers, draw
+        )
+
+    @pytest.mark.parametrize("clusters", [1, 3])
+    def test_byte_equal_at_1008_servers(
+        self, one_u_spec, one_u_characterization, rng, clusters
+    ):
+        draw = {
+            "offsets": True,
+            "faults": clusters > 1,
+            "per_cluster_frequency": clusters > 1,
+            "steps": 6,
+        }
+        _check_against_reference(
+            one_u_spec,
+            one_u_characterization,
+            int(rng.integers(2**32)),
+            clusters,
+            1008,
+            draw,
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5])
+    def test_out_of_range_utilization_raises_on_both(
+        self, one_u_spec, one_u_characterization, rng, bad
+    ):
+        state, reference = _twin_states(
+            one_u_spec,
+            one_u_characterization,
+            rng,
+            2,
+            4,
+            {"offsets": False, "faults": False},
+        )
+        u = np.full((2, 4), 0.5)
+        u[1, 2] = bad
+        for step in (state.step, lambda *a: _reference_step(reference, *a)):
+            with pytest.raises(ConfigurationError, match="utilization"):
+                step(60.0, u, 2.4)
+
+    @pytest.mark.parametrize("dt", [0.0, -60.0, np.nan, np.inf])
+    def test_bad_tick_rejected_before_any_server_moves(
+        self, one_u_spec, one_u_characterization, rng, dt
+    ):
+        from repro.dcsim.thermal_coupling import BatchedClusterThermalState
+
+        state = BatchedClusterThermalState(
+            one_u_characterization,
+            one_u_spec.power_model,
+            commercial_paraffin_with_melting_point(43.0),
+            cluster_count=2,
+            server_count=4,
+        )
+        zone = state.zone_temperature_c.copy()
+        with pytest.raises(ConfigurationError, match="tick"):
+            state.step(dt, np.full((2, 4), 0.5), 2.4)
+        assert np.array_equal(state.zone_temperature_c, zone)
+
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+    def test_column_rejects_a_bad_tick(self, cluster_state, dt):
+        from repro.dcsim.thermal_coupling import UniformStretchAdvancer
+
+        with pytest.raises(ConfigurationError, match="tick"):
+            UniformStretchAdvancer(cluster_state, dt)

@@ -7,12 +7,10 @@ import pytest
 
 from repro.obs import (
     ObsRegistry,
-    RunReport,
     TimerStat,
     get_registry,
 )
 from repro.obs.registry import _NULL_TIMER
-from repro.errors import ConfigurationError
 from repro.experiments.registry import run_experiment
 
 
@@ -174,39 +172,6 @@ class TestCountersAndValues:
 
 
 class TestRunReport:
-    def test_json_round_trip(self, registry):
-        with registry.timer("outer"):
-            with registry.timer("inner"):
-                pass
-        registry.count("steps", 17)
-        registry.record("gauge", 3.5)
-        report = registry.snapshot(meta={"scenario": "round-trip"})
-
-        restored = RunReport.from_json(report.to_json())
-        assert restored == report
-        assert restored.to_dict() == report.to_dict()
-
-    def test_from_json_rejects_unknown_schema(self):
-        payload = json.dumps({"schema": "something/else"})
-        with pytest.raises(ConfigurationError):
-            RunReport.from_json(payload)
-
-    def test_write_json_and_csv(self, registry, tmp_path):
-        registry.count("steps", 4)
-        with registry.timer("work"):
-            pass
-        report = registry.snapshot()
-
-        json_path = report.write_json(tmp_path / "report.json")
-        assert RunReport.from_json(json_path.read_text()) == report
-
-        csv_path = tmp_path / "report.csv"
-        report.write_csv(csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "kind,name,field,value"
-        kinds = {line.split(",")[0] for line in lines[1:]}
-        assert kinds == {"timer", "counter"}
-
     def test_diff_subtracts_counters_and_timer_calls(self, registry):
         registry.count("steps", 5)
         with registry.timer("work"):
@@ -229,7 +194,7 @@ class TestRunReport:
 
     def test_timer_stat_round_trip(self):
         stat = TimerStat(calls=2, total_s=1.5, min_s=0.5, max_s=1.0)
-        assert TimerStat.from_dict(stat.to_dict()) == stat
+        assert TimerStat(**stat.to_dict()) == stat
 
 
 class TestExperimentPerf:

@@ -1,17 +1,16 @@
-"""Closed-loop datacenter control: monitor -> plan -> execute -> verify.
+"""Closed-loop datacenter control: monitor -> plan -> execute.
 
 The control loop treats the datacenter simulator as the plant: each tick
 it reads observed (fault-injected) telemetry, asks a pluggable
-:class:`~repro.control.planners.Planner` for an action plan, clamps it
-through the :class:`~repro.control.actions.Executor`, and checks the
-:class:`~repro.control.loop.Verifier`'s predicted-vs-realized state,
-escalating to a safe fallback policy on sustained divergence.
-:mod:`repro.control.tournament` races every shipped planner over a
-shared scenario suite. See ``docs/CONTROL.md``.
+:class:`~repro.control.planners.Planner` for a
+:class:`~repro.dcsim.throttling.ThrottleDecision`, and clamps it through
+the :class:`~repro.control.actions.Executor` into the platform's DVFS
+envelope. :mod:`repro.control.tournament` races every shipped planner
+over a shared scenario suite. See ``docs/CONTROL.md``.
 """
 
-from repro.control.actions import ActuatorLimits, ControlAction, Executor
-from repro.control.loop import ControlLoop, DecisionRecord, Verifier
+from repro.control.actions import ActuatorLimits, Executor
+from repro.control.loop import ControlLoop, DecisionRecord
 from repro.control.planners import (
     GreedyThrottlePolicy,
     MPCPolicy,
@@ -23,7 +22,6 @@ from repro.control.planners import (
 
 __all__ = [
     "ActuatorLimits",
-    "ControlAction",
     "ControlLoop",
     "DecisionRecord",
     "Executor",
@@ -33,5 +31,4 @@ __all__ = [
     "Observation",
     "Planner",
     "ScheduledPolicy",
-    "Verifier",
 ]

@@ -1,69 +1,28 @@
-"""Control actions and the actuator layer that applies them.
+"""The actuator layer: the envelope every planned decision is clamped into.
 
 A :class:`~repro.control.planners.Planner` expresses *intent* — an
-operating point it would like the plant to adopt. The plant's actuators
-have hard limits the planner may not know (DVFS bins, CRAC setpoint
-range and slew rate, sprint thermal budget), so every plan passes
-through an :class:`Executor` that clamps it into the feasible envelope
-before it reaches the simulator. The clamped result is an ordinary
-:class:`~repro.dcsim.throttling.ThrottleDecision`, which is what both
-simulation engines consume.
-
-Sprint authorization: the shipped :class:`~repro.server.power.
-ServerPowerModel` DVFS ladders top out at the nominal bin
-(``frequency_factor`` rejects over-nominal frequencies), so on stock
-platforms a granted sprint means *permission to hold the top bin during
-a thermal emergency* rather than an over-nominal clock. The executor
-additionally meters sprints against a finite thermal budget — seconds
-of sprinting the package can absorb, typically sized from the
-chip-scale :func:`repro.sprinting.model.run_sprint` — and declines
-authorization once the budget is spent.
+operating point it would like the plant to adopt, as a
+:class:`~repro.dcsim.throttling.ThrottleDecision`. The plant's DVFS
+ladder has hard limits the planner may not respect, so every decision
+passes through an :class:`Executor` that clamps it into the feasible
+envelope before it reaches the simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dcsim.room import RoomModel
 from repro.dcsim.throttling import ThrottleDecision
 from repro.errors import ControlError
 from repro.server.power import ServerPowerModel
 
 
 @dataclass(frozen=True)
-class ControlAction:
-    """One tick's action plan, as proposed by a planner (pre-clamping).
-
-    ``frequency_ghz`` is the requested cluster DVFS state;
-    ``utilization_cap`` the busy-fraction ceiling (excess work is shed /
-    relocated by the simulator); ``cooling_setpoint_c`` an optional CRAC
-    setpoint request (``None`` leaves the plant alone); ``sprint``
-    requests authorization to run up to the sprint frequency ceiling.
-    """
-
-    frequency_ghz: float
-    utilization_cap: float = 1.0
-    cooling_setpoint_c: float | None = None
-    sprint: bool = False
-    limited: bool = False
-
-
-@dataclass(frozen=True)
 class ActuatorLimits:
-    """The feasible actuator envelope the executor clamps plans into."""
+    """The feasible DVFS envelope the executor clamps decisions into."""
 
     min_frequency_ghz: float
     max_frequency_ghz: float
-    #: Frequency ceiling while a sprint is authorized (>= max). Stock
-    #: power models reject over-nominal bins, so this defaults to max.
-    sprint_frequency_ghz: float
-    setpoint_min_c: float = 18.0
-    setpoint_max_c: float = 30.0
-    #: Largest CRAC setpoint change per tick (slew limit).
-    setpoint_slew_c: float = 1.0
-    #: Total seconds of sprint the package can thermally absorb per run
-    #: (``inf`` = unmetered).
-    sprint_budget_s: float = float("inf")
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_frequency_ghz <= self.max_frequency_ghz:
@@ -71,130 +30,45 @@ class ActuatorLimits:
                 "frequency limits must satisfy 0 < min <= max, got "
                 f"[{self.min_frequency_ghz}, {self.max_frequency_ghz}]"
             )
-        if self.sprint_frequency_ghz < self.max_frequency_ghz:
-            raise ControlError(
-                "sprint frequency ceiling cannot sit below the normal "
-                f"ceiling ({self.sprint_frequency_ghz} < "
-                f"{self.max_frequency_ghz})"
-            )
-        if not self.setpoint_min_c <= self.setpoint_max_c:
-            raise ControlError("setpoint range must satisfy min <= max")
-        if self.setpoint_slew_c <= 0:
-            raise ControlError("setpoint slew limit must be positive")
-        if self.sprint_budget_s < 0:
-            raise ControlError("sprint budget must be non-negative")
 
     @classmethod
-    def for_power_model(
-        cls,
-        power_model: ServerPowerModel,
-        sprint_budget_s: float = float("inf"),
-        **kwargs: float,
-    ) -> "ActuatorLimits":
-        """Limits matching a platform's DVFS ladder.
-
-        The sprint ceiling is pinned to the nominal bin because the
-        shipped power models have no over-nominal states (see module
-        docstring).
-        """
+    def for_power_model(cls, power_model: ServerPowerModel) -> "ActuatorLimits":
+        """Limits matching a platform's DVFS ladder, min bin to nominal."""
         return cls(
             min_frequency_ghz=power_model.min_frequency_ghz,
             max_frequency_ghz=power_model.nominal_frequency_ghz,
-            sprint_frequency_ghz=power_model.nominal_frequency_ghz,
-            sprint_budget_s=sprint_budget_s,
-            **kwargs,
         )
 
 
 class Executor:
-    """Applies a :class:`ControlAction` to the plant, clamped to limits.
+    """Applies a planned decision to the plant, clamped to limits.
 
-    Frequency and utilization cap are clamped into the actuator
-    envelope; a cooling-setpoint request is range- and slew-limited and
-    written onto the room model; sprint authorization is granted only
-    while thermal budget remains. The executor restores the room's
-    original setpoint on :meth:`reset` so back-to-back runs start from
-    the same plant configuration.
+    The frequency is clamped into the DVFS envelope and the utilization
+    cap into [0, 1]; a decision below the top bin is marked limited.
     """
 
-    def __init__(
-        self, limits: ActuatorLimits, room: RoomModel | None = None
-    ) -> None:
+    def __init__(self, limits: ActuatorLimits) -> None:
         self.limits = limits
-        self.room = room
-        self._initial_setpoint_c = (
-            room.setpoint_c if room is not None else None
-        )
-        self._sprint_spent_s = 0.0
-        #: Clamp events over the current run (frequency/cap/setpoint
-        #: requests that had to be altered to fit the envelope).
+        #: Clamp events over the current run (frequency or cap requests
+        #: that had to be altered to fit the envelope).
         self.clamp_count = 0
-        #: Sprint ticks granted over the current run.
-        self.sprints_granted = 0
-        #: Sprint requests declined for lack of thermal budget.
-        self.sprints_declined = 0
 
     def reset(self) -> None:
-        """Restore plant configuration and counters between runs."""
-        self._sprint_spent_s = 0.0
+        """Clear the clamp counter between runs."""
         self.clamp_count = 0
-        self.sprints_granted = 0
-        self.sprints_declined = 0
-        if self.room is not None and self._initial_setpoint_c is not None:
-            self.room.setpoint_c = self._initial_setpoint_c
 
-    @property
-    def sprint_budget_remaining_s(self) -> float:
-        """Seconds of sprint authorization left this run."""
-        return max(self.limits.sprint_budget_s - self._sprint_spent_s, 0.0)
-
-    def _apply_setpoint(self, requested_c: float) -> bool:
-        """Move the CRAC setpoint toward a request; True if clamped."""
-        room = self.room
-        if room is None:
-            return True  # request had no actuator to land on
+    def apply(self, decision: ThrottleDecision) -> ThrottleDecision:
+        """Clamp a planned decision into the envelope."""
         limits = self.limits
-        # The room model requires setpoint < max_temperature_c; keep a
-        # degree of margin so the invariant can never be violated.
-        ceiling = min(limits.setpoint_max_c, room.max_temperature_c - 1.0)
-        target = min(max(requested_c, limits.setpoint_min_c), ceiling)
-        delta = target - room.setpoint_c
-        step = min(max(delta, -limits.setpoint_slew_c), limits.setpoint_slew_c)
-        room.setpoint_c = room.setpoint_c + step
-        return target != requested_c or step != delta
-
-    def apply(self, action: ControlAction, dt_s: float) -> ThrottleDecision:
-        """Clamp an action into the envelope and return the decision."""
-        limits = self.limits
-        clamped = False
-
-        sprinting = False
-        if action.sprint:
-            if self._sprint_spent_s + dt_s <= limits.sprint_budget_s:
-                sprinting = True
-                self._sprint_spent_s += dt_s
-                self.sprints_granted += 1
-            else:
-                self.sprints_declined += 1
-                clamped = True
-        ceiling = (
-            limits.sprint_frequency_ghz if sprinting
-            else limits.max_frequency_ghz
+        frequency = min(
+            max(decision.frequency_ghz, limits.min_frequency_ghz),
+            limits.max_frequency_ghz,
         )
-
-        frequency = min(max(action.frequency_ghz, limits.min_frequency_ghz), ceiling)
-        cap = min(max(action.utilization_cap, 0.0), 1.0)
-        clamped = (
-            clamped
-            or frequency != action.frequency_ghz
-            or cap != action.utilization_cap
-        )
-        if action.cooling_setpoint_c is not None:
-            clamped = self._apply_setpoint(action.cooling_setpoint_c) or clamped
-        if clamped:
+        cap = min(max(decision.utilization_cap, 0.0), 1.0)
+        if frequency != decision.frequency_ghz or cap != decision.utilization_cap:
             self.clamp_count += 1
 
-        limited = action.limited or frequency < limits.max_frequency_ghz - 1e-12
+        limited = decision.limited or frequency < limits.max_frequency_ghz - 1e-12
         return ThrottleDecision(
             frequency_ghz=frequency, utilization_cap=cap, limited=limited
         )

@@ -5,11 +5,11 @@ Each tick the :class:`~repro.control.loop.ControlLoop` assembles an
 already passed through the fault injector's sensor path
 (:meth:`repro.faults.injector.FaultInjector.observe`), so a planner sees
 noisy or frozen readings during sensor faults, never ground truth — and
-asks the active planner for a :class:`~repro.control.actions.
-ControlAction`. Plant-side readings (room temperature, remaining plant
-capacity) come off the room model exactly as the policies of
-:mod:`repro.dcsim.throttling` read them; an active cooling fault derates
-the capacity the planner sees.
+asks the planner for a :class:`~repro.dcsim.throttling.ThrottleDecision`,
+which the loop's executor clamps into the DVFS envelope. Plant-side
+readings (room temperature, remaining plant capacity) come off the room
+model exactly as the policies of :mod:`repro.dcsim.throttling` read
+them; an active cooling fault derates the capacity the planner sees.
 
 Shipped planners:
 
@@ -38,7 +38,6 @@ from numbers import Integral
 
 import numpy as np
 
-from repro.control.actions import ControlAction
 from repro.dcsim.thermal_coupling import (
     BatchedClusterThermalState,
     ClusterThermalState,
@@ -46,6 +45,7 @@ from repro.dcsim.thermal_coupling import (
     uniform_totals,
 )
 from repro.dcsim.throttling import (
+    ThrottleDecision,
     _shed_cap,
     fault_override,
     hysteresis_decision,
@@ -104,7 +104,7 @@ class Observation:
 
 
 class Planner(ABC):
-    """One tick of decision making: observation in, action plan out."""
+    """One tick of decision making: observation in, decision out."""
 
     #: Stable identifier used for obs counters and tournament scoring.
     name: str = "planner"
@@ -113,12 +113,12 @@ class Planner(ABC):
         """Clear internal state between simulation runs."""
 
     @abstractmethod
-    def plan(self, obs: Observation) -> ControlAction:
-        """Propose an action plan for this tick (pre-clamping)."""
+    def plan(self, obs: Observation) -> ThrottleDecision:
+        """Propose this tick's operating point (pre-clamping)."""
 
 
 class NoOpPlanner(Planner):
-    """Always nominal, no caps, no plant requests.
+    """Always nominal, no caps.
 
     The transparency oracle: a :class:`~repro.control.loop.ControlLoop`
     wrapping this planner must be byte-identical to the uninstrumented
@@ -127,8 +127,8 @@ class NoOpPlanner(Planner):
 
     name = "noop"
 
-    def plan(self, obs: Observation) -> ControlAction:
-        return ControlAction(frequency_ghz=obs.nominal_frequency_ghz)
+    def plan(self, obs: Observation) -> ThrottleDecision:
+        return ThrottleDecision(frequency_ghz=obs.nominal_frequency_ghz)
 
 
 class GreedyThrottlePolicy(Planner):
@@ -140,8 +140,9 @@ class GreedyThrottlePolicy(Planner):
     :func:`~repro.dcsim.throttling.hysteresis_decision` on the observed
     room temperature — the same helpers behind
     ``FaultResponsePolicy(RoomTemperaturePolicy(room))``, so the two are
-    decision-identical. On override ticks the latch is not updated,
-    matching the wrapper (which never consults its base policy then).
+    decision-identical. The helpers' decision is returned as is. On
+    override ticks the latch is not updated, matching the wrapper (which
+    never consults its base policy then).
     """
 
     name = "greedy"
@@ -165,7 +166,7 @@ class GreedyThrottlePolicy(Planner):
     def reset(self) -> None:
         self._throttled = False
 
-    def plan(self, obs: Observation) -> ControlAction:
+    def plan(self, obs: Observation) -> ThrottleDecision:
         decision = None
         if obs.fault_effects is not None:
             decision = fault_override(
@@ -185,11 +186,7 @@ class GreedyThrottlePolicy(Planner):
                 self.deadband_c,
                 obs.cooling_capacity_w,
             )
-        return ControlAction(
-            frequency_ghz=decision.frequency_ghz,
-            utilization_cap=decision.utilization_cap,
-            limited=decision.limited,
-        )
+        return decision
 
 
 class ScheduledPolicy(Planner):
@@ -229,15 +226,15 @@ class ScheduledPolicy(Planner):
             return start <= hour < end
         return hour >= start or hour < end
 
-    def plan(self, obs: Observation) -> ControlAction:
+    def plan(self, obs: Observation) -> ThrottleDecision:
         if self._in_window(obs.hour_of_day):
             frequency = (
                 self.throttle_frequency_ghz
                 if self.throttle_frequency_ghz is not None
                 else obs.min_frequency_ghz
             )
-            return ControlAction(frequency_ghz=frequency, limited=True)
-        return ControlAction(frequency_ghz=obs.nominal_frequency_ghz)
+            return ThrottleDecision(frequency_ghz=frequency, limited=True)
+        return ThrottleDecision(frequency_ghz=obs.nominal_frequency_ghz)
 
 
 class MPCPolicy(Planner):
@@ -281,7 +278,6 @@ class MPCPolicy(Planner):
         plant: AmbientAwarePlant | None = None,
         shed_penalty_usd_per_server_hour: float = 1.0,
         overheat_penalty_usd_per_c_hour: float = 50.0,
-        sprint_headroom_c: float = 4.0,
     ) -> None:
         if not (isinstance(horizon_ticks, Integral) and horizon_ticks >= 1):
             raise ControlError(
@@ -295,15 +291,12 @@ class MPCPolicy(Planner):
         ):
             if not 0.0 <= penalty < math.inf:
                 raise ControlError(f"{label} must be finite and non-negative")
-        if not sprint_headroom_c >= 0.0:
-            raise ControlError("sprint headroom must be non-negative")
         self.horizon_ticks = int(horizon_ticks)
         self.tariff = tariff or ElectricityTariff()
         self.ambient = ambient or AmbientProfile()
         self.plant = plant or AmbientAwarePlant()
         self.shed_penalty_usd_per_server_hour = shed_penalty_usd_per_server_hour
         self.overheat_penalty_usd_per_c_hour = overheat_penalty_usd_per_c_hour
-        self.sprint_headroom_c = sprint_headroom_c
         self._last_work: float | None = None
 
     def reset(self) -> None:
@@ -491,12 +484,12 @@ class MPCPolicy(Planner):
 
         return step
 
-    def plan(self, obs: Observation) -> ControlAction:
+    def plan(self, obs: Observation) -> ThrottleDecision:
         effects = obs.fault_effects
         if effects is not None and effects.sensor_dropout:
             # No trustworthy telemetry to roll forward: safe setpoint.
             self._last_work = None
-            return ControlAction(
+            return ThrottleDecision(
                 frequency_ghz=obs.min_frequency_ghz, limited=True
             )
 
@@ -510,17 +503,6 @@ class MPCPolicy(Planner):
         cap = float(caps[best])
         nominal = obs.nominal_frequency_ghz
         limited = frequency < nominal - 1e-12 or cap < 1.0
-        # With thermal slack in hand, ask for sprint authorization: on
-        # platforms with over-nominal bins the executor may grant a
-        # higher ceiling (stock models clamp it back to nominal).
-        sprint = (
-            not limited
-            and obs.room_max_temperature_c - obs.room_temperature_c
-            > self.sprint_headroom_c
-        )
-        return ControlAction(
-            frequency_ghz=frequency,
-            utilization_cap=cap,
-            sprint=sprint,
-            limited=limited,
+        return ThrottleDecision(
+            frequency_ghz=frequency, utilization_cap=cap, limited=limited
         )

@@ -36,13 +36,11 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.control.actions import ActuatorLimits, Executor
 from repro.control.loop import ControlLoop
 from repro.control.planners import (
     GreedyThrottlePolicy,
@@ -62,8 +60,6 @@ from repro.faults.chaos import (
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import COOLING_LOSS, Fault, FaultSchedule
 from repro.obs import get_registry
-from repro.server.configs import PLATFORM_BUILDERS
-from repro.sprinting.model import SprintChip, run_sprint
 from repro.tco.energy import (
     AmbientAwarePlant,
     AmbientProfile,
@@ -91,48 +87,20 @@ PLANNERS: dict[str, Callable[[], Planner]] = {
 }
 
 
-@lru_cache(maxsize=1)
-def _sprint_budget_s() -> float:
-    """Per-run sprint budget, sized from the chip-scale sprint model.
-
-    A package with 20 g of PCM sprinting at 8 W holds out this long
-    before hitting its junction limit — the executor meters cluster
-    sprint authorizations against the same thermal allowance.
-    """
-    return run_sprint(
-        SprintChip(), sprint_power_w=8.0, pcm_grams=20.0, horizon_s=3600.0
-    ).duration_s
-
-
-def control_policy_factory(
-    planner_name: str, tick_interval_s: float, platform: str = "1u"
-) -> Callable:
+def control_policy_factory(planner_name: str) -> Callable:
     """A ``build_simulator``-compatible factory wrapping one planner.
 
-    Returns ``factory(room, injector) -> ControlLoop`` with the
-    executor's actuator limits pinned to the platform's DVFS ladder and
-    the chip-derived sprint budget.
+    Returns ``factory(room, injector) -> ControlLoop``. The loop clamps
+    into the DVFS ladder of the plant's own power model.
     """
     if planner_name not in PLANNERS:
         raise ControlError(
             f"unknown planner {planner_name!r}; choose from "
             f"{sorted(PLANNERS)}"
         )
-    power_model = PLATFORM_BUILDERS[platform]().power_model
 
     def factory(room, injector) -> ControlLoop:
-        return ControlLoop(
-            PLANNERS[planner_name](),
-            room,
-            injector=injector,
-            executor=Executor(
-                ActuatorLimits.for_power_model(
-                    power_model, sprint_budget_s=_sprint_budget_s()
-                ),
-                room=room,
-            ),
-            tick_interval_s=tick_interval_s,
-        )
+        return ControlLoop(PLANNERS[planner_name](), room, injector=injector)
 
     return factory
 
@@ -301,11 +269,7 @@ def build_scenario_simulator(
     return build_simulator(
         scenario.chaos,
         injector,
-        policy_factory=control_policy_factory(
-            planner_name,
-            scenario.chaos.tick_interval_s,
-            platform=scenario.chaos.platform,
-        ),
+        policy_factory=control_policy_factory(planner_name),
         trace=scenario.trace(),
     )
 

@@ -214,8 +214,11 @@ class GeoPair:
         tick_interval_s: float = 60.0,
         relocation_loss_fraction: float = 0.05,
     ) -> None:
-        if tick_interval_s <= 0:
-            raise ConfigurationError("tick interval must be positive")
+        if not 0.0 < tick_interval_s < math.inf:
+            raise ConfigurationError(
+                f"tick interval must be positive and finite, got "
+                f"{tick_interval_s}"
+            )
         if not 0.0 <= relocation_loss_fraction < 1.0:
             raise ConfigurationError(
                 "relocation loss must be a fraction in [0, 1)"

@@ -16,6 +16,7 @@ enough to matter?*
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,11 @@ class MixedFleet:
             raise ConfigurationError(
                 f"equipped fraction must be in [0, 1], got {equipped_fraction}"
             )
-        if tick_interval_s <= 0:
-            raise ConfigurationError("tick interval must be positive")
+        if not 0.0 < tick_interval_s < math.inf:
+            raise ConfigurationError(
+                f"tick interval must be positive and finite, got "
+                f"{tick_interval_s}"
+            )
         self.characterization = characterization
         self.power_model = power_model
         self.material = material

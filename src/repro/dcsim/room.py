@@ -17,6 +17,7 @@ limit until the latent capacity is spent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -105,16 +106,21 @@ class RoomModel:
         will not subcool the room); above the setpoint it runs flat out at
         capacity.
         """
-        if release_w < 0:
-            raise ConfigurationError("heat release must be non-negative")
+        # In-range tests, so that NaN (every comparison false) fails them.
+        if not 0.0 <= release_w < math.inf:
+            raise ConfigurationError(
+                f"heat release must be finite and non-negative, got {release_w}"
+            )
         if self.temperature_c > self.setpoint_c + 1e-9:
             return self.cooling_capacity_w
         return min(release_w, self.cooling_capacity_w)
 
     def step(self, dt_s: float, release_w: float) -> float:
         """Advance the room temperature one tick; returns heat removed (W)."""
-        if dt_s <= 0:
-            raise ConfigurationError(f"tick must be positive, got {dt_s}")
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(
+                f"tick must be positive and finite, got {dt_s}"
+            )
         removed = self.removal_w(release_w)
         self.temperature_c += dt_s * (release_w - removed) / self.thermal_mass_j_per_k
         if self.temperature_c < self.setpoint_c:

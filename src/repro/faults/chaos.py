@@ -43,6 +43,7 @@ from repro.dcsim.throttling import FaultResponsePolicy, RoomTemperaturePolicy
 from repro.errors import FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
+    RESULT_TRACES,
     Violation,
     check_monotone_recovery,
     check_run,
@@ -322,21 +323,7 @@ def build_simulator(
 def result_fingerprint(result: SimulationResult) -> str:
     """SHA-256 over every trace's bytes — equal iff bit-identical."""
     digest = hashlib.sha256()
-    for name in (
-        "times_s",
-        "demand",
-        "utilization",
-        "frequency_ghz",
-        "power_w",
-        "cooling_load_w",
-        "wax_heat_w",
-        "melt_fraction",
-        "throughput",
-        "queue_length",
-        "shed_work",
-        "room_temperature_c",
-        "completed_work_s",
-    ):
+    for name in RESULT_TRACES:
         trace = getattr(result, name)
         if trace is None:
             digest.update(b"none")

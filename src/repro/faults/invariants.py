@@ -29,6 +29,27 @@ from repro.faults.schedule import PCM_DEGRADATION
 from repro.units import hours
 
 
+#: Every per-tick trace of a :class:`SimulationResult`, in the order
+#: :func:`repro.faults.chaos.result_fingerprint` hashes them (stored
+#: fingerprints depend on it). ``room_temperature_c`` and
+#: ``completed_work_s`` may be ``None``.
+RESULT_TRACES: tuple[str, ...] = (
+    "times_s",
+    "demand",
+    "utilization",
+    "frequency_ghz",
+    "power_w",
+    "cooling_load_w",
+    "wax_heat_w",
+    "melt_fraction",
+    "throughput",
+    "queue_length",
+    "shed_work",
+    "room_temperature_c",
+    "completed_work_s",
+)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant, with enough context to triage."""
@@ -43,20 +64,8 @@ class Violation:
 def check_finite(result: SimulationResult) -> list[Violation]:
     """Every recorded trace must be finite everywhere."""
     violations: list[Violation] = []
-    traces: dict[str, np.ndarray | None] = {
-        "demand": result.demand,
-        "utilization": result.utilization,
-        "frequency_ghz": result.frequency_ghz,
-        "power_w": result.power_w,
-        "cooling_load_w": result.cooling_load_w,
-        "wax_heat_w": result.wax_heat_w,
-        "melt_fraction": result.melt_fraction,
-        "throughput": result.throughput,
-        "queue_length": result.queue_length,
-        "shed_work": result.shed_work,
-        "room_temperature_c": result.room_temperature_c,
-    }
-    for name, trace in traces.items():
+    for name in RESULT_TRACES:
+        trace = getattr(result, name)
         if trace is None:
             continue
         bad = ~np.isfinite(trace)
@@ -257,22 +266,7 @@ def identical_results(a: SimulationResult, b: SimulationResult) -> bool:
     def bytes_of(array: np.ndarray | None) -> bytes | None:
         return None if array is None else np.ascontiguousarray(array).tobytes()
 
-    fields = (
-        "times_s",
-        "demand",
-        "utilization",
-        "frequency_ghz",
-        "power_w",
-        "cooling_load_w",
-        "wax_heat_w",
-        "melt_fraction",
-        "throughput",
-        "queue_length",
-        "shed_work",
-        "room_temperature_c",
-        "completed_work_s",
-    )
     return all(
         bytes_of(getattr(a, name)) == bytes_of(getattr(b, name))
-        for name in fields
+        for name in RESULT_TRACES
     )

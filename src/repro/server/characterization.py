@@ -24,6 +24,7 @@ vectorizes the same equations across a cluster
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -295,8 +296,10 @@ class LumpedServerModel:
         frequency_ghz: float | None = None,
     ) -> ServerStepResult:
         """Advance one tick and return the tick's thermal accounting."""
-        if dt_s <= 0:
-            raise ConfigurationError(f"tick must be positive, got {dt_s}")
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(
+                f"tick must be positive and finite, got {dt_s}"
+            )
         power = self.power_model.wall_power_w(utilization, frequency_ghz)
         u_eff = self.effective_utilization(utilization, frequency_ghz)
 

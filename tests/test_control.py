@@ -1,4 +1,4 @@
-"""Control-loop unit and oracle tests: actuators, verifier, planners.
+"""Control-loop unit and oracle tests: actuators, loop wiring, planners.
 
 The two structural guarantees the subsystem rests on are proven here:
 
@@ -29,20 +29,18 @@ from hypothesis import strategies as st
 
 from repro.control import (
     ActuatorLimits,
-    ControlAction,
     ControlLoop,
     Executor,
     GreedyThrottlePolicy,
     MPCPolicy,
     NoOpPlanner,
     Observation,
-    Planner,
     ScheduledPolicy,
-    Verifier,
 )
 from repro.control.tournament import control_policy_factory
 from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.dcsim.throttling import ThrottleDecision
 from repro.errors import ConfigurationError, ControlError
 from repro.faults.chaos import (
     ChaosConfig,
@@ -79,17 +77,11 @@ def small_config(**overrides) -> ChaosConfig:
     return ChaosConfig(**defaults)
 
 
-def loop_factory(planner_factory, config, **loop_kwargs):
+def loop_factory(planner_factory):
     """build_simulator policy_factory wiring one planner into a loop."""
 
     def factory(room, injector):
-        return ControlLoop(
-            planner_factory(),
-            room,
-            injector=injector,
-            tick_interval_s=config.tick_interval_s,
-            **loop_kwargs,
-        )
+        return ControlLoop(planner_factory(), room, injector=injector)
 
     return factory
 
@@ -100,31 +92,7 @@ def loop_factory(planner_factory, config, **loop_kwargs):
 class TestActuatorLimits:
     def test_rejects_bad_envelopes(self):
         with pytest.raises(ControlError):
-            ActuatorLimits(
-                min_frequency_ghz=2.0,
-                max_frequency_ghz=1.0,
-                sprint_frequency_ghz=2.0,
-            )
-        with pytest.raises(ControlError):
-            ActuatorLimits(
-                min_frequency_ghz=1.0,
-                max_frequency_ghz=2.0,
-                sprint_frequency_ghz=1.5,
-            )
-        with pytest.raises(ControlError):
-            ActuatorLimits(
-                min_frequency_ghz=1.0,
-                max_frequency_ghz=2.0,
-                sprint_frequency_ghz=2.0,
-                setpoint_slew_c=0.0,
-            )
-        with pytest.raises(ControlError):
-            ActuatorLimits(
-                min_frequency_ghz=1.0,
-                max_frequency_ghz=2.0,
-                sprint_frequency_ghz=2.0,
-                sprint_budget_s=-1.0,
-            )
+            ActuatorLimits(min_frequency_ghz=2.0, max_frequency_ghz=1.0)
 
     def test_for_power_model_pins_dvfs_ladder(self, one_u_spec):
         limits = ActuatorLimits.for_power_model(one_u_spec.power_model)
@@ -133,30 +101,24 @@ class TestActuatorLimits:
             limits.max_frequency_ghz
             == one_u_spec.power_model.nominal_frequency_ghz
         )
-        assert limits.sprint_frequency_ghz == limits.max_frequency_ghz
 
 
 class TestExecutor:
     @pytest.fixture
     def limits(self):
-        return ActuatorLimits(
-            min_frequency_ghz=1.6,
-            max_frequency_ghz=2.4,
-            sprint_frequency_ghz=2.4,
-            sprint_budget_s=300.0,
-        )
+        return ActuatorLimits(min_frequency_ghz=1.6, max_frequency_ghz=2.4)
 
     def test_clamps_into_envelope(self, limits):
         executor = Executor(limits)
         decision = executor.apply(
-            ControlAction(frequency_ghz=3.5, utilization_cap=1.7), dt_s=60.0
+            ThrottleDecision(frequency_ghz=3.5, utilization_cap=1.7)
         )
         assert decision.frequency_ghz == 2.4
         assert decision.utilization_cap == 1.0
         assert executor.clamp_count == 1
 
         decision = executor.apply(
-            ControlAction(frequency_ghz=0.5, utilization_cap=-0.2), dt_s=60.0
+            ThrottleDecision(frequency_ghz=0.5, utilization_cap=-0.2)
         )
         assert decision.frequency_ghz == 1.6
         assert decision.utilization_cap == 0.0
@@ -164,77 +126,10 @@ class TestExecutor:
 
     def test_nominal_passes_through_exactly(self, limits):
         executor = Executor(limits)
-        decision = executor.apply(ControlAction(frequency_ghz=2.4), dt_s=60.0)
+        decision = executor.apply(ThrottleDecision(frequency_ghz=2.4))
         assert decision.frequency_ghz == 2.4
         assert not decision.limited
         assert executor.clamp_count == 0
-
-    def test_sprint_budget_metering(self, limits):
-        executor = Executor(limits)
-        for _ in range(5):  # 5 x 60 s fits the 300 s budget exactly
-            executor.apply(
-                ControlAction(frequency_ghz=2.4, sprint=True), dt_s=60.0
-            )
-        assert executor.sprints_granted == 5
-        assert executor.sprint_budget_remaining_s == 0.0
-        executor.apply(
-            ControlAction(frequency_ghz=2.4, sprint=True), dt_s=60.0
-        )
-        assert executor.sprints_declined == 1
-        executor.reset()
-        assert executor.sprint_budget_remaining_s == 300.0
-        assert executor.sprints_granted == 0
-
-    def test_setpoint_slew_and_reset(self, limits):
-        room = RoomModel(cooling_capacity_w=1000.0, setpoint_c=25.0)
-        executor = Executor(limits, room=room)
-        executor.apply(
-            ControlAction(frequency_ghz=2.4, cooling_setpoint_c=20.0),
-            dt_s=60.0,
-        )
-        # Slew-limited: one tick moves at most 1 degree.
-        assert room.setpoint_c == 24.0
-        executor.apply(
-            ControlAction(frequency_ghz=2.4, cooling_setpoint_c=23.5),
-            dt_s=60.0,
-        )
-        assert room.setpoint_c == 23.5
-        executor.reset()
-        assert room.setpoint_c == 25.0
-
-
-# -- verifier ----------------------------------------------------------------
-
-
-class TestVerifier:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ControlError):
-            Verifier(tolerance_c=0.0)
-        with pytest.raises(ControlError):
-            Verifier(patience=0)
-        with pytest.raises(ControlError):
-            Verifier(recovery_ticks=0)
-
-    def test_escalates_after_patience_and_recovers(self):
-        verifier = Verifier(tolerance_c=0.5, patience=2, recovery_ticks=2)
-        # No prediction yet: never a divergence.
-        assert not verifier.check(25.0)
-
-        verifier._predicted_c = 25.0
-        assert verifier.check(26.0)  # miss 1
-        assert not verifier.fallback_active
-        verifier._predicted_c = 25.0
-        assert verifier.check(26.0)  # miss 2 -> escalate
-        assert verifier.fallback_active
-        assert verifier.escalations == 1
-
-        verifier._predicted_c = 25.0
-        assert not verifier.check(25.1)  # clean 1
-        assert verifier.fallback_active
-        verifier._predicted_c = 25.0
-        assert not verifier.check(25.1)  # clean 2 -> de-escalate
-        assert not verifier.fallback_active
-        assert verifier.divergences == 2
 
 
 # -- loop wiring -------------------------------------------------------------
@@ -244,23 +139,14 @@ class TestControlLoopWiring:
     def test_requires_a_room(self):
         with pytest.raises(ControlError):
             ControlLoop(NoOpPlanner(), room=None)
-        with pytest.raises(ControlError):
-            ControlLoop(
-                NoOpPlanner(),
-                RoomModel(cooling_capacity_w=1.0),
-                tick_interval_s=0.0,
-            )
 
     def test_unknown_tournament_planner_rejected(self):
         with pytest.raises(ControlError):
-            control_policy_factory("nonexistent", 60.0)
+            control_policy_factory("nonexistent")
 
     def test_decision_log_and_obs_counters(self):
         config = small_config()
-        sim = build_simulator(
-            config,
-            policy_factory=loop_factory(NoOpPlanner, config),
-        )
+        sim = build_simulator(config, policy_factory=loop_factory(NoOpPlanner))
         registry = get_registry()
         registry.reset()
         registry.enable()
@@ -280,51 +166,23 @@ class TestControlLoopWiring:
         ]
         assert any("control.plan.noop" in name for name in snapshot.timers)
 
-    def test_fallback_escalation_switches_planner(self):
-        """An impossible tolerance forces divergence -> fallback."""
-
-        class PinnedMin(Planner):
-            name = "pinned-min"
-
-            def plan(self, obs):
-                return ControlAction(
-                    frequency_ghz=obs.min_frequency_ghz, limited=True
-                )
-
+    def test_decide_before_begin_tick_raises(self):
+        """The loop reads its clock from the engine hook and has no other."""
+        loop = ControlLoop(ScheduledPolicy(), RoomModel(cooling_capacity_w=1e5))
         config = small_config()
-        sim = build_simulator(
-            config,
-            policy_factory=lambda room, inj: ControlLoop(
-                NoOpPlanner(),
-                room,
-                injector=inj,
-                verifier=Verifier(tolerance_c=1e-12, patience=2),
-                fallback=PinnedMin(),
-                tick_interval_s=config.tick_interval_s,
-            ),
-        )
-        sim.run()
-        loop = sim.policy
-        assert loop.verifier.escalations >= 1
-        assert any(r.fallback_active for r in loop.decision_log)
-        assert any(
-            r.planner == "pinned-min" for r in loop.decision_log
-        )
-
-    def test_loop_without_begin_tick_reconstructs_clock(self):
-        """decide() works standalone (no engine hook), ticking its own clock."""
-        room = RoomModel(cooling_capacity_w=1e5)
-        loop = ControlLoop(
-            ScheduledPolicy(), room, tick_interval_s=hours(1.0)
-        )
-        config = small_config()
-        sim = build_simulator(config)  # only for a real thermal state
-        state = sim._make_state()
+        state = build_simulator(config)._make_state()  # a real thermal state
         work = np.full(config.server_count, 0.5)
-        for _ in range(30):
+        with pytest.raises(ControlError):
             loop.decide(state, work)
-        hours_seen = {round(r.time_s / 3600.0) for r in loop.decision_log}
-        assert len(hours_seen) == 30  # clock advanced once per decide
+
+        loop.begin_tick(hours(23.0), config.tick_interval_s)
+        decision = loop.decide(state, work)  # inside the 22 -> 6 window
+        assert decision.frequency_ghz == state.power_model.min_frequency_ghz
+        assert loop.decision_log[-1].time_s == hours(23.0)
+
+        loop.reset()  # a new run starts without a clock
+        with pytest.raises(ControlError):
+            loop.decide(state, work)
 
 
 # -- transparency oracle (satellite) -----------------------------------------
@@ -335,7 +193,7 @@ class TestTransparencyOracle:
         config = small_config()
         plain = build_simulator(config).run()
         controlled = build_simulator(
-            config, policy_factory=loop_factory(NoOpPlanner, config)
+            config, policy_factory=loop_factory(NoOpPlanner)
         ).run()
         assert identical_results(plain, controlled)
 
@@ -344,7 +202,7 @@ class TestTransparencyOracle:
         config = small_config(mode="event", engine=engine)
         plain = build_simulator(config).run()
         controlled = build_simulator(
-            config, policy_factory=loop_factory(NoOpPlanner, config)
+            config, policy_factory=loop_factory(NoOpPlanner)
         ).run()
         assert identical_results(plain, controlled)
 
@@ -361,7 +219,7 @@ class TestGreedyPortFidelity:
         ported = build_simulator(
             config,
             FaultInjector(schedule),
-            policy_factory=loop_factory(GreedyThrottlePolicy, config),
+            policy_factory=loop_factory(GreedyThrottlePolicy),
         ).run()
         assert identical_results(legacy, ported)
 
@@ -379,7 +237,7 @@ class TestGreedyPortFidelity:
         ported = build_simulator(
             config,
             FaultInjector(schedule),
-            policy_factory=loop_factory(GreedyThrottlePolicy, config),
+            policy_factory=loop_factory(GreedyThrottlePolicy),
         ).run()
         assert identical_results(legacy, ported)
 
@@ -410,7 +268,7 @@ class TestCrossEngineControlEquivalence:
         assert check_engine_agreement(
             config,
             seed=seed,
-            policy_factory=loop_factory(PLANNER_FACTORIES[planner], config),
+            policy_factory=loop_factory(PLANNER_FACTORIES[planner]),
         )
 
     @pytest.mark.parametrize("planner", sorted(PLANNER_FACTORIES))
@@ -422,9 +280,7 @@ class TestCrossEngineControlEquivalence:
             sim = build_simulator(
                 replace(config, engine=engine),
                 FaultInjector(schedule),
-                policy_factory=loop_factory(
-                    PLANNER_FACTORIES[planner], config
-                ),
+                policy_factory=loop_factory(PLANNER_FACTORIES[planner]),
             )
             sim.run()
             logs.append(list(sim.policy.decision_log))
@@ -467,7 +323,6 @@ class TestMPCPolicy:
             {"shed_penalty_usd_per_server_hour": math.inf},
             {"overheat_penalty_usd_per_c_hour": math.nan},
             {"overheat_penalty_usd_per_c_hour": math.inf},
-            {"sprint_headroom_c": math.nan},
         ],
         ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
     )

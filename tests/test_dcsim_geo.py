@@ -1,5 +1,7 @@
 """Tests for geographic work relocation between constrained sites."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,16 @@ class TestGeoPair:
                 make_site("a", 0.0, False),
                 make_site("b", 0.0, False),
                 relocation_loss_fraction=1.0,
+            )
+
+    @pytest.mark.parametrize("tick", [0.0, -60.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tick_rejected(self, geo_setup, tick):
+        make_site, _ = geo_setup
+        with pytest.raises(ConfigurationError):
+            GeoPair(
+                make_site("a", 0.0, False),
+                make_site("b", 0.0, False),
+                tick_interval_s=tick,
             )
 
     def test_offset_sites_relocate_work(self, offset_no_wax):

@@ -1,6 +1,7 @@
 """Tests for mixed (rolling-retrofit) fleets."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ class TestMixedFleet:
             make_fleet(
                 one_u_characterization, one_u_spec.power_model, material,
                 google_trace.total, fraction=0.5, servers=0,
+            )
+
+    @pytest.mark.parametrize("tick", [0.0, -60.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tick_rejected(
+        self, one_u_characterization, one_u_spec, material, google_trace, tick
+    ):
+        with pytest.raises(ConfigurationError):
+            MixedFleet(
+                one_u_characterization, one_u_spec.power_model, material,
+                google_trace.total, total_servers=64, equipped_fraction=0.5,
+                tick_interval_s=tick,
             )
 
     def test_group_split(

@@ -1,5 +1,7 @@
 """Tests for the room-air thermal model."""
 
+import math
+
 import pytest
 
 from repro.dcsim.room import RoomModel
@@ -43,6 +45,20 @@ class TestValidation:
     def test_negative_release_rejected(self, room):
         with pytest.raises(ConfigurationError):
             room.step(60.0, -1.0)
+
+    @pytest.mark.parametrize("tick", [0.0, -60.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tick_rejected(self, room, tick):
+        with pytest.raises(ConfigurationError):
+            room.step(tick, 1000.0)
+        assert room.temperature_c == 25.0
+
+    @pytest.mark.parametrize("release", [math.nan, math.inf])
+    def test_non_finite_release_rejected(self, room, release):
+        with pytest.raises(ConfigurationError):
+            room.removal_w(release)
+        with pytest.raises(ConfigurationError):
+            room.step(60.0, release)
+        assert room.temperature_c == 25.0
 
 
 class TestCRACBehaviour:

@@ -32,6 +32,7 @@ from repro.faults.chaos import (
     ChaosConfig,
     ChaosRun,
     build_simulator,
+    check_engine_agreement,
     check_transparency,
     random_schedule,
     replay_bundle,
@@ -126,6 +127,30 @@ class TestTransparency:
         ).run()
         assert identical_results(first, second)
         assert result_fingerprint(first) == result_fingerprint(second)
+
+
+class TestEventMode:
+    """The event engines under the default
+    ``FaultResponsePolicy(RoomTemperaturePolicy)`` stack, on a small
+    plant (8 servers, 10 hours, 120 s ticks)."""
+
+    CONFIG = ChaosConfig(
+        server_count=8,
+        duration_s=hours(10.0),
+        tick_interval_s=120.0,
+        fault_start_s=hours(1.0),
+        fault_end_s=hours(5.0),
+        max_fault_s=hours(2.0),
+        quiet_from_s=hours(6.0),
+        relax_s=hours(2.0),
+        mode="event",
+    )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_engines_agree_and_invariants_hold(self, seed):
+        assert check_engine_agreement(self.CONFIG, seed)
+        run = run_schedule(random_schedule(seed, self.CONFIG), self.CONFIG)
+        assert run.ok, run.describe()
 
 
 class TestCheckRun:

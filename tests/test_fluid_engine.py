@@ -79,12 +79,7 @@ def _policy(planner, room, injector):
         "greedy": GreedyThrottlePolicy,
         "scheduled": ScheduledPolicy,
     }
-    return ControlLoop(
-        planners[planner](),
-        room,
-        injector=injector,
-        tick_interval_s=TICK_S,
-    )
+    return ControlLoop(planners[planner](), room, injector=injector)
 
 
 def _simulator(
@@ -550,9 +545,20 @@ class TestStretchMachinery:
         assert certified == decided
 
     def test_control_loop_has_no_certificate(self):
-        room = _room(4)
-        loop = ControlLoop(NoOpPlanner(), room, tick_interval_s=TICK_S)
-        assert loop.constant_decision(self._state()) is None
+        """The loop's begin_tick clock hook keeps every tick scalar."""
+        plant = fe._FluidLoop(
+            _simulator(
+                "batched",
+                levels=[0.2, 0.9, 0.4],
+                duration_s=6 * 3600.0,
+                servers=4,
+                planner="noop",
+                schedule=None,
+                with_room=True,
+            )
+        )
+        assert isinstance(plant.policy, ControlLoop)
+        assert plant._constant_decision() is None
 
     def test_injector_boundary_and_dormancy(self):
         schedule = FaultSchedule(

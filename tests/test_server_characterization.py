@@ -1,5 +1,7 @@
 """Tests for the lumped per-server characterization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,13 @@ class TestLumpedModel:
         model = self._model(one_u_spec, one_u_characterization)
         with pytest.raises(ConfigurationError):
             model.step(0.0, 0.5)
+
+    @pytest.mark.parametrize("tick", [0.0, -60.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tick_rejected(
+        self, one_u_spec, one_u_characterization, tick
+    ):
+        model = self._model(one_u_spec, one_u_characterization)
+        zone_before = model.zone_temperature_c
+        with pytest.raises(ConfigurationError):
+            model.step(tick, 0.5)
+        assert model.zone_temperature_c == zone_before

@@ -34,12 +34,12 @@ grille experiments play for its Icepak models.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from scipy.optimize import brentq
-
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.materials.pcm import PCMMaterial
 from repro.server.chassis import ServerChassis
@@ -103,6 +103,89 @@ class PlatformSpec:
         return replace(self, chassis=self.chassis.with_wax_loadout(loadout))
 
 
+# SciPy's ``brentq`` defaults: a relative tolerance of four machine
+# epsilons and at most 100 iterations.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent_root(
+    f: Callable[[float], float], low: float, high: float, xtol: float
+) -> float:
+    """Root of ``f`` between ``low`` and ``high`` by Brent's method.
+
+    A line-for-line port of SciPy's ``brentq.c``: the same IEEE operations
+    in the same order, so it evaluates ``f`` at the same points and
+    returns the same bits as ``scipy.optimize.brentq(f, low, high,
+    xtol=xtol)``. The bracket may be given in either order; ``f`` must
+    not return NaN (SciPy raises there, the port does not check).
+    """
+    xpre, xcur = low, high
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConfigurationError(
+            f"f({low}) and f({high}) must have different signs"
+        )
+    for _ in range(_BRENT_MAXITER):
+        if (
+            fpre != 0
+            and fcur != 0
+            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre)
+                    / (dblk * dpre * (fblk - fpre))
+                )
+            # C's MIN(a, b) is ``a < b ? a : b``.
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise SolverError(
+        f"root-find failed to converge after {_BRENT_MAXITER} iterations, "
+        f"value is {xcur}"
+    )
+
+
 def calibrate_duct_area(
     fans: FanBank,
     base_impedance: SystemImpedance,
@@ -119,10 +202,15 @@ def calibrate_duct_area(
     flow. A small duct is badly hurt by blockage; a large one shrugs it
     off; the mapping is monotonic, so a bracketing root-find suffices.
     """
-    if advected_power_w <= 0:
-        raise ConfigurationError("advected power must be positive")
-    if target_outlet_rise_c <= 0:
-        raise ConfigurationError("target outlet rise must be positive")
+    if not 0.0 < advected_power_w < math.inf:
+        raise ConfigurationError(
+            f"advected power must be positive and finite, got {advected_power_w}"
+        )
+    if not 0.0 < target_outlet_rise_c < math.inf:
+        raise ConfigurationError(
+            "target outlet rise must be positive and finite, got "
+            f"{target_outlet_rise_c}"
+        )
     if not 0.0 < blockage_fraction < 1.0:
         raise ConfigurationError(
             f"blockage fraction must be in (0, 1), got {blockage_fraction}"
@@ -144,7 +232,7 @@ def calibrate_duct_area(
         raise ConfigurationError(
             "target rise unreachable: even a tiny duct falls short of it"
         )
-    return float(brentq(rise_delta, low, high, xtol=1e-8))
+    return _brent_root(rise_delta, low, high, xtol=1e-8)
 
 
 def _default_wax() -> PCMMaterial:

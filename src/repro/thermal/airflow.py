@@ -46,13 +46,15 @@ class FanCurve:
     max_flow_m3_s: float
 
     def __post_init__(self) -> None:
-        if self.max_pressure_pa <= 0:
+        if not 0.0 < self.max_pressure_pa < math.inf:
             raise ConfigurationError(
-                f"fan shut-off pressure must be positive, got {self.max_pressure_pa}"
+                "fan shut-off pressure must be positive and finite, got "
+                f"{self.max_pressure_pa}"
             )
-        if self.max_flow_m3_s <= 0:
+        if not 0.0 < self.max_flow_m3_s < math.inf:
             raise ConfigurationError(
-                f"fan free-delivery flow must be positive, got {self.max_flow_m3_s}"
+                "fan free-delivery flow must be positive and finite, got "
+                f"{self.max_flow_m3_s}"
             )
 
     def pressure_at_flow(self, flow_m3_s: float, speed_fraction: float = 1.0) -> float:
@@ -62,9 +64,9 @@ class FanCurve:
         Flows beyond free delivery return negative pressure (the fan acts as
         a restriction), which the operating-point solver never selects.
         """
-        if speed_fraction <= 0:
+        if not 0.0 < speed_fraction < math.inf:
             raise ConfigurationError(
-                f"fan speed fraction must be positive, got {speed_fraction}"
+                f"fan speed fraction must be positive and finite, got {speed_fraction}"
             )
         scaled_max_flow = self.max_flow_m3_s * speed_fraction
         scaled_max_pressure = self.max_pressure_pa * speed_fraction**2
@@ -84,10 +86,14 @@ class FanBank:
     power_per_fan_w: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ConfigurationError(f"fan count must be positive, got {self.count}")
-        if self.power_per_fan_w < 0:
-            raise ConfigurationError("fan power must be non-negative")
+        if not 0 < self.count < math.inf:
+            raise ConfigurationError(
+                f"fan count must be positive and finite, got {self.count}"
+            )
+        if not 0.0 <= self.power_per_fan_w < math.inf:
+            raise ConfigurationError(
+                f"fan power must be non-negative and finite, got {self.power_per_fan_w}"
+            )
 
     @property
     def total_power_w(self) -> float:
@@ -111,7 +117,7 @@ class FanBank:
         is simply smaller. At least one fan must survive — a chassis
         with zero moving fans has no forced-convection operating point.
         """
-        if failed < 0:
+        if not 0 <= failed:
             raise ConfigurationError(
                 f"failed fan count must be non-negative, got {failed}"
             )
@@ -140,9 +146,9 @@ class SystemImpedance:
     coefficient_pa_s2_per_m6: float
 
     def __post_init__(self) -> None:
-        if self.coefficient_pa_s2_per_m6 < 0:
+        if not 0.0 <= self.coefficient_pa_s2_per_m6 < math.inf:
             raise ConfigurationError(
-                f"impedance coefficient must be non-negative, got "
+                "impedance coefficient must be non-negative and finite, got "
                 f"{self.coefficient_pa_s2_per_m6}"
             )
 
@@ -152,8 +158,11 @@ class SystemImpedance:
 
     def with_added(self, extra_coefficient: float) -> "SystemImpedance":
         """Impedance with an additional series restriction."""
-        if extra_coefficient < 0:
-            raise ConfigurationError("added impedance must be non-negative")
+        if not 0.0 <= extra_coefficient < math.inf:
+            raise ConfigurationError(
+                "added impedance must be non-negative and finite, got "
+                f"{extra_coefficient}"
+            )
         return SystemImpedance(self.coefficient_pa_s2_per_m6 + extra_coefficient)
 
 
@@ -174,8 +183,10 @@ def blockage_impedance_coefficient(
     the base chassis impedance), the coefficient of the empty cross-section
     is subtracted, so ``blocked_fraction = 0`` adds exactly zero.
     """
-    if free_area_m2 <= 0:
-        raise ConfigurationError(f"duct area must be positive, got {free_area_m2}")
+    if not 0.0 < free_area_m2 < math.inf:
+        raise ConfigurationError(
+            f"duct area must be positive and finite, got {free_area_m2}"
+        )
     if not 0.0 <= blocked_fraction < 1.0:
         raise ConfigurationError(
             f"blocked fraction must be in [0, 1), got {blocked_fraction}"
@@ -205,9 +216,9 @@ def operating_flow(
     where ``P_max`` and ``Q_free`` are the bank's speed-scaled shut-off
     pressure and free-delivery flow.
     """
-    if speed_fraction <= 0:
+    if not 0.0 < speed_fraction < math.inf:
         raise ConfigurationError(
-            f"fan speed fraction must be positive, got {speed_fraction}"
+            f"fan speed fraction must be positive and finite, got {speed_fraction}"
         )
     max_pressure = fans.curve.max_pressure_pa * speed_fraction**2
     free_flow = fans.max_flow_m3_s(speed_fraction)
@@ -315,9 +326,9 @@ class AirPath:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ConfigurationError("an air path needs at least one segment")
-        if self.duct_area_m2 <= 0:
+        if not 0.0 < self.duct_area_m2 < math.inf:
             raise ConfigurationError(
-                f"duct area must be positive, got {self.duct_area_m2}"
+                f"duct area must be positive and finite, got {self.duct_area_m2}"
             )
         if not 0.0 <= self.added_blockage_fraction < 1.0:
             raise ConfigurationError(

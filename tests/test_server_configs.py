@@ -1,10 +1,18 @@
-"""Tests pinning the three platforms to the paper's published anchors."""
+"""Tests pinning the three platforms to the paper's published anchors,
+and the duct calibration's root-find to SciPy's."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.server.chassis import constant_utilization
 from repro.server.configs import (
+    _brent_root,
     calibrate_duct_area,
     platform_by_name,
 )
@@ -149,6 +157,108 @@ class TestDuctCalibration:
             calibrate_duct_area(fans, impedance, 185.0, 0.0, 14.0)
         with pytest.raises(ConfigurationError):
             calibrate_duct_area(fans, impedance, 185.0, 0.9, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                calibrate_duct_area(fans, impedance, bad, 0.9, 14.0)
+            with pytest.raises(ConfigurationError):
+                calibrate_duct_area(fans, impedance, 185.0, 0.9, bad)
+
+    @pytest.mark.parametrize(
+        ("name", "area_m2"),
+        [
+            ("1u", 0.008969978968470245),
+            ("2u", 0.010559097502886534),
+            ("ocp", 0.0008791776217257526),
+        ],
+    )
+    def test_platform_areas_are_scipys_bits(self, name, area_m2):
+        # The areas scipy.optimize.brentq calibrated before the port
+        # replaced it; every platform transient depends on these bits.
+        assert platform_by_name(name).chassis.duct_area_m2 == area_m2
+
+
+def _recorded(f, calls):
+    """``f`` that appends each point it is evaluated at to ``calls``."""
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped
+
+
+# Strictly increasing shapes with a root at 0; the test shifts, scales and
+# flips them. Smooth, saturating and kinked shapes steer Brent's method
+# through interpolation, extrapolation and bisection steps.
+_MONOTONE_SHAPES = {
+    "linear": lambda u: u,
+    "cubic": lambda u: u**3 + 0.01 * u,
+    "exp": math.expm1,
+    "atan": math.atan,
+    "saturating": lambda u: u / (1.0 + abs(u)),
+    "kinked": lambda u: u if u < 0 else 50.0 * u,
+    "reciprocal": lambda u: 1.0 - 1.0 / (1.0 + u) if u > -0.5 else u - 1.0,
+}
+
+
+class TestBrentRootAgainstSciPy:
+    """``_brent_root`` against the ``scipy.optimize.brentq`` it ports."""
+
+    @given(
+        shape=st.sampled_from(sorted(_MONOTONE_SHAPES)),
+        root=st.floats(min_value=-5.0, max_value=5.0),
+        below=st.floats(min_value=1e-3, max_value=10.0),
+        above=st.floats(min_value=1e-3, max_value=10.0),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+        decreasing=st.booleans(),
+        swapped=st.booleans(),
+        xtol=st.sampled_from([1e-8, 2e-12, 1e-4]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_points_and_root_bits(
+        self, shape, root, below, above, scale, decreasing, swapped, xtol
+    ):
+        g = _MONOTONE_SHAPES[shape]
+        sign = -scale if decreasing else scale
+
+        def f(x):
+            return sign * g(x - root)
+
+        low, high = root - below, root + above
+        if swapped:
+            low, high = high, low
+        ours, theirs = [], []
+        port = _brent_root(_recorded(f, ours), low, high, xtol)
+        oracle = brentq(_recorded(f, theirs), low, high, xtol=xtol)
+        assert np.float64(port).tobytes() == np.float64(oracle).tobytes()
+        assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+    def test_same_points_when_neither_converges(self):
+        # A step bisects a 1e300-wide bracket: 100 halvings are not enough.
+        def step(x):
+            return -1.0 if x < 1.0 else 1.0
+
+        ours, theirs = [], []
+        with pytest.raises(SolverError):
+            _brent_root(_recorded(step, ours), -1e300, 1e300, 1e-8)
+        with pytest.raises(RuntimeError):
+            brentq(_recorded(step, theirs), -1e300, 1e300, xtol=1e-8)
+        assert len(ours) == 102
+        assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+    def test_unbracketed_root_rejected(self):
+        with pytest.raises(ConfigurationError):
+            _brent_root(lambda x: x, 1.0, 2.0, 1e-8)
+        with pytest.raises(ValueError):
+            brentq(lambda x: x, 1.0, 2.0, xtol=1e-8)
+
+    @pytest.mark.parametrize("root", [1.0, 2.0])
+    def test_root_at_an_end_returned_as_is(self, root):
+        def f(x):
+            return x - root
+
+        assert _brent_root(f, 1.0, 2.0, 1e-8) == root
+        assert brentq(f, 1.0, 2.0, xtol=1e-8) == root
 
 
 class TestWaxMaterialOverride:

@@ -1,5 +1,7 @@
 """Tests for fans, impedance, blockage, and stream segments."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,3 +227,77 @@ class TestAirPath:
         assert path.segment("front").name == "front"
         with pytest.raises(ConfigurationError):
             path.segment("missing")
+
+
+def _path_with_duct(area_m2):
+    return AirPath(
+        fans=FanBank(FanCurve(60.0, 0.004), count=6),
+        base_impedance=SystemImpedance(400_000.0),
+        segments=[AirSegment("only")],
+        duct_area_m2=area_m2,
+    )
+
+
+_BANK = FanBank(FanCurve(60.0, 0.004), count=6)
+
+
+class TestNonFiniteRejected:
+    """NaN fails every range check; inf fails where the value must be finite."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: FanCurve(math.nan, 0.01), id="shutoff-nan"),
+            pytest.param(lambda: FanCurve(math.inf, 0.01), id="shutoff-inf"),
+            pytest.param(lambda: FanCurve(100.0, math.nan), id="free-flow-nan"),
+            pytest.param(lambda: FanCurve(100.0, math.inf), id="free-flow-inf"),
+            pytest.param(
+                lambda: _BANK.curve.pressure_at_flow(0.001, math.nan),
+                id="curve-speed-nan",
+            ),
+            pytest.param(
+                lambda: _BANK.curve.pressure_at_flow(0.001, math.inf),
+                id="curve-speed-inf",
+            ),
+            pytest.param(
+                lambda: FanBank(_BANK.curve, 6, power_per_fan_w=math.nan),
+                id="fan-power-nan",
+            ),
+            pytest.param(
+                lambda: FanBank(_BANK.curve, 6, power_per_fan_w=math.inf),
+                id="fan-power-inf",
+            ),
+            pytest.param(
+                lambda: _BANK.with_failed_fans(math.nan), id="failed-fans-nan"
+            ),
+            pytest.param(lambda: SystemImpedance(math.nan), id="impedance-nan"),
+            pytest.param(lambda: SystemImpedance(math.inf), id="impedance-inf"),
+            pytest.param(
+                lambda: SystemImpedance(1.0).with_added(math.nan), id="added-nan"
+            ),
+            pytest.param(
+                lambda: SystemImpedance(1.0).with_added(math.inf), id="added-inf"
+            ),
+            pytest.param(
+                lambda: blockage_impedance_coefficient(math.nan, 0.5),
+                id="blockage-area-nan",
+            ),
+            pytest.param(
+                lambda: blockage_impedance_coefficient(math.inf, 0.5),
+                id="blockage-area-inf",
+            ),
+            pytest.param(
+                lambda: operating_flow(_BANK, SystemImpedance(1.0), math.nan),
+                id="operating-speed-nan",
+            ),
+            pytest.param(
+                lambda: operating_flow(_BANK, SystemImpedance(1.0), math.inf),
+                id="operating-speed-inf",
+            ),
+            pytest.param(lambda: _path_with_duct(math.nan), id="duct-area-nan"),
+            pytest.param(lambda: _path_with_duct(math.inf), id="duct-area-inf"),
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()

@@ -28,7 +28,12 @@ from repro.server.power import ServerPowerModel
 from repro.server.wax_box import WaxLoadout
 from repro.thermal.airflow import AirPath, AirSegment, FanBank, SystemImpedance
 from repro.thermal.convection import ConvectiveCoupling
-from repro.thermal.network import ThermalNetwork, affine_power_vector
+from repro.thermal.network import (
+    ThermalNetwork,
+    affine_power_vector,
+    breakpoints_of,
+    tag_breakpoints,
+)
 from repro.units import ALUMINUM_CONDUCTIVITY, ALUMINUM_SPECIFIC_HEAT
 
 UtilizationSchedule = Callable[[float], float]
@@ -36,10 +41,11 @@ FrequencySchedule = Callable[[float], float]
 
 
 def constant_utilization(level: float) -> UtilizationSchedule:
-    """Schedule holding a fixed utilization."""
+    """Schedule holding a fixed utilization (no breakpoints)."""
     if not 0.0 <= level <= 1.0:
         raise ConfigurationError(f"utilization must be in [0, 1], got {level}")
-    return lambda _t: level
+    return tag_breakpoints(lambda _t: level, ())
+
 
 def step_utilization(
     idle_level: float, loaded_level: float, start_s: float, end_s: float
@@ -47,22 +53,24 @@ def step_utilization(
     """The paper's validation profile: idle, then loaded, then idle again.
 
     (Section 3: "60 minutes of idle time, followed by 12 hours under heavy
-    load ... and then 12 hours at idle again".)
+    load ... and then 12 hours at idle again".) The load applies on
+    ``start_s <= t < end_s``, so the schedule's breakpoints are
+    ``(start_s, end_s)``; an infinite start or end is allowed, NaN is not.
     """
     for label, level in (("idle", idle_level), ("loaded", loaded_level)):
         if not 0.0 <= level <= 1.0:
             raise ConfigurationError(
                 f"{label} utilization must be in [0, 1], got {level}"
             )
-    if start_s >= end_s:
+    if not start_s < end_s:
         raise ConfigurationError(
-            f"load window is inverted: [{start_s}, {end_s}]"
+            f"load window must satisfy start < end, got [{start_s}, {end_s}]"
         )
 
     def schedule(time_s: float) -> float:
         return loaded_level if start_s <= time_s < end_s else idle_level
 
-    return schedule
+    return tag_breakpoints(schedule, (start_s, end_s))
 
 
 #: Mass of aluminum per liter of box volume used for the placebo (empty
@@ -209,13 +217,14 @@ class ServerChassis:
     def fan_speed_schedule(
         self, utilization: UtilizationSchedule
     ) -> Callable[[float], float]:
-        """Fan speed fraction over time, driven by the utilization schedule."""
+        """Fan speed fraction over time, driven by the utilization schedule
+        (whose breakpoints it shares)."""
 
         def schedule(time_s: float) -> float:
             level = utilization(time_s)
             return self.idle_fan_fraction + (1.0 - self.idle_fan_fraction) * level
 
-        return schedule
+        return tag_breakpoints(schedule, breakpoints_of(utilization))
 
     def reference_flow_m3_s(self) -> float:
         """Full-speed unblocked operating flow; the datum for convective
@@ -273,8 +282,12 @@ class ServerChassis:
             def frequency_schedule(_t: float) -> float:
                 return nominal
 
+            tag_breakpoints(frequency_schedule, ())
+
         def dvfs_factor(time_s: float) -> float:
             return self.power_model.frequency_factor(frequency_schedule(time_s))
+
+        tag_breakpoints(dvfs_factor, breakpoints_of(frequency_schedule))
 
         network = ThermalNetwork(name=self.name)
         network.add_boundary_node("inlet", inlet_temperature_c)

@@ -17,6 +17,7 @@ not (``scales_with_frequency``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
@@ -56,26 +57,31 @@ class Component:
     scales_with_frequency: bool = False
 
     def __post_init__(self) -> None:
+        """Every test is an in-range comparison that NaN fails."""
         if self.count <= 0:
             raise ConfigurationError(
                 f"component {self.name!r}: count must be positive, got {self.count}"
             )
-        if self.heat_capacity_j_per_k <= 0:
+        if not 0 < self.heat_capacity_j_per_k < math.inf:
             raise ConfigurationError(
-                f"component {self.name!r}: heat capacity must be positive"
+                f"component {self.name!r}: heat capacity must be positive and "
+                f"finite, got {self.heat_capacity_j_per_k}"
             )
-        if self.idle_power_w < 0 or self.peak_power_w < 0:
+        if not 0 <= self.idle_power_w < math.inf:
             raise ConfigurationError(
-                f"component {self.name!r}: powers must be non-negative"
+                f"component {self.name!r}: idle power must be non-negative and "
+                f"finite, got {self.idle_power_w}"
             )
-        if self.peak_power_w < self.idle_power_w:
+        if not self.idle_power_w <= self.peak_power_w < math.inf:
             raise ConfigurationError(
                 f"component {self.name!r}: peak power ({self.peak_power_w}) "
-                f"below idle power ({self.idle_power_w})"
+                f"must be finite and at least the idle power "
+                f"({self.idle_power_w})"
             )
-        if self.reference_conductance_w_per_k <= 0:
+        if not 0 < self.reference_conductance_w_per_k < math.inf:
             raise ConfigurationError(
-                f"component {self.name!r}: conductance must be positive"
+                f"component {self.name!r}: conductance must be positive and "
+                f"finite, got {self.reference_conductance_w_per_k}"
             )
 
     @property

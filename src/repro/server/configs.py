@@ -68,8 +68,10 @@ class PlatformSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.cost_usd <= 0:
-            raise ConfigurationError("server cost must be positive")
+        if not 0 < self.cost_usd < math.inf:
+            raise ConfigurationError(
+                f"server cost must be positive and finite, got {self.cost_usd}"
+            )
         if self.servers_per_rack <= 0 or self.clusters_per_10mw <= 0:
             raise ConfigurationError("rack and cluster counts must be positive")
         if self.cluster_size <= 0:

@@ -21,6 +21,7 @@ benchmark sweeps it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -64,24 +65,29 @@ class ServerPowerModel:
     psu_efficiency_loaded: float = 0.90
 
     def __post_init__(self) -> None:
-        if self.idle_power_w < 0:
+        """Every test is an in-range comparison that NaN fails."""
+        if not 0 <= self.idle_power_w < math.inf:
             raise ConfigurationError(
-                f"idle power must be non-negative, got {self.idle_power_w}"
+                f"idle power must be non-negative and finite, got "
+                f"{self.idle_power_w}"
             )
-        if self.peak_power_w <= self.idle_power_w:
+        if not self.idle_power_w < self.peak_power_w < math.inf:
             raise ConfigurationError(
-                f"peak power ({self.peak_power_w}) must exceed idle power "
-                f"({self.idle_power_w})"
+                f"peak power ({self.peak_power_w}) must be finite and exceed "
+                f"idle power ({self.idle_power_w})"
             )
-        if self.nominal_frequency_ghz <= 0 or self.min_frequency_ghz <= 0:
-            raise ConfigurationError("frequencies must be positive")
+        if not (
+            0 < self.nominal_frequency_ghz < math.inf
+            and 0 < self.min_frequency_ghz < math.inf
+        ):
+            raise ConfigurationError("frequencies must be positive and finite")
         if self.min_frequency_ghz > self.nominal_frequency_ghz:
             raise ConfigurationError(
                 "minimum frequency cannot exceed nominal frequency"
             )
-        if self.throughput_exponent <= 0:
+        if not 0 < self.throughput_exponent < math.inf:
             raise ConfigurationError(
-                f"throughput exponent must be positive, got "
+                f"throughput exponent must be positive and finite, got "
                 f"{self.throughput_exponent}"
             )
         for label, eff in (

@@ -17,6 +17,7 @@ count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -60,23 +61,22 @@ class WaxBox:
     fin_area_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.wax_volume_m3 <= 0:
+        """Every test is an in-range comparison that NaN and inf fail."""
+        for label, value in (
+            ("wax volume", self.wax_volume_m3),
+            ("exterior area", self.exterior_area_m2),
+            ("wall thickness", self.wall_thickness_m),
+            ("air film coefficient", self.air_film_coefficient_w_per_m2_k),
+            ("internal path length", self.internal_path_length_m),
+        ):
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{label} must be positive and finite, got {value}"
+                )
+        if not 1.0 <= self.fin_area_multiplier < math.inf:
             raise ConfigurationError(
-                f"wax volume must be positive, got {self.wax_volume_m3}"
-            )
-        if self.exterior_area_m2 <= 0:
-            raise ConfigurationError(
-                f"exterior area must be positive, got {self.exterior_area_m2}"
-            )
-        if self.wall_thickness_m <= 0:
-            raise ConfigurationError("wall thickness must be positive")
-        if self.air_film_coefficient_w_per_m2_k <= 0:
-            raise ConfigurationError("air film coefficient must be positive")
-        if self.internal_path_length_m <= 0:
-            raise ConfigurationError("internal path length must be positive")
-        if self.fin_area_multiplier < 1.0:
-            raise ConfigurationError(
-                f"fin area multiplier must be >= 1, got {self.fin_area_multiplier}"
+                f"fin area multiplier must be >= 1 and finite, got "
+                f"{self.fin_area_multiplier}"
             )
 
     @classmethod

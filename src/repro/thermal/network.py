@@ -70,6 +70,41 @@ def constant_value_of(func: Callable[[float], float]) -> float | None:
     return getattr(func, "constant_value", None)
 
 
+def breakpoints_of(*funcs: Callable[[float], object]) -> tuple[float, ...] | None:
+    """Sorted times at which the functions' values may change, or ``None``.
+
+    A function tagged ``breakpoints`` (see :func:`tag_breakpoints`) is
+    constant on each half-open interval ``[b_k, b_{k+1})`` between
+    consecutive breakpoints, before the first and from the last, as
+    :func:`~repro.server.chassis.step_utilization` is on
+    ``start_s <= t < end_s``. A constant from :func:`_as_time_function`
+    gives ``()``. An untagged callable gives ``None``: it may change at
+    any time. Several functions give the sorted union of their tags, or
+    ``None`` when any of them is untagged.
+    """
+    merged: set[float] = set()
+    for func in funcs:
+        if constant_value_of(func) is not None:
+            continue
+        breakpoints = getattr(func, "breakpoints", None)
+        if breakpoints is None:
+            return None
+        merged.update(breakpoints)
+    return tuple(sorted(merged))
+
+
+def tag_breakpoints(func: Callable, breakpoints: tuple[float, ...] | None) -> Callable:
+    """Tag ``func`` with the times at which its value may change.
+
+    The tag promises :func:`breakpoints_of`'s half-open intervals, so the
+    times must be ordered reals (no NaN). ``None`` leaves ``func``
+    untagged. Returns ``func``.
+    """
+    if breakpoints is not None:
+        func.breakpoints = breakpoints
+    return func
+
+
 def affine_power_vector(
     network: ThermalNetwork,
     affine: dict[str, tuple[float, float, bool]],
@@ -89,7 +124,9 @@ def affine_power_vector(
     evaluates them once, with the same arithmetic, so it is bit-identical
     to the closures (``x * 1.0 == x``). Results are memoized on the
     ``(u, f)`` pair, so every ``custom`` closure must be a function of
-    those two values; the schedules are piecewise constant in time.
+    those two values; the schedules are piecewise constant in time. For
+    the same reason the vector carries the union of the two schedules'
+    breakpoints (see :func:`breakpoints_of`).
     """
     names = network.capacitive_names
     idle_vec = np.array([affine.get(name, (0.0, 0.0, False))[0] for name in names])
@@ -115,7 +152,7 @@ def affine_power_vector(
         cache["powers"] = powers
         return powers
 
-    return power_vector
+    return tag_breakpoints(power_vector, breakpoints_of(utilization, dvfs_factor))
 
 
 @dataclass

@@ -26,6 +26,7 @@ speedups.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import ObsRegistry, get_registry
-from repro.thermal.network import ThermalNetwork, constant_value_of
+from repro.thermal.network import ThermalNetwork, breakpoints_of, constant_value_of
 from repro.units import AIR_VOLUMETRIC_HEAT_CAPACITY
 
 #: Default fraction of the minimum time constant used as the RK4 step.
@@ -175,7 +176,10 @@ class _CompiledNetwork:
     * time-dependent inputs are cached per evaluation time — RK4
       evaluates ``t + dt/2`` twice per step — and the constants are
       rebuilt only when the evaluated inputs change (see
-      :meth:`_constants_at`).
+      :meth:`_constants_at`). When every input schedule publishes its
+      breakpoints, :attr:`breakpoints` certifies that the inputs are
+      constant between them, and no schedule is called inside an
+      interval.
     """
 
     def __init__(self, network: ThermalNetwork) -> None:
@@ -342,10 +346,25 @@ class _CompiledNetwork:
                 float(self.pcm_mushy_slope[0]),
             )
 
+        # -- input breakpoints: the certificate ---------------------------------
+        # The sorted times at which any input (powers, fan speed, boundary
+        # temperatures) may change, or None when some schedule is untagged.
+        input_schedules = (
+            [self.power_vector_fn]
+            if self.power_vector_fn is not None
+            else [func for _, func in self.power_slots]
+        )
+        input_schedules += [func for _, func in self.boundary_slots]
+        if self.air_path is not None and self.air_path.fan_speed_schedule is not None:
+            input_schedules.append(self.air_path.fan_speed_schedule)
+        self.breakpoints = breakpoints_of(*input_schedules)
+
         # -- per-run caches ----------------------------------------------------
         self._input_cache_time: float | None = None
         self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._inputs_key: tuple | None = None
+        #: ``bisect_right(breakpoints, t)`` of the cached pair's inputs.
+        self._input_interval: int | None = None
         #: Input evaluations that rebuilt the constants / reused them.
         self.inputs_computed = 0
         self.inputs_reused = 0
@@ -509,22 +528,9 @@ class _CompiledNetwork:
         self._op_cache = (matrix, inlet_vector)
         return self._op_cache
 
-    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(K, state-independent derivative terms) at a time.
-
-        The constant vector collects node powers, boundary-edge flows, and
-        the air path's inlet contribution, already divided by capacity. RK4
-        evaluates the midpoint twice per step, so a repeated time returns
-        the cached pair at once. Otherwise the inputs are evaluated. The
-        pair is a pure function of them, and the flow enters only through
-        the operator caches, which compare flows with ``==``. So when the
-        powers and boundary temperatures are bit-equal (``tobytes()``) to
-        the previous evaluation's and the flow is equal, as
-        piecewise-constant schedules make them almost always, the previous
-        pair is returned without a rebuild.
-        """
-        if time_s == self._input_cache_time and self._input_cache is not None:
-            return self._input_cache
+    def _inputs_at(self, time_s: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The inputs at a time: their ``(flow, powers bytes, boundary
+        bytes)`` key, the node powers and the boundary temperatures."""
         if self.static_boundary_flows is not None:
             boundary = self.boundary_const
         else:
@@ -533,7 +539,36 @@ class _CompiledNetwork:
         flow = 0.0
         if self.air_path is not None:
             flow = self.air_path.flow_at_time(time_s)
-        key = (flow, powers.tobytes(), boundary.tobytes())
+        return (flow, powers.tobytes(), boundary.tobytes()), powers, boundary
+
+    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(K, state-independent derivative terms) at a time.
+
+        The constant vector collects node powers, boundary-edge flows, and
+        the air path's inlet contribution, already divided by capacity. RK4
+        evaluates the midpoint twice per step, so a repeated time returns
+        the cached pair at once. A certified network (see
+        :attr:`breakpoints`) whose time falls in the cached inputs'
+        interval ``[b_k, b_{k+1})`` reuses the pair without calling a
+        schedule. Otherwise the inputs are evaluated. The pair is a pure
+        function of them, and the flow enters only through the operator
+        caches, which compare flows with ``==``. So when the powers and
+        boundary temperatures are bit-equal (``tobytes()``) to the
+        previous evaluation's and the flow is equal, as piecewise-constant
+        schedules make them almost always, the previous pair is returned
+        without a rebuild. Either reuse counts in :attr:`inputs_reused`.
+        """
+        if time_s == self._input_cache_time and self._input_cache is not None:
+            return self._input_cache
+        interval = None
+        if self.breakpoints is not None:
+            interval = bisect_right(self.breakpoints, time_s)
+            if interval == self._input_interval:
+                self.inputs_reused += 1
+                self._input_cache_time = time_s
+                return self._input_cache
+        key, powers, boundary = self._inputs_at(time_s)
+        flow = key[0]
         if key == self._inputs_key:
             self.inputs_reused += 1
         else:
@@ -549,8 +584,35 @@ class _CompiledNetwork:
             base *= self.inv_capacity
             self._inputs_key = key
             self._input_cache = (operator, base)
+        self._input_interval = interval
         self._input_cache_time = time_s
         return self._input_cache
+
+    def _holds_at(self, time_s: float) -> bool:
+        """Whether the inputs at a time are the cached pair's; changes and
+        counts nothing."""
+        if self.breakpoints is not None:
+            return bisect_right(self.breakpoints, time_s) == self._input_interval
+        return self._inputs_at(time_s)[0] == self._inputs_key
+
+    def holds_through(self, time_now: float, dt: float) -> bool:
+        """Whether an RK4 step from ``time_now``, the time of the last
+        evaluation, reads only the cached pair.
+
+        When the inputs at ``time_now + dt/2`` and ``time_now + dt`` are
+        the pair's, both evaluations are counted and recorded as
+        :meth:`_constants_at` would, and the answer is True. Otherwise
+        nothing changes, so the step computed next counts as before.
+        """
+        midpoint = time_now + 0.5 * dt
+        end = time_now + dt
+        if not (self._holds_at(midpoint) and self._holds_at(end)):
+            return False
+        for time_s in (midpoint, end):
+            if time_s != self._input_cache_time:
+                self.inputs_reused += 1
+                self._input_cache_time = time_s
+        return True
 
     # -- physics --------------------------------------------------------------
 
@@ -851,12 +913,22 @@ def _integrate_rk4(
     obs: ObsRegistry,
     stop_at: tuple[str, float] | None,
 ) -> TransientResult:
-    """Fixed-step RK4 integration of the compiled network."""
+    """Fixed-step RK4 integration of the compiled network.
+
+    A step is a pure function of the state, ``dt`` and the cached
+    ``(K, c)`` pairs at ``t``, ``t + dt/2`` and ``t + dt``. So once a
+    computed step under one pair returns its input state byte for byte,
+    a later step of that ``dt`` whose inputs stay that pair only
+    advances the time (a fixed step). ``fixed_dts`` holds the step sizes
+    so verified for the current state and pair; any computed step that
+    moves the state or rebuilds the pair clears it.
+    """
 
     times = _sample_times(duration_s, output_interval_s)
     n_outputs = len(times)
 
     state = network.initial_state()
+    advanced = np.empty_like(state)
     work = (np.empty_like(state), np.empty_like(state), np.empty_like(state))
     n_cap = compiled.n_cap
     buffers = _TraceBuffers(compiled, n_outputs)
@@ -864,18 +936,33 @@ def _integrate_rk4(
 
     time_now = 0.0
     steps_taken = 0
+    fixed_steps = 0
+    fixed_dts: set[float] = set()
     for sample_index in range(n_outputs):
         target = times[sample_index]
         while time_now < target - 1e-9:
             dt = min(step, target - time_now)
-            _rk4_step(compiled.rhs, state, time_now, dt, work, state)
-            time_now += dt
             steps_taken += 1
-            if not _all_finite(state):
+            if dt in fixed_dts and compiled.holds_through(time_now, dt):
+                time_now += dt
+                fixed_steps += 1
+                continue
+            computed = compiled.inputs_computed
+            _rk4_step(compiled.rhs, state, time_now, dt, work, advanced)
+            time_now += dt
+            if not _all_finite(advanced):
                 raise SolverError(
                     f"non-finite state at t={time_now:.1f}s in network "
                     f"{network.name!r}; step {step:.3g}s may be unstable"
                 )
+            if (
+                compiled.inputs_computed == computed
+                and advanced.tobytes() == state.tobytes()
+            ):
+                fixed_dts.add(dt)
+            else:
+                fixed_dts.clear()
+            state, advanced = advanced, state
         buffers.record(sample_index, state, target)
         if watched is not None and watched[sample_index] >= stop_at[1]:
             times = times[: sample_index + 1]
@@ -885,7 +972,8 @@ def _integrate_rk4(
         obs.count("solver.runs")
         obs.count("solver.method.rk4")
         obs.count("solver.rk4_steps", steps_taken)
-        obs.count("solver.rhs_evals", 4 * steps_taken)
+        obs.count("solver.rk4_fixed_steps", fixed_steps)
+        obs.count("solver.rhs_evals", 4 * (steps_taken - fixed_steps))
         _count_inputs(obs, compiled)
         obs.record("solver.step_s", step)
 
@@ -899,9 +987,12 @@ def _integrate_rk4(
 def _count_inputs(
     obs: ObsRegistry, evaluator: _CompiledNetwork | _BatchCompiledNetwork
 ) -> None:
-    """Record how many input evaluations rebuilt or reused the constants."""
+    """Record how many input evaluations rebuilt or reused the constants,
+    and a run whose inputs were certified by their breakpoints."""
     obs.count("solver.inputs.computed", evaluator.inputs_computed)
     obs.count("solver.inputs.reused", evaluator.inputs_reused)
+    if evaluator.breakpoints is not None:
+        obs.count("solver.inputs.certified")
 
 
 def _simulate_bdf(
@@ -968,6 +1059,10 @@ class _BatchCompiledNetwork:
     they are stacked along a leading member axis and every kernel op
     broadcasts over it.
     """
+
+    #: No certificate (see :attr:`_CompiledNetwork.breakpoints`): the
+    #: batch evaluates its members' inputs at every new time.
+    breakpoints = None
 
     def __init__(self, members: list[_CompiledNetwork]) -> None:
         if not members:

@@ -34,7 +34,11 @@ from repro.server.configs import one_u_commodity
 from repro.server.wax_box import WaxBox, WaxLoadout
 from repro.thermal.airflow import AirPath, AirSegment
 from repro.thermal.convection import ConvectiveCoupling
-from repro.thermal.network import ThermalNetwork, affine_power_vector
+from repro.thermal.network import (
+    ThermalNetwork,
+    affine_power_vector,
+    tag_breakpoints,
+)
 from repro.thermal.solver import TransientResult
 from repro.units import ALUMINUM_SPECIFIC_HEAT, grams
 
@@ -313,7 +317,11 @@ def build_reference_server(
         network.validate()
         # No DVFS here: every node runs at a frequency factor of 1.0.
         network.power_vector_fn = affine_power_vector(
-            network, affine, {"psu": psu_power}, utilization, lambda _t: 1.0
+            network,
+            affine,
+            {"psu": psu_power},
+            utilization,
+            tag_breakpoints(lambda _t: 1.0, ()),
         )
         return network
 

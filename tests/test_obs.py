@@ -229,10 +229,28 @@ class TestExperimentPerf:
         report = global_obs_enabled.snapshot()
         assert report.counters["solver.runs"] == 1
         assert report.counters["solver.rk4_steps"] > 0
-        assert report.counters["solver.rhs_evals"] == (
-            4 * report.counters["solver.rk4_steps"]
+        assert report.counters["solver.rhs_evals"] == 4 * (
+            report.counters["solver.rk4_steps"]
+            - report.counters["solver.rk4_fixed_steps"]
         )
         assert "solver.transient" in report.timers
+
+    def test_fixed_steps_are_counted(self, global_obs_enabled):
+        """A 1U without wax at a constant load reaches a bit-exact fixed
+        point, whose steps only advance the time."""
+        from repro.server.chassis import constant_utilization
+        from repro.server.configs import one_u_commodity
+        from repro.thermal.solver import simulate_transient
+        from repro.units import hours
+
+        network = one_u_commodity().chassis.build_network(constant_utilization(0.5))
+        simulate_transient(network, hours(6.0), output_interval_s=60.0)
+        counters = global_obs_enabled.snapshot().counters
+        assert counters["solver.inputs.certified"] == 1
+        assert 0 < counters["solver.rk4_fixed_steps"] < counters["solver.rk4_steps"]
+        assert counters["solver.rhs_evals"] == 4 * (
+            counters["solver.rk4_steps"] - counters["solver.rk4_fixed_steps"]
+        )
 
     def test_simulator_counters_flow_into_perf(self, global_obs_enabled):
         from repro.dcsim.cluster import ClusterTopology

@@ -2,11 +2,14 @@
 
 ``simulate_transient`` and ``simulate_transient_batch`` step on buffers
 allocated once per run, rebuild the time-dependent constants only when
-the evaluated inputs change, and test finiteness by one sum. The oracles
-below are the loops as they stood before that change: a fresh array per
-stage, the constants rebuilt at every evaluation, and an elementwise
-finiteness test. Every ``TransientResult`` field must be equal (``==``,
-compared as bytes), and a batch must report the same failures.
+the evaluated inputs change, and test finiteness by one sum.
+``simulate_transient`` also skips the steps of a bit-exact fixed point
+and, for inputs certified by their breakpoints, calls no schedule inside
+a breakpoint interval. The oracles below are the loops as they stood
+before those changes: a fresh array per stage, every step computed, the
+constants rebuilt at every evaluation, and an elementwise finiteness
+test. Every ``TransientResult`` field must be equal (``==``, compared as
+bytes), and a batch must report the same failures.
 """
 
 import math
@@ -19,10 +22,11 @@ from hypothesis import strategies as st
 from repro.errors import SolverError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.materials.pcm import PCMSample
-from repro.server.chassis import step_utilization
+from repro.obs import get_registry
+from repro.server.chassis import constant_utilization, step_utilization
 from repro.server.configs import platform_by_name
 from repro.sprinting import SprintChip
-from repro.thermal.network import ThermalNetwork
+from repro.thermal.network import ThermalNetwork, breakpoints_of, tag_breakpoints
 from repro.thermal.solver import (
     DEFAULT_STEP_SAFETY,
     BatchTransientResult,
@@ -37,6 +41,7 @@ from repro.thermal.solver import (
 )
 from repro.validation.harness import LOAD_END_S, LOAD_START_S, TOTAL_S
 from repro.validation.reference import build_reference_server, validation_loadout
+from tests.test_server_chassis import minimal_chassis
 from tests.test_solver_equivalence import network_from, network_params
 
 # -- the oracle: the allocating loops ----------------------------------------
@@ -447,3 +452,268 @@ def test_fig4_arm_matches_oracle(source, wax):
     result = simulate_transient(network(), TOTAL_S, 120.0)
     expected = oracle_transient(network(), TOTAL_S, 120.0)
     assert_identical(result, expected)
+
+
+# -- fixed points, then a step in power, fan speed or DVFS --------------------
+#
+# A minimal chassis at a constant load reaches a bit-exact fixed point within
+# about 3.7 simulated hours (75 s steps), so the steps after it are skipped.
+# Then one input steps inside the first RK4 step at or after 4 h: exactly on
+# its start, inside its first half or on its midpoint, or inside its second
+# half; a pulse starts in the first half and ends in the second. The 100 s
+# output interval is not a multiple of the step.
+
+EVENT_AFTER_S = 4.0 * 3600.0
+EVENT_DURATION_S = 4.5 * 3600.0
+EVENT_INTERVAL_S = 100.0
+
+#: (start, end) of the event as fractions of the step that meets it;
+#: ``None`` for an event that lasts to the end of the run.
+EVENT_WINDOWS = {
+    "on_step": (0.0, None),
+    "first_half": (0.25, None),
+    "at_midpoint": (0.5, None),
+    "second_half": (0.75, None),
+    "pulse": (0.25, 0.75),
+}
+
+
+def window(before: float, inside: float, start_s: float, end_s: float, tagged: bool):
+    """A schedule at ``inside`` on ``[start_s, end_s)`` and ``before``
+    elsewhere, tagged with its breakpoints or not."""
+
+    def schedule(time_s: float) -> float:
+        return inside if start_s <= time_s < end_s else before
+
+    return tag_breakpoints(schedule, (start_s, end_s)) if tagged else schedule
+
+
+def stepped_network(
+    kind: str, start_s: float, end_s: float, tagged: bool
+) -> ThermalNetwork:
+    """A minimal chassis at a 30% load whose power, fan speed or DVFS
+    frequency alone takes another value on ``[start_s, end_s)``."""
+    if kind == "power":
+        # Fans pinned at full speed, so only the power steps.
+        chassis = minimal_chassis(idle_fan_fraction=1.0)
+        return chassis.build_network(window(0.3, 0.9, start_s, end_s, tagged))
+    chassis = minimal_chassis()
+    if kind == "dvfs":
+        model = chassis.power_model
+        return chassis.build_network(
+            constant_utilization(0.3),
+            frequency_schedule=window(
+                model.nominal_frequency_ghz,
+                model.min_frequency_ghz,
+                start_s,
+                end_s,
+                tagged,
+            ),
+        )
+    network = chassis.build_network(constant_utilization(0.3))
+    network.air_path.fan_speed_schedule = window(0.7, 1.0, start_s, end_s, tagged)
+    return network
+
+
+def step_grid(
+    network: ThermalNetwork, duration_s: float, output_interval_s: float
+) -> list[tuple[float, float]]:
+    """``(t, dt)`` of every RK4 step ``simulate_transient`` takes."""
+    step = _resolve_step(network, DEFAULT_STEP_SAFETY, None, output_interval_s)
+    grid, time_now = [], 0.0
+    for target in _sample_times(duration_s, output_interval_s):
+        while time_now < target - 1e-9:
+            dt = min(step, target - time_now)
+            grid.append((time_now, dt))
+            time_now += dt
+    return grid
+
+
+def event_window(kind: str, when: str) -> tuple[float, float]:
+    """The event's ``[start, end)`` on the step grid."""
+    probe = stepped_network(kind, math.inf, math.inf, tagged=False)
+    grid = step_grid(probe, EVENT_DURATION_S, EVENT_INTERVAL_S)
+    time_s, dt = next((t, dt) for t, dt in grid if t >= EVENT_AFTER_S)
+    start, end = EVENT_WINDOWS[when]
+    return time_s + start * dt, math.inf if end is None else time_s + end * dt
+
+
+def counted_transient(network: ThermalNetwork, *args, **kwargs):
+    """``simulate_transient`` and the counters of that run."""
+    obs = get_registry()
+    was_enabled = obs.enabled
+    obs.enable()
+    try:
+        with obs.collect() as collection:
+            result = simulate_transient(network, *args, **kwargs)
+    finally:
+        if not was_enabled:
+            obs.disable()
+    return result, collection.report.counters
+
+
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+@pytest.mark.parametrize("when", list(EVENT_WINDOWS))
+@pytest.mark.parametrize("kind", ["power", "fan", "dvfs"])
+def test_event_after_fixed_point_matches_oracle(kind, when, tagged):
+    start_s, end_s = event_window(kind, when)
+
+    def network() -> ThermalNetwork:
+        return stepped_network(kind, start_s, end_s, tagged)
+
+    result, counters = counted_transient(
+        network(), EVENT_DURATION_S, EVENT_INTERVAL_S
+    )
+    assert counters["solver.rk4_fixed_steps"] > 0
+    assert counters.get("solver.inputs.certified", 0) == int(tagged)
+    expected = oracle_transient(network(), EVENT_DURATION_S, EVENT_INTERVAL_S)
+    assert_identical(result, expected)
+
+
+@pytest.mark.parametrize("rise", [1e-16, 1e-15])
+def test_step_too_small_to_move_the_state_matches_oracle(rise):
+    """A load step that the step meeting it rounds away: that step
+    rebuilds the pair but returns its input state, so the step sizes
+    verified under the old pair must not carry over to the new one."""
+    start_s, end_s = event_window("power", "on_step")
+
+    def network() -> ThermalNetwork:
+        utilization = step_utilization(0.3, 0.3 + rise, start_s, end_s)
+        return minimal_chassis(idle_fan_fraction=1.0).build_network(utilization)
+
+    result, counters = counted_transient(
+        network(), EVENT_DURATION_S, EVENT_INTERVAL_S
+    )
+    assert counters["solver.rk4_fixed_steps"] > 0
+    expected = oracle_transient(network(), EVENT_DURATION_S, EVENT_INTERVAL_S)
+    assert_identical(result, expected)
+
+
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+def test_stop_inside_fixed_point_matches_oracle(tagged):
+    """The run stops at the first sample of its fixed point, after steps
+    of that sample's interval were skipped."""
+
+    def network() -> ThermalNetwork:
+        utilization = constant_utilization(0.3) if tagged else lambda _t: 0.3
+        return minimal_chassis().build_network(utilization)
+
+    duration_s, interval_s = 6.0 * 3600.0, 1000.0
+    settled = simulate_transient(network(), duration_s, interval_s)
+    stop = ("psu", float(settled.temperatures_c["psu"][-1]))
+    result, counters = counted_transient(
+        network(), duration_s, interval_s, stop_at=stop
+    )
+    assert result.times_s[-1] < duration_s
+    assert counters["solver.rk4_fixed_steps"] > 0
+    expected = oracle_transient(network(), duration_s, interval_s, stop_at=stop)
+    assert_identical(result, expected)
+
+
+def test_commit_after_fixed_point_matches_oracle():
+    """A solid wax node settles too, and its final enthalpy is committed."""
+
+    def network() -> ThermalNetwork:
+        network = minimal_chassis().build_network(constant_utilization(0.3))
+        sample = PCMSample(
+            material=commercial_paraffin_with_melting_point(60.0), mass_kg=0.05
+        )
+        sample.set_temperature(25.0)
+        network.add_pcm_node("wax", sample)
+        network.add_conductance("wax", "cpu", 2.0)
+        return network
+
+    committed = network()
+    result, counters = counted_transient(
+        committed, 6.0 * 3600.0, 300.0, commit_final_state=True
+    )
+    assert counters["solver.rk4_fixed_steps"] > 0
+    expected = oracle_transient(network(), 6.0 * 3600.0, 300.0)
+    assert_identical(result, expected)
+    final = expected.pcm_enthalpies_j["wax"][-1]
+    assert committed.pcm_node("wax").sample.enthalpy_j == final
+
+
+@given(
+    start_s=st.floats(min_value=3.5 * 3600.0, max_value=4.2 * 3600.0),
+    length_s=st.one_of(st.floats(min_value=1.0, max_value=300.0), st.just(math.inf)),
+    idle=st.floats(min_value=0.0, max_value=1.0),
+    loaded=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=20, deadline=None)
+def test_step_utilization_windows_match_oracle(start_s, length_s, idle, loaded):
+    """Any load window after the idle fixed point, on a chassis whose fans
+    follow the load."""
+
+    def network() -> ThermalNetwork:
+        utilization = step_utilization(idle, loaded, start_s, start_s + length_s)
+        return minimal_chassis().build_network(utilization)
+
+    result = simulate_transient(network(), EVENT_DURATION_S, EVENT_INTERVAL_S)
+    expected = oracle_transient(network(), EVENT_DURATION_S, EVENT_INTERVAL_S)
+    assert_identical(result, expected)
+
+
+# -- breakpoints -------------------------------------------------------------------
+
+
+class TestBreakpoints:
+    def test_untagged_schedules_give_none(self):
+        chassis = minimal_chassis()
+        nominal = chassis.power_model.nominal_frequency_ghz
+        loaded = step_utilization(0.1, 0.9, 600.0, 1200.0)
+        user_frequency = chassis.build_network(
+            loaded, frequency_schedule=lambda _t: nominal
+        )
+        assert breakpoints_of(user_frequency.power_vector_fn) is None
+        assert _CompiledNetwork(user_frequency).breakpoints is None
+
+        untagged_power = _node_network("node", lambda t: 10.0 if t < 60.0 else 20.0)
+        assert breakpoints_of(untagged_power.capacitive_node("node").power_w) is None
+        assert _CompiledNetwork(untagged_power).breakpoints is None
+
+        varying_boundary = chassis.build_network(loaded)
+        varying_boundary.add_boundary_node("skin", lambda t: 25.0 + t / 3600.0)
+        varying_boundary.add_conductance("skin", "board", 0.3)
+        skin = varying_boundary.boundary_node("skin").temperature_c
+        assert breakpoints_of(skin) is None
+        assert _CompiledNetwork(varying_boundary).breakpoints is None
+
+    def test_tagged_schedules_give_sorted_union(self):
+        assert breakpoints_of() == ()
+        assert breakpoints_of(constant_utilization(0.5)) == ()
+        assert breakpoints_of(
+            step_utilization(0.0, 1.0, 7200.0, 9000.0),
+            constant_utilization(0.5),
+            step_utilization(0.0, 1.0, 3600.0, 7200.0),
+        ) == (3600.0, 7200.0, 9000.0)
+        assert breakpoints_of(lambda _t: 1.0, constant_utilization(0.5)) is None
+
+        chassis = minimal_chassis()
+        model = chassis.power_model
+        frequency = window(
+            model.nominal_frequency_ghz, model.min_frequency_ghz, 1500.0, math.inf, True
+        )
+        network = chassis.build_network(
+            step_utilization(0.1, 0.9, 1800.0, 3600.0), frequency_schedule=frequency
+        )
+        assert breakpoints_of(network.power_vector_fn) == (
+            1500.0, 1800.0, 3600.0, math.inf
+        )
+        fan = network.air_path.fan_speed_schedule
+        assert breakpoints_of(fan) == (1800.0, 3600.0)
+        network.air_path.fan_speed_schedule = tag_breakpoints(
+            lambda t: 1.0 if t >= 600.0 else 0.7, (600.0,)
+        )
+        assert _CompiledNetwork(network).breakpoints == (
+            600.0, 1500.0, 1800.0, 3600.0, math.inf
+        )
+
+    def test_default_schedules_are_tagged(self):
+        network = minimal_chassis().build_network(constant_utilization(0.5))
+        assert breakpoints_of(network.power_vector_fn) == ()
+        assert _CompiledNetwork(network).breakpoints == ()
+        reference = build_reference_server().build_network(
+            step_utilization(0.0, 1.0, LOAD_START_S, LOAD_END_S), with_wax=True
+        )
+        assert _CompiledNetwork(reference).breakpoints == (LOAD_START_S, LOAD_END_S)

@@ -1,5 +1,7 @@
 """Tests for chassis assembly and build variants."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -53,6 +55,23 @@ class TestSchedules:
     def test_step_inverted_window_rejected(self):
         with pytest.raises(ConfigurationError):
             step_utilization(0.0, 1.0, 100.0, 50.0)
+
+    @pytest.mark.parametrize(
+        "start_s, end_s",
+        [(math.nan, 3600.0), (0.0, math.nan), (math.nan, math.nan), (60.0, 60.0)],
+    )
+    def test_step_window_must_be_ordered(self, start_s, end_s):
+        """A NaN end point would make a window that never applies."""
+        with pytest.raises(ConfigurationError):
+            step_utilization(0.0, 1.0, start_s, end_s)
+
+    @pytest.mark.parametrize(
+        "start_s, end_s", [(-math.inf, 3600.0), (0.0, math.inf)]
+    )
+    def test_step_window_may_be_open_ended(self, start_s, end_s):
+        schedule = step_utilization(0.2, 0.9, start_s, end_s)
+        assert schedule(1800.0) == 0.9
+        assert schedule(-math.inf if end_s == math.inf else math.inf) == 0.2
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Tests for component thermal descriptions."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -35,6 +37,24 @@ class TestValidation:
     def test_nonpositive_conductance_rejected(self):
         with pytest.raises(ConfigurationError):
             Component(name="x", zone="z", reference_conductance_w_per_k=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("heat_capacity_j_per_k", math.nan),
+            ("heat_capacity_j_per_k", math.inf),
+            ("idle_power_w", math.nan),
+            ("peak_power_w", math.nan),
+            ("peak_power_w", math.inf),
+            ("reference_conductance_w_per_k", math.nan),
+            ("reference_conductance_w_per_k", math.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        parameters = dict(name="x", zone="z", idle_power_w=5.0, peak_power_w=30.0)
+        parameters[field] = value
+        with pytest.raises(ConfigurationError):
+            Component(**parameters)
 
 
 class TestPower:

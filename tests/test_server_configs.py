@@ -1,6 +1,7 @@
 """Tests pinning the three platforms to the paper's published anchors,
 and the duct calibration's root-find to SciPy's."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -259,6 +260,13 @@ class TestBrentRootAgainstSciPy:
 
         assert _brent_root(f, 1.0, 2.0, 1e-8) == root
         assert brentq(f, 1.0, 2.0, xtol=1e-8) == root
+
+
+class TestPlatformValidation:
+    @pytest.mark.parametrize("cost_usd", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, one_u_spec, cost_usd):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(one_u_spec, cost_usd=cost_usd)
 
 
 class TestWaxMaterialOverride:

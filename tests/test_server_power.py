@@ -1,5 +1,7 @@
 """Tests for the server power model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,25 @@ class TestValidation:
     def test_nonpositive_throughput_exponent_rejected(self):
         with pytest.raises(ConfigurationError):
             ServerPowerModel(90.0, 185.0, throughput_exponent=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("idle_power_w", math.nan),
+            ("peak_power_w", math.nan),
+            ("peak_power_w", math.inf),
+            ("throughput_exponent", math.nan),
+            ("throughput_exponent", math.inf),
+            ("nominal_frequency_ghz", math.nan),
+            ("nominal_frequency_ghz", math.inf),
+            ("min_frequency_ghz", math.nan),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        parameters = dict(idle_power_w=90.0, peak_power_w=185.0)
+        parameters[field] = value
+        with pytest.raises(ConfigurationError):
+            ServerPowerModel(**parameters)
 
 
 class TestAffinePower:

@@ -1,5 +1,7 @@
 """Tests for wax containers and loadouts."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -45,6 +47,27 @@ class TestGeometry:
                 exterior_area_m2=0.05,
                 fin_area_multiplier=0.5,
             )
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("wax_volume_m3", math.nan),
+            ("wax_volume_m3", math.inf),
+            ("exterior_area_m2", math.nan),
+            ("exterior_area_m2", math.inf),
+            ("wall_thickness_m", math.nan),
+            ("air_film_coefficient_w_per_m2_k", math.inf),
+            ("internal_path_length_m", math.nan),
+            ("fin_area_multiplier", math.nan),
+            ("fin_area_multiplier", math.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        parameters = dict(wax_volume_m3=liters(0.1), exterior_area_m2=0.1)
+        parameters[field] = value
+        with pytest.raises(ConfigurationError):
+            WaxBox(**parameters)
 
 
 class TestConductance:

@@ -467,8 +467,9 @@ class MPCPolicy(Planner):
         A :class:`~repro.dcsim.thermal_coupling.UniformStretchAdvancer`
         steps the array clone's column: unit fault scales, zero offsets,
         the undegraded wax mass. The release totals come from one
-        fill-and-sum, the per-row pairwise ``np.sum`` the clone's
-        ``(candidates, servers)`` release gets.
+        :func:`~repro.dcsim.thermal_coupling.uniform_totals` call, the
+        per-row pairwise ``np.sum`` the clone's ``(candidates, servers)``
+        release gets.
         """
         state = obs.state
         columns = [UniformStretchAdvancer(state, obs.dt_s) for _ in range(n_cand)]

@@ -84,8 +84,8 @@ def batched_fluid_peaks(
     * the demand is looked up for every tick at once: ``np.interp`` and
       ``np.clip`` are elementwise, so the series equals the per-tick
       lookups of the fluid engine;
-    * the peak is taken before the sum: :func:`uniform_totals` fills and
-      sums n equal doubles, which is monotone in the value, so the
+    * the peak is taken before the sum: :func:`uniform_totals` totals
+      n equal doubles, which is monotone in the value, so the
       largest cluster total over the ticks is the total of each member's
       largest per-server release, summed once per search.
     """

@@ -22,10 +22,17 @@ engines:
 A stretch of ticks is eligible only when every per-tick hook is provably
 inert for its whole span:
 
-* the policy publishes a **constant-decision certificate**
-  (``constant_decision``; see :class:`repro.dcsim.throttling.NoThermalLimit`)
-  and has no ``begin_tick`` clock hook — so ``decide`` cannot depend on
-  the observed work rate or mutate policy state;
+* the policy has no ``begin_tick`` clock hook and publishes a
+  certificate: a **constant-decision certificate** (``constant_decision``;
+  see :class:`repro.dcsim.throttling.NoThermalLimit`), asked once per
+  run, so ``decide`` cannot depend on the observed work rate or mutate
+  policy state; or a **conditional certificate**
+  (``conditional_decision``; see
+  :meth:`repro.dcsim.throttling.RoomTemperaturePolicy.conditional_decision`),
+  asked again at every stretch start because scalar ticks move the state
+  it depends on. It holds while the plant's room reads below its limit:
+  the stretch ends before the first tick whose reading is not below it,
+  and that tick runs scalar;
 * the fault injector is **dormant** (no active effects, no restoration
   pending) and its next fault boundary lies beyond the stretch
   (:meth:`repro.faults.injector.FaultInjector.next_boundary`) — so
@@ -44,12 +51,12 @@ Within a stretch the per-server physics collapses to a scalar recursion
 perform exactly the arithmetic the elementwise NumPy step would — while
 demand, utilization, throughput, shed work, and the characterization
 lookups are computed for the whole stretch as arrays. Recorded totals
-(``power``/``release``/``wax`` sums and the ``melt`` mean) are reduced
-by fill-and-sum (:func:`repro.dcsim.thermal_coupling.uniform_totals`), so
+(``power``/``release``/``wax`` sums and the ``melt`` mean) come from the
+totals plan (:func:`repro.dcsim.thermal_coupling.uniform_totals`), so
 each tick's reduction is the same pairwise ``np.sum``/``np.mean`` the
-reference loop performs on its per-server rows; room-coupled runs reduce
-the release total inside the loop (the room temperature feeds back into
-the next tick's inlet).
+reference loop performs on its per-server rows; room-coupled runs total
+the release inside the loop (the room temperature feeds back into the
+next tick's inlet).
 
 Bit-identity to the reference loop is the acceptance bar, exactly as
 PR 5 held for event mode: both engines must produce byte-identical
@@ -75,7 +82,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dcsim.simulator import _Plant
-from repro.dcsim.thermal_coupling import uniform_totals
+from repro.dcsim.thermal_coupling import uniform_total, uniform_totals
 from repro.obs import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,11 +127,16 @@ class _FluidLoop(_Plant):
         stretch_ticks = 0
         scalar_ticks = 0
         decision = self._constant_decision()
+        conditional = (
+            decision is None
+            and self.begin_tick is None
+            and hasattr(self.policy, "conditional_decision")
+        )
         # Full-horizon demand series, bit-identical to the reference
         # loop's per-tick lookups; scalar ticks take their element.
         demand_all = self.demand_series()
         demand_l = demand_all.tolist()
-        if decision is None:
+        if decision is None and not conditional:
             # No certificate: the whole run is boundary. Identical to the
             # reference engine by construction (same tick body).
             for i, t in enumerate(self.ticks):
@@ -133,16 +145,28 @@ class _FluidLoop(_Plant):
         else:
             i = 0
             while i < n_ticks:
-                end = self._stretch_end(i)
+                # Scalar ticks move a conditional certificate's latch, so
+                # it is asked again at every possible stretch start.
+                certified = (
+                    (decision, None)
+                    if decision is not None
+                    else self._conditional_decision()
+                )
+                end = i if certified is None else self._stretch_end(i)
                 advancer = self.column() if end - i >= _MIN_STRETCH else None
                 if advancer is not None:
-                    self._run_stretch(i, end, decision, demand_all, advancer)
-                    stretch_ticks += end - i
-                    i = end
-                else:
-                    self.scalar_tick(i, self.ticks[i], demand_l[i])
-                    scalar_ticks += 1
-                    i += 1
+                    done = self._run_stretch(
+                        i, end, *certified, demand_all, advancer
+                    )
+                    stretch_ticks += done
+                    i += done
+                    if i == end:
+                        continue
+                    # The room reached the certificate's limit: this tick
+                    # runs the scalar body, which consults the policy.
+                self.scalar_tick(i, self.ticks[i], demand_l[i])
+                scalar_ticks += 1
+                i += 1
         obs = get_registry()
         if obs.enabled:
             obs.count("dcsim.fluid.stretch_ticks", stretch_ticks)
@@ -213,13 +237,29 @@ class _FluidLoop(_Plant):
             return None
         return certificate(self.state)
 
+    def _conditional_decision(self):
+        """``(decision, limit)`` from the policy's conditional certificate
+        right now, or ``None``.
+
+        The certificate holds while the plant's room reads below
+        ``limit``, so it is used only when the room it names is the
+        plant's room, the one the stretch steps and reads.
+        """
+        certified = self.policy.conditional_decision(self.state)
+        if certified is None:
+            return None
+        decision, room, limit = certified
+        if room is None or room is not self.room:
+            return None
+        return decision, limit
+
     def _stretch_end(self, i: int) -> int:
         """End (exclusive tick index) of the eligible run starting at ``i``.
 
         Returns ``i`` itself when tick ``i`` must run scalar. Eligibility
         here covers the *schedule* and the plant's uniform flag; the fault
-        scales are :meth:`column`'s job, and the policy certificate was
-        checked once up front.
+        scales are :meth:`column`'s job, and the policy certificate the
+        caller's.
         """
         if not self.uniform:
             return i
@@ -244,10 +284,17 @@ class _FluidLoop(_Plant):
         i0: int,
         i1: int,
         decision,
+        limit: float | None,
         demand_all: np.ndarray,
         advancer,
-    ) -> None:
-        """Advance ticks ``[i0, i1)`` in one pass (constant ``decision``)."""
+    ) -> int:
+        """Advance ticks ``[i0, i1)`` in one pass under ``decision``;
+        returns how many ticks it advanced.
+
+        With a ``limit`` (a conditional certificate), the stretch ends
+        before the first tick whose room temperature is not below it;
+        only the ticks before that one are recorded and committed.
+        """
         sim = self.sim
         n_servers = self.n_servers
         dt = self.dt
@@ -275,6 +322,7 @@ class _FluidLoop(_Plant):
         melt_l = [0.0] * span
 
         room = self.room
+        done = span
         if room is None:
             # Without a room the plant leaves the inlet alone; the inlet
             # the state carries (the configured base — the injector is
@@ -294,56 +342,65 @@ class _FluidLoop(_Plant):
         else:
             # Room-coupled: each tick's release total feeds the room
             # model, whose temperature is the next tick's inlet — so the
-            # release reduction happens in the loop, via the same
-            # fill-and-pairwise-sum the reference's np.sum performs.
-            room_arr = np.empty(span)
-            release_total = np.empty(span)
-            inlet = 0.0
+            # release is totalled in the loop, as the reference's np.sum
+            # totals its per-server row.
+            total = uniform_total(n_servers)
+            room_l = [0.0] * span
+            release_total_l = [0.0] * span
+            last_inlet = 0.0
             for k in range(span):
                 inlet = room.temperature_c
+                if limit is not None and not inlet < limit:
+                    done = k
+                    break
+                last_inlet = inlet
                 p, r, w, m = advancer.tick(
                     inlet, u_eff_l[k], zone_delta_l[k], ua_l[k]
                 )
-                total = float(uniform_totals(r, n_servers)[0])
-                room.step(dt, max(total, 0.0))
-                room_arr[k] = room.temperature_c
-                release_total[k] = total
+                release_w = total(r)
+                room.step(dt, max(release_w, 0.0))
+                room_l[k] = room.temperature_c
+                release_total_l[k] = release_w
                 power_l[k] = p
                 release_l[k] = r
                 wax_l[k] = w
                 melt_l[k] = m
+            if done == 0:
+                return 0
             # The reference loop's last write to the state inlet was the
-            # plant's decide of the final stretch tick.
-            self.state.inlet_temperature_c = inlet
-            room_series = room_arr
+            # plant's decide of the final tick advanced.
+            self.state.inlet_temperature_c = last_inlet
+            release_total = np.array(release_total_l[:done])
+            room_series = np.array(room_l[:done])
 
         advancer.commit()
 
         records = self.records
-        sl = slice(i0, i1)
+        sl = slice(i0, i0 + done)
         records.times[sl] = self.ticks[sl]
-        records.demand[sl] = demand
-        records.utilization[sl] = utilization
+        records.demand[sl] = demand[:done]
+        records.utilization[sl] = utilization[:done]
         records.frequency[sl] = decision.frequency_ghz
-        records.power[sl] = self._reduce(np.array(power_l), "sum")
+        records.power[sl] = self._reduce(np.array(power_l[:done]), "sum")
         records.release[sl] = release_total
-        records.wax[sl] = self._reduce(np.array(wax_l), "sum")
-        records.melt[sl] = self._reduce(np.array(melt_l), "mean")
-        records.throughput[sl] = served
+        records.wax[sl] = self._reduce(np.array(wax_l[:done]), "sum")
+        records.melt[sl] = self._reduce(np.array(melt_l[:done]), "mean")
+        records.throughput[sl] = served[:done]
         records.queue[sl] = 0.0
-        records.shed[sl] = shed * n_servers
+        records.shed[sl] = shed[:done] * n_servers
         records.room[sl] = room_series
         if decision.limited:
-            self.throttle_ticks += span
+            self.throttle_ticks += done
 
         if self.injector is not None:
             # Replay the dormant-tick bookkeeping the stretch skipped:
             # the clock, and the held sensor observation a future dropout
             # would freeze.
             self.injector.fast_forward(
-                float(self.ticks[i1 - 1]),
-                observed=np.full(n_servers, demand[-1]),
+                float(self.ticks[i0 + done - 1]),
+                observed=np.full(n_servers, demand[done - 1]),
             )
+        return done
 
     def _reduce(self, per_tick: np.ndarray, op: str) -> np.ndarray:
         """Per-tick ``np.sum``/``np.mean`` over virtual uniform rows.

@@ -32,7 +32,7 @@ from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import (
     ClusterThermalState,
     UniformStretchAdvancer,
-    uniform_totals,
+    uniform_total,
 )
 from repro.dcsim.throttling import NoThermalLimit, ThrottleDecision
 from repro.errors import ConfigurationError
@@ -467,15 +467,22 @@ class _Plant:
 
     def _column_step(
         self, column: UniformStretchAdvancer, busy: float, frequency: float
-    ) -> np.ndarray:
+    ) -> tuple[float, float, float, float]:
         """One tick on the column: the power, release and wax-heat totals
-        and the melt mean, from one fill-and-sum."""
-        per_server = column.step(self.state.inlet_temperature_c, busy, frequency)
+        and the melt mean, each the ``np.sum`` of its per-server row."""
+        power, release, wax, melt = column.step(
+            self.state.inlet_temperature_c, busy, frequency
+        )
         column.commit()
         self.column_ticks += 1
-        totals = uniform_totals(per_server, self.n_servers)
-        totals[3] /= self.n_servers  # the melt mean, as np.mean divides
-        return totals
+        total = uniform_total(self.n_servers)
+        # The melt mean divides the total, as np.mean divides.
+        return (
+            total(power),
+            total(release),
+            total(wax),
+            total(melt) / self.n_servers,
+        )
 
     def finish(self, initial_power_w: float | None) -> SimulationResult:
         """The run's traces; leaves the final state on the simulator."""

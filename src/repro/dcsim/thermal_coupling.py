@@ -29,24 +29,39 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
+from repro.obs import get_registry
 from repro.server.characterization import PlatformCharacterization, interp_float
 from repro.server.power import ServerPowerModel
 
 
-#: Rows :func:`uniform_totals` fills at a time, bounding its buffer at
+#: Rows :func:`fill_totals` fills at a time, bounding its buffer at
 #: ``_FILL_ROWS * server_count`` floats however many rows it totals.
 _FILL_ROWS = 256
 
+#: Up to this many rows, :func:`uniform_totals` evaluates a plan once per
+#: value on floats; more rows take it once, elementwise on the array.
+_FLOAT_ROWS = 24
 
-def uniform_totals(per_server: float | np.ndarray, server_count: int) -> np.ndarray:
-    """Row totals over ``server_count`` servers that all carry one value.
+#: Values a totals plan must total byte for byte like the fill-and-sum
+#: before it replaces it: both signs, signed zeros, a subnormal, totals
+#: that overflow, the infinities and NaN.
+_PROBES = (
+    0.1, -0.1, 263.7, -41.3, 1.0 / 3.0, 0.0, -0.0, 5e-324,
+    1.7e308, -1.7e308, math.inf, -math.inf, math.nan,
+)
+
+#: Server count -> its checked total function (see :func:`uniform_total`).
+_TOTALS: dict = {}
+
+
+def fill_totals(per_server: float | np.ndarray, server_count: int) -> np.ndarray:
+    """Row totals over ``server_count`` servers that all carry one value,
+    by fill-and-sum.
 
     ``per_server`` holds one value per row (a scalar is one row). Each
     row is filled into a ``(rows, server_count)`` buffer and summed along
     axis 1: the pairwise reduction ``np.sum`` applies to a full
-    per-server row, so a uniform cluster computed as one server totals
-    bit-identically to its full state. A mean is the total divided by
-    ``server_count``, as ``np.mean`` divides.
+    per-server row. This is the definition a totals plan must meet.
     """
     values = np.asarray(per_server, dtype=float).reshape(-1)
     totals = np.empty(len(values))
@@ -57,6 +72,124 @@ def uniform_totals(per_server: float | np.ndarray, server_count: int) -> np.ndar
         rows[:] = chunk[:, None]
         totals[r0 : r0 + len(chunk)] = rows.sum(axis=1)
     return totals
+
+
+def plan_source(server_count: int) -> str:
+    """Python source of ``plan(x)``: NumPy's pairwise sum of
+    ``server_count`` copies of ``x``, one addition per line.
+
+    NumPy's ``add.reduce`` of ``n`` contiguous doubles is ``0.0 +`` a
+    pairwise sum. A block below 8 values adds them one at a time from
+    0.0; a block of 8 to 128 runs 8 accumulators, each seeded with a
+    value and stepped 8 values apart, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the remainder one
+    at a time; a longer block splits at half its length, rounded down to
+    a multiple of 8. With equal values every accumulator repeats one
+    chain and equal blocks repeat one sum, so each is written once.
+    """
+    lines: list[str] = []
+    written: set[str] = set()
+
+    def emit(name: str, expr: str) -> str:
+        if name not in written:
+            written.add(name)
+            lines.append(f"    {name} = {expr}")
+        return name
+
+    def chain(k: int, start: str, prefix: str) -> str:
+        # ``start`` plus k - 1 more copies of x, one addition at a time.
+        for j in range(1, k + 1):
+            emit(f"{prefix}{j}", start if j == 1 else f"{prefix}{j - 1} + x")
+        return f"{prefix}{k}"
+
+    def block(length: int) -> str:
+        if length < 8:
+            return chain(length, "0.0 + x", "s")
+        if length <= 128:
+            lanes, rest = divmod(length, 8)
+            lane = chain(lanes, "x", "c")
+            pair = emit(f"p{lanes}", f"{lane} + {lane}")
+            quad = emit(f"q{lanes}", f"{pair} + {pair}")
+            total = emit(f"o{lanes}", f"{quad} + {quad}")
+            for j in range(1, rest + 1):
+                total = emit(f"o{lanes}_{j}", f"{total} + x")
+            return total
+        half = length // 2
+        half -= half % 8
+        return emit(f"t{length}", f"{block(half)} + {block(length - half)}")
+
+    top = block(server_count)
+    return "def plan(x):\n" + "\n".join(lines) + f"\n    return 0.0 + {top}\n"
+
+
+def compile_plan(server_count: int):
+    """:func:`plan_source` compiled: ``plan(x)`` on a float is the total,
+    and on an array it is each element's total, since every line is one
+    IEEE addition (elementwise on an array). Straight-line code runs at
+    bytecode speed, with no loop or dispatch per addition."""
+    namespace: dict = {}
+    source = plan_source(server_count)
+    exec(compile(source, f"<totals plan of {server_count}>", "exec"), namespace)
+    return namespace["plan"]
+
+
+def _fill_total(server_count: int):
+    """The fill-and-sum with a plan's calling convention."""
+
+    def total(value):
+        if np.ndim(value) == 0:
+            return float(fill_totals(value, server_count)[0])
+        return fill_totals(value, server_count)
+
+    return total
+
+
+def _checked(server_count: int, plan):
+    """``plan`` if it totals every probe byte for byte like the
+    fill-and-sum, on floats and on an array, else the fill-and-sum.
+    Counts the path taken: ``dcsim.totals.plan`` or ``dcsim.totals.fill``.
+    """
+    probes = np.array(_PROBES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = fill_totals(probes, server_count).tobytes()
+        on_array = np.asarray(plan(probes), dtype=float).tobytes()
+        on_floats = np.array([plan(value) for value in _PROBES]).tobytes()
+    ok = on_array == expected and on_floats == expected
+    get_registry().count("dcsim.totals.plan" if ok else "dcsim.totals.fill")
+    return plan if ok else _fill_total(server_count)
+
+
+def uniform_total(server_count: int):
+    """``total(value)``: the ``np.sum`` of ``server_count`` servers that
+    all carry ``value``, for a float or elementwise for an array.
+
+    The first call for a server count compiles its plan
+    (:func:`compile_plan`) and checks it against the fill-and-sum on
+    fixed probes; a plan that differs on any probe is replaced by the
+    fill-and-sum for that server count.
+    """
+    total = _TOTALS.get(server_count)
+    if total is None:
+        total = _TOTALS[server_count] = _checked(
+            server_count, compile_plan(server_count)
+        )
+    return total
+
+
+def uniform_totals(per_server: float | np.ndarray, server_count: int) -> np.ndarray:
+    """Row totals over ``server_count`` servers that all carry one value.
+
+    ``per_server`` holds one value per row (a scalar is one row). Each
+    total is the pairwise reduction ``np.sum`` applies to a full
+    per-server row (:func:`uniform_total`), so a uniform cluster computed
+    as one server totals bit-identically to its full state. A mean is the
+    total divided by ``server_count``, as ``np.mean`` divides.
+    """
+    values = np.asarray(per_server, dtype=float).reshape(-1)
+    total = uniform_total(server_count)
+    if len(values) <= _FLOAT_ROWS:
+        return np.array([total(value) for value in values.tolist()], dtype=float)
+    return np.asarray(total(values), dtype=float)
 
 
 class BatchedClusterThermalState:
@@ -116,6 +249,12 @@ class BatchedClusterThermalState:
             [[m.specific_heat_liquid_j_per_kg_k] for m in materials]
         )
         self._melt_range = np.array([[m.melting_range_c] for m in materials])
+        # With one material, every server has the same branch bounds, and
+        # a whole state often sits in one branch. A melting-point search's
+        # members straddle the zone temperature, so its states are mixed
+        # and the one-branch test would cost two reductions for nothing.
+        self._one_material = all(m is materials[0] for m in materials)
+        self._fusion_j_per_kg = float(materials[0].heat_of_fusion_j_per_kg)
         self.cluster_count = cluster_count
         self.server_count = server_count
         self.wax_mass_kg = characterization.wax_mass_kg
@@ -218,6 +357,19 @@ class BatchedClusterThermalState:
     # -- per-cluster enthalpy maps (same branches as ``PCMMaterial``) -------
 
     def _temperature_at_enthalpy(self, h: np.ndarray) -> np.ndarray:
+        if self._one_material:
+            # When every element takes one branch (judged on the extremes),
+            # compute only that branch: each element gets the expression
+            # np.where would have picked. A NaN makes both extremes NaN,
+            # which fails every test below.
+            lo, hi = float(h.min()), float(h.max())
+            fusion = self._fusion_j_per_kg
+            if hi <= 0:
+                return self._solidus + h / self._c_solid
+            if lo > 0 and hi < fusion:
+                return self._solidus + (h / self._fusion) * self._melt_range
+            if lo >= fusion:
+                return self._liquidus + (h - self._fusion) / self._c_liquid
         solid = self._solidus + h / self._c_solid
         mushy = self._solidus + (h / self._fusion) * self._melt_range
         liquid = self._liquidus + (h - self._fusion) / self._c_liquid

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dcsim.room import RoomModel
-from repro.dcsim.thermal_coupling import ClusterThermalState
+from repro.dcsim.thermal_coupling import ClusterThermalState, uniform_total
 from repro.errors import ConfigurationError
 from repro.obs import get_registry
 from repro.server.characterization import interp_float
@@ -95,10 +95,10 @@ def _column_release(state: ClusterThermalState, frequency_ghz: float):
     takes ``power_w - wax_exchange_w`` on one server in the same
     operations, with the UA from
     :func:`~repro.server.characterization.interp_float`. ``release``
-    fills one reused ``(servers,)`` buffer with it and sums that: the
-    pairwise ``np.sum`` of the per-server row. ``under`` compares the
+    totals it with :func:`~repro.dcsim.thermal_coupling.uniform_total`:
+    the pairwise ``np.sum`` of the per-server row. ``under`` compares the
     one-server value with :func:`_fill_threshold` of a finite capacity,
-    found once per bisection, instead of summing every round.
+    found once per bisection, instead of totalling every round.
     """
     model = state.power_model
     factor = model.frequency_factor(frequency_ghz)
@@ -110,7 +110,7 @@ def _column_release(state: ClusterThermalState, frequency_ghz: float):
     characterization = state.characterization
     grid, uas = characterization.utilization_grid, characterization.wax_ua_w_per_k
     wax = state.wax_enabled
-    servers = np.empty(state.server_count)
+    total = uniform_total(state.server_count)
 
     def per_server(busy: float) -> float:
         u_eff = busy * factor
@@ -121,38 +121,34 @@ def _column_release(state: ClusterThermalState, frequency_ghz: float):
         return idle_w + (dynamic_range_w * u_eff) - exchange
 
     def release(busy: float) -> float:
-        servers.fill(per_server(busy))
-        return float(servers.sum())
+        return total(per_server(busy))
 
     def under(capacity_w: float):
         if not math.isfinite(capacity_w):
             return lambda busy: release(busy) <= capacity_w
-        threshold = _fill_threshold(capacity_w, servers)
+        threshold = _fill_threshold(capacity_w, state.server_count)
         return lambda busy: per_server(busy) <= threshold
 
     return release, under
 
 
-def _fill_threshold(capacity_w: float, servers: np.ndarray) -> float:
-    """The largest double ``t`` whose fill-and-sum over the ``servers``
-    buffer is at most the finite ``capacity_w``.
+def _fill_threshold(capacity_w: float, server_count: int) -> float:
+    """The largest double ``t`` whose total over ``server_count`` servers
+    that all carry it is at most the finite ``capacity_w``.
 
     The sum of ``n`` equal doubles is monotone non-decreasing in the
     value, because each IEEE round-to-nearest addition is monotone in its
-    operands, whatever the reduction tree. So ``fill-and-sum(v) <=
-    capacity_w`` holds exactly when ``v <= t``. ``t`` is found by
-    stepping doubles from ``capacity_w / n``, down while the sum exceeds
-    the capacity and then up while the next double's sum fits, each
-    checked with the real fill-and-sum. The sum's rounding error is a
-    few ulps, so the search takes a few sums; a non-finite capacity
-    would never end it.
+    operands, whatever the reduction tree. So ``total(v) <= capacity_w``
+    holds exactly when ``v <= t``. ``t`` is found by stepping doubles from
+    ``capacity_w / n``, down while the total exceeds the capacity and
+    then up while the next double's total fits, each checked with
+    :func:`~repro.dcsim.thermal_coupling.uniform_total`, the pairwise
+    ``np.sum`` of the per-server row. The sum's rounding error is a few
+    ulps, so the search takes a few totals; a non-finite capacity would
+    never end it.
     """
-
-    def total(value: float) -> float:
-        servers.fill(value)
-        return float(servers.sum())
-
-    t = capacity_w / len(servers)
+    total = uniform_total(server_count)
+    t = capacity_w / server_count
     while total(t) > capacity_w:
         t = math.nextafter(t, -math.inf)
     while total(up := math.nextafter(t, math.inf)) <= capacity_w:
@@ -427,6 +423,20 @@ class FaultResponsePolicy:
                 return override
         return self.base.decide(state, work_rate)
 
+    def conditional_decision(self, state: ClusterThermalState):
+        """The base policy's conditional certificate while no fault is
+        live (see :meth:`RoomTemperaturePolicy.conditional_decision`).
+
+        With ``injector.current`` at ``None``, :meth:`decide` delegates
+        to the base unchanged; a dormant injector keeps it there for the
+        whole of a fluid stretch. Otherwise, or when the base publishes
+        no certificate, ``None``.
+        """
+        if self.injector.current is not None:
+            return None
+        certificate = getattr(self.base, "conditional_decision", None)
+        return None if certificate is None else certificate(state)
+
 
 class RoomTemperaturePolicy:
     """Throttle on the *room* temperature of an oversubscribed datacenter.
@@ -473,3 +483,25 @@ class RoomTemperaturePolicy:
             room.cooling_capacity_w,
         )
         return decision
+
+    def conditional_decision(self, state: ClusterThermalState):
+        """A conditional certificate for the fluid engine, or ``None``.
+
+        While the latch is released this returns ``(decision, room,
+        limit)``: nominal clocks, the room the policy watches and its
+        ``max_temperature_c``. For every tick whose room temperature is
+        below ``limit``, :meth:`decide` returns exactly ``decision``,
+        makes no preview and leaves the latch released, so the batched
+        fluid engine may advance such ticks without consulting the
+        policy. The engine ends the stretch before the first tick whose
+        room reading is not below the limit (NaN included), and that tick
+        runs :meth:`decide`, which latches. While the latch is set the
+        decision depends on the state, so there is no certificate.
+        """
+        if self._throttled:
+            return None
+        room = self.room
+        decision = ThrottleDecision(
+            frequency_ghz=state.power_model.nominal_frequency_ghz
+        )
+        return decision, room, room.max_temperature_c

@@ -84,9 +84,9 @@ class ChaosConfig:
     duration_s: float = hours(36.0)
     tick_interval_s: float = 60.0
     mode: str = "fluid"
-    #: Event-mode engine under test; ignored in fluid mode. Defaults to
-    #: the simulator's default so bundles written before the field
-    #: existed replay with unchanged behaviour.
+    #: Engine under test, in either mode. Defaults to the simulator's
+    #: default so bundles written before the field existed replay with
+    #: unchanged behaviour.
     engine: str = "batched"
     #: Plant capacity as a fraction of the nominal (unfaulted) peak
     #: cooling load — slightly oversubscribed so faults actually bite.
@@ -417,20 +417,21 @@ def check_engine_agreement(
     seed: int = 0,
     policy_factory=None,
 ) -> bool:
-    """Whether both event engines produce bit-identical faulted runs.
+    """Whether both engines of the config's mode produce bit-identical
+    faulted runs.
 
     Runs the harness scenario under a seeded fault schedule twice — once
-    on the batched engine, once on the per-event reference — and compares
-    every trace bitwise. This is the event-engine equivalence acceptance
-    gate under fault injection (offline servers, power caps, and queue
-    backlogs all stress the engines' shared dispatch semantics).
+    on the batched engine, once on the reference — and compares every
+    trace bitwise. This is the engine equivalence acceptance gate under
+    fault injection: in event mode, offline servers, power caps and
+    queue backlogs stress the engines' shared dispatch semantics; in
+    fluid mode, faults start and end inside the batched engine's
+    stretches, and the room latch sets and releases between them.
     ``policy_factory`` swaps in an alternative policy stack on both arms
     (see :func:`build_simulator`) — the control subsystem uses it to
     prove each planner decides identically on either engine.
     """
-    config = config or ChaosConfig(mode="event")
-    if config.mode != "event":
-        config = replace(config, mode="event")
+    config = config or ChaosConfig()
     schedule = random_schedule(seed, config)
     results = [
         build_simulator(
@@ -549,13 +550,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("transparency: FAILED (empty schedule altered the run)")
             failures += 1
-    if args.mode == "event":
-        extra_checks += 1
-        if check_engine_agreement(config, seed=args.seed_start):
-            print("engine agreement: ok (batched == reference, faulted)")
-        else:
-            print("engine agreement: FAILED (batched != reference)")
-            failures += 1
+    extra_checks += 1
+    if check_engine_agreement(config, seed=args.seed_start):
+        print("engine agreement: ok (batched == reference, faulted)")
+    else:
+        print("engine agreement: FAILED (batched != reference)")
+        failures += 1
 
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     for run in run_seeds(seeds, config, bundle_dir=args.bundle_dir):

@@ -16,6 +16,7 @@ unphysical conclusion that a blocked server exchanges no heat at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -39,17 +40,25 @@ def flow_scaled_conductance(
     Clamps to a stagnant floor so conductance stays positive as flow goes to
     zero.
     """
-    if reference_conductance_w_per_k <= 0:
+    # In-range tests, so that NaN (every comparison false) fails them.
+    if not 0 < reference_conductance_w_per_k < math.inf:
         raise ConfigurationError(
-            f"reference conductance must be positive, got "
+            f"reference conductance must be positive and finite, got "
             f"{reference_conductance_w_per_k}"
         )
-    if reference_flow_m3_s <= 0:
+    if not 0 < reference_flow_m3_s < math.inf:
         raise ConfigurationError(
-            f"reference flow must be positive, got {reference_flow_m3_s}"
+            f"reference flow must be positive and finite, got "
+            f"{reference_flow_m3_s}"
         )
-    if flow_m3_s < 0:
-        raise ConfigurationError(f"flow must be non-negative, got {flow_m3_s}")
+    if not 0 <= flow_m3_s < math.inf:
+        raise ConfigurationError(
+            f"flow must be non-negative and finite, got {flow_m3_s}"
+        )
+    if not 0 <= exponent < math.inf:
+        raise ConfigurationError(
+            f"flow exponent must be non-negative and finite, got {exponent}"
+        )
     if not 0.0 <= stagnant_fraction <= 1.0:
         raise ConfigurationError(
             f"stagnant fraction must be in [0, 1], got {stagnant_fraction}"

@@ -692,11 +692,16 @@ class _TraceBuffers:
         self.power_trace[sample_index] = compiled.network.total_power_w(time_s)
 
     def watch(self, stop_at: tuple[str, float]) -> np.ndarray:
-        """The trace that a ``stop_at=(node, temperature_c)`` test reads."""
-        traces = {**self.temp_traces, **self.air_traces}
-        if stop_at[0] not in traces:
-            raise ConfigurationError(f"stop_at names no node: {stop_at[0]!r}")
-        return traces[stop_at[0]]
+        """The trace that a ``stop_at=(node, temperature_c)`` test reads.
+
+        A node comes before an air segment of the same name, as in
+        :meth:`TransientResult.temperature`.
+        """
+        name = stop_at[0]
+        for traces in (self.temp_traces, self.air_traces):
+            if name in traces:
+                return traces[name]
+        raise ConfigurationError(f"stop_at names no node: {name!r}")
 
     def result(self, times: np.ndarray) -> TransientResult:
         """The traces up to ``len(times)`` samples (fewer after a stop)."""

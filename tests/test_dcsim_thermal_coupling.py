@@ -1,13 +1,17 @@
 """Tests for the vectorized cluster thermal state."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dcsim.thermal_coupling as tc
 from repro.dcsim.thermal_coupling import ClusterThermalState
 from repro.errors import ConfigurationError
 from repro.materials.library import commercial_paraffin_with_melting_point
+from repro.obs import get_registry
 from repro.server.characterization import LumpedServerModel
 
 
@@ -335,6 +339,193 @@ class TestUniformTotals:
                 row = np.full(servers, value)
                 assert total == np.sum(row), servers
                 assert total / servers == np.mean(row), servers
+
+
+#: The guard's probe values and a few ordinary ones.
+_SPECIAL_VALUES = (*tc._PROBES, 1.0, -1.0, 2.0**-1074 * 3, 1e-300, 123456.789)
+
+_totals_values = st.one_of(
+    st.sampled_from(_SPECIAL_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e4, 1e4),
+)
+
+#: Lengths below 8, in the 8-accumulator range, just past a split and the
+#: paper's cluster, besides any length up to a few thousand.
+_totals_lengths = st.one_of(
+    st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 1008, 4096]),
+    st.integers(1, 3000),
+)
+
+
+def _same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestTotalsPlan:
+    """The compiled plan against NumPy's own reduction, and the guard
+    that keeps the fill-and-sum where a plan would differ."""
+
+    @given(servers=_totals_lengths, value=_totals_values)
+    @settings(max_examples=300, deadline=None)
+    def test_plan_on_a_float_is_the_row_sum(self, servers, value):
+        plan = tc.compile_plan(servers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.sum(np.full(servers, value))
+        assert _same_bytes(plan(value), expected)
+
+    @given(
+        servers=_totals_lengths,
+        values=st.lists(_totals_values, min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plan_on_rows_is_each_row_sum(self, servers, values):
+        values = np.array(values, dtype=float)
+        plan = tc.compile_plan(servers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.empty((len(values), servers))
+            rows[:] = values[:, None]
+            expected = rows.sum(axis=1)
+            assert _same_bytes(plan(values), expected)
+            assert _same_bytes(tc.uniform_totals(values, servers), expected)
+
+    @pytest.mark.parametrize("servers", [1, 7, 8, 9, 129, 1008])
+    def test_the_guard_takes_the_plan_here(self, servers):
+        plan = tc.compile_plan(servers)
+        assert tc._checked(servers, plan) is plan
+
+    def test_the_guard_falls_back_on_a_wrong_plan(self, monkeypatch):
+        servers = 1009
+        # n * x is not NumPy's pairwise sum: 0.1 * 1009 differs from it.
+        monkeypatch.setattr(tc, "compile_plan", lambda n: (lambda x: x * n))
+        monkeypatch.setattr(tc, "_TOTALS", {})
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        try:
+            with registry.collect() as collection:
+                total = tc.uniform_total(servers)
+                assert tc.uniform_total(servers) is total  # checked once
+        finally:
+            if not was_enabled:
+                registry.disable()
+        counters = collection.report.counters
+        assert counters.get("dcsim.totals.fill") == 1
+        assert "dcsim.totals.plan" not in counters
+        for value in (0.1, 263.7, -0.0, 1.0 / 3.0):
+            assert _same_bytes(total(value), np.sum(np.full(servers, value)))
+        values = np.linspace(-5.0, 300.0, 64)
+        assert _same_bytes(
+            tc.uniform_totals(values, servers), tc.fill_totals(values, servers)
+        )
+
+    def test_a_plan_is_counted_once_per_server_count(self, monkeypatch):
+        monkeypatch.setattr(tc, "_TOTALS", {})
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        try:
+            with registry.collect() as collection:
+                for _ in range(3):
+                    tc.uniform_totals(np.array([1.0, 2.0]), 1008)
+                    tc.uniform_totals(1.0, 7)
+        finally:
+            if not was_enabled:
+                registry.disable()
+        assert collection.report.counters.get("dcsim.totals.plan") == 2
+
+
+def _three_branch_map(state, h):
+    """The map before the one-branch shortcut: the nested np.where."""
+    solid = state._solidus + h / state._c_solid
+    mushy = state._solidus + (h / state._fusion) * state._melt_range
+    liquid = state._liquidus + (h - state._fusion) / state._c_liquid
+    return np.where(h <= 0, solid, np.where(h >= state._fusion, liquid, mushy))
+
+
+#: A melting point and range whose mushy map at the full heat of fusion
+#: differs from the liquid map there (43.0 - 1.55 + 3.1 != 43.0 + 1.55),
+#: so taking the wrong branch at that boundary changes bits.
+_EDGE_MATERIAL = dataclasses.replace(
+    commercial_paraffin_with_melting_point(43.0), melting_range_c=3.1
+)
+
+
+class TestOneBranchEnthalpyMap:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_three_branch_map(
+        self, one_u_spec, one_u_characterization, data
+    ):
+        clusters = data.draw(st.integers(1, 4), label="clusters")
+        servers = data.draw(st.integers(1, 6), label="servers")
+        fusions = st.sampled_from([2.0e5, 1.7e5, 2.3e5])
+        if data.draw(st.booleans(), label="one material"):
+            # The one-branch path: every cluster shares one material.
+            material = dataclasses.replace(
+                _EDGE_MATERIAL, heat_of_fusion_j_per_kg=data.draw(fusions)
+            )
+            materials = [material] * clusters
+        else:
+            # A melting-point search's shape: the nested np.where.
+            materials = [
+                dataclasses.replace(
+                    _EDGE_MATERIAL, heat_of_fusion_j_per_kg=data.draw(fusions)
+                )
+                for _ in range(clusters)
+            ]
+        state = tc.BatchedClusterThermalState(
+            one_u_characterization,
+            one_u_spec.power_model,
+            materials,
+            cluster_count=clusters,
+            server_count=servers,
+        )
+        fusion_min = min(m.heat_of_fusion_j_per_kg for m in materials)
+        fusion_max = max(m.heat_of_fusion_j_per_kg for m in materials)
+        regime = data.draw(
+            st.sampled_from(["solid", "mushy", "liquid", "mixed"]), label="regime"
+        )
+        values = {
+            "solid": st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3e5, 0.0)),
+            "mushy": st.one_of(
+                st.just(5e-324),
+                st.just(float(np.nextafter(fusion_min, 0.0))),
+                st.floats(5e-324, fusion_min, exclude_max=True),
+            ),
+            "liquid": st.one_of(st.just(fusion_max), st.floats(fusion_max, 6e5)),
+            "mixed": st.one_of(
+                st.just(0.0),
+                st.sampled_from([m.heat_of_fusion_j_per_kg for m in materials]),
+                st.just(float("nan")),
+                st.floats(-3e5, 6e5),
+            ),
+        }[regime]
+        h = np.array(
+            [[data.draw(values) for _ in range(servers)] for _ in range(clusters)]
+        )
+        assert _same_bytes(state._temperature_at_enthalpy(h), _three_branch_map(state, h))
+
+    @pytest.mark.parametrize("fill", ["zero", "fusion", "nan"])
+    def test_exact_boundaries(self, one_u_spec, one_u_characterization, fill):
+        state = tc.BatchedClusterThermalState(
+            one_u_characterization,
+            one_u_spec.power_model,
+            _EDGE_MATERIAL,
+            cluster_count=2,
+            server_count=3,
+        )
+        value = {
+            "zero": 0.0,
+            "fusion": _EDGE_MATERIAL.heat_of_fusion_j_per_kg,
+            "nan": float("nan"),
+        }[fill]
+        h = np.full((2, 3), value)
+        mapped = state._temperature_at_enthalpy(h)
+        assert _same_bytes(mapped, _three_branch_map(state, h))
+        if fill == "fusion":
+            # Every element is at the liquidus: the liquid branch.
+            assert np.all(mapped == _EDGE_MATERIAL.liquidus_c)
 
 
 # -- the step before it folded the DVFS factor once, checked the range in

@@ -349,7 +349,7 @@ class TestUniformPreview:
         # Sums next to the largest double overflow to inf, which is the
         # fill-and-sum's answer there too.
         with np.errstate(over="ignore"):
-            t = _fill_threshold(capacity, np.empty(servers))
+            t = _fill_threshold(capacity, servers)
             # The largest double whose fill-and-sum fits ...
             assert total(t) <= capacity < total(math.nextafter(t, math.inf))
             # ... so the one-server comparison is the fill-and-sum's verdict.

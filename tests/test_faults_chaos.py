@@ -48,6 +48,7 @@ from repro.faults.invariants import (
     identical_results,
 )
 from repro.materials.library import Stability
+from repro.obs import get_registry
 from repro.units import hours
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "faults"
@@ -151,6 +152,35 @@ class TestEventMode:
         assert check_engine_agreement(self.CONFIG, seed)
         run = run_schedule(random_schedule(seed, self.CONFIG), self.CONFIG)
         assert run.ok, run.describe()
+
+
+class TestFluidEngineAgreement:
+    """The fluid engines under the default
+    ``FaultResponsePolicy(RoomTemperaturePolicy)`` stack and scenario:
+    the batched engine stretches the ticks where the latch is released,
+    the room is below its limit and no fault is live, and must still
+    match the per-tick reference bit for bit."""
+
+    CONFIG = ChaosConfig()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_engines_agree_with_stretches(self, seed):
+        # Size the plant first, so that the counts below are the two
+        # compared runs' (the reference engine counts no ticks).
+        build_simulator(self.CONFIG)
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        try:
+            with registry.collect() as collection:
+                assert check_engine_agreement(self.CONFIG, seed)
+        finally:
+            if not was_enabled:
+                registry.disable()
+        counters = collection.report.counters
+        stretch = counters.get("dcsim.fluid.stretch_ticks", 0)
+        assert stretch > 0
+        assert stretch + counters["dcsim.fluid.scalar_ticks"] == 2160
 
 
 class TestCheckRun:

@@ -134,18 +134,24 @@ def _assert_engines_agree(**kwargs):
     assert np.array_equal(enthalpy_b, enthalpy_r)
 
 
-def _engine_counters(**kwargs):
-    """Run both engines, assert they agree and that the reference engine
-    took no column tick, and return the batched engine's counters."""
+def _counted_runs(make_simulator):
+    """Run the simulator ``make_simulator(engine)`` builds on both engines,
+    assert byte-identical results and that the reference engine took no
+    column tick, and return the batched run's counters and result."""
     registry = get_registry()
     was_enabled = registry.enabled
     registry.enable()
     runs = {}
     try:
         for engine in ("batched", "reference"):
+            simulator = make_simulator(engine)
             with registry.collect() as collection:
-                runs[engine] = _run(engine, **kwargs)
-            runs[engine] += (collection.report.counters,)
+                result = simulator.run()
+            runs[engine] = (
+                result,
+                np.array(simulator.final_state.specific_enthalpy_j_per_kg),
+                collection.report.counters,
+            )
     finally:
         if not was_enabled:
             registry.disable()
@@ -154,7 +160,13 @@ def _engine_counters(**kwargs):
     assert identical_results(batched, reference)
     assert np.array_equal(enthalpy_b, enthalpy_r)
     assert counters_r.get("dcsim.column_ticks", 0) == 0
-    return counters_b
+    return counters_b, batched
+
+
+def _engine_counters(**kwargs):
+    """:func:`_counted_runs` of :func:`_simulator`'s scenario; returns the
+    batched engine's counters."""
+    return _counted_runs(lambda engine: _simulator(engine, **kwargs))[0]
 
 
 _FAULT_KINDS = (
@@ -388,13 +400,189 @@ class TestColumnEquivalence:
             with_room=True,
             capacity_per_server_w=140.0,
         )
-        assert batched["dcsim.fluid.scalar_ticks"] == 480
-        assert batched["dcsim.column_ticks"] == 480
+        scalar = batched["dcsim.fluid.scalar_ticks"]
+        stretch = batched.get("dcsim.fluid.stretch_ticks", 0)
+        assert batched["dcsim.column_ticks"] == scalar
         assert batched["dcsim.throttle_ticks"] > 0
+        if planner in ("room", "fault"):
+            # The released latch stretches while the room is below its
+            # limit; the latched ticks run scalar on the column.
+            assert stretch > 0
+            assert stretch + scalar == 480
+        else:
+            assert scalar == 480
+
+
+class _RoomAtItsLimit(RoomModel):
+    """A room that each run starts exactly at its limit."""
+
+    def reset(self) -> None:
+        self.temperature_c = self.max_temperature_c
+
+
+class TestConditionalCertificate:
+    """Stretches under the room latch's conditional certificate: nominal
+    clocks while the latch is released and the plant's room is below its
+    limit, with the tick that reaches the limit run scalar."""
+
+    SERVERS = 8
+    LEVELS = [0.3, 1.0, 1.0, 0.6, 0.2]
+    HOURS = 8.0
+
+    def _simulator(self, engine, *, room, policy, schedule=None):
+        injector = FaultInjector(schedule) if schedule is not None else None
+        if callable(policy):
+            policy = policy(injector)
+        return DatacenterSimulator(
+            CHARACTERIZATION,
+            SPEC.power_model,
+            MATERIAL,
+            _trace(self.LEVELS, self.HOURS * 3600.0),
+            topology=ClusterTopology(server_count=self.SERVERS),
+            config=SimulationConfig(
+                mode="fluid", tick_interval_s=TICK_S, engine=engine
+            ),
+            room=room,
+            policy=policy,
+            fault_injector=injector,
+        )
+
+    def test_latch_sets_inside_a_stretch_and_releases(self):
+        room = _room(self.SERVERS, 140.0)
+        counters, result = _counted_runs(
+            lambda engine: self._simulator(
+                engine, room=room, policy=RoomTemperaturePolicy(room)
+            )
+        )
+        throttled = np.flatnonzero(result.throttled_mask())
+        stretch = counters["dcsim.fluid.stretch_ticks"]
+        scalar = counters["dcsim.fluid.scalar_ticks"]
+        assert stretch + scalar == 480
+        # The latch set mid-run, inside what was a stretch ...
+        assert throttled[0] > 0
+        assert counters["dcsim.column_ticks"] == scalar
+        # ... and the run stretched again once it released.
+        assert throttled[-1] < 479
+        assert stretch > throttled[0]
+        # Only the ticks that consult the policy count a decision.
+        assert counters["dcsim.throttle_ticks"] == len(throttled)
+
+    @pytest.mark.parametrize(
+        ("kind", "magnitude"),
+        [("cooling_loss", 0.8), ("sensor_dropout", 1.0), ("power_cap", 0.4)],
+    )
+    def test_fault_starts_and_ends_inside_a_stretch(self, kind, magnitude):
+        # Ticks at 60 s: the fault covers ticks 120-179 (t = 7260-10800).
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind=kind,
+                    start_s=7230.0,
+                    end_s=10830.0,
+                    magnitude=magnitude,
+                ),
+            ),
+            name="inside",
+        )
+        room = _room(self.SERVERS, 260.0)
+        counters, _ = _counted_runs(
+            lambda engine: self._simulator(
+                engine,
+                room=room,
+                policy=lambda injector: FaultResponsePolicy(
+                    RoomTemperaturePolicy(room), injector
+                ),
+                schedule=schedule,
+            )
+        )
+        assert counters["faults.ticks_active"] == 60
+        stretch = counters["dcsim.fluid.stretch_ticks"]
+        assert stretch + counters["dcsim.fluid.scalar_ticks"] == 480
+        # Stretched up to the fault, and again after its recovery tick.
+        assert stretch > 120
+
+    def test_room_starting_at_its_limit_latches_on_the_first_tick(self):
+        room = _RoomAtItsLimit(
+            cooling_capacity_w=260.0 * self.SERVERS,
+            thermal_mass_j_per_k=500.0 * self.SERVERS,
+        )
+        counters, result = _counted_runs(
+            lambda engine: self._simulator(
+                engine, room=room, policy=RoomTemperaturePolicy(room)
+            )
+        )
+        # The stretch stops before its first tick, which runs scalar and
+        # latches; the stretch resumes once the latch releases.
+        assert result.throttled_mask()[0]
+        assert counters["dcsim.fluid.scalar_ticks"] >= 1
+        assert counters["dcsim.fluid.stretch_ticks"] > 0
+
+    def test_policy_watching_another_room_is_never_stretched(self):
+        plant_room = _room(self.SERVERS, 260.0)
+        other = _room(self.SERVERS, 260.0)
+        # The plant never steps or resets the policy's room, which stays
+        # over its limit: the policy latches on the first tick.
+        other.temperature_c = other.max_temperature_c + 1.0
+        counters, result = _counted_runs(
+            lambda engine: self._simulator(
+                engine, room=plant_room, policy=RoomTemperaturePolicy(other)
+            )
+        )
+        assert counters.get("dcsim.fluid.stretch_ticks", 0) == 0
+        assert counters["dcsim.fluid.scalar_ticks"] == 480
+        assert result.throttled_mask().all()
+
+    def test_room_policy_certificate(self):
+        room = _room(4)
+        policy = RoomTemperaturePolicy(room)
+        state = TestStretchMachinery._state()
+        decision, certified_room, limit = policy.conditional_decision(state)
+        assert certified_room is room
+        assert limit == room.max_temperature_c
+        # Below the limit, decide returns that decision and stays released.
+        room.temperature_c = math.nextafter(limit, -math.inf)
+        assert policy.decide(state, np.full(4, 1.0)) == decision
+        assert policy.conditional_decision(state) is not None
+        # At the limit it latches, and a latched policy has no certificate.
+        room.temperature_c = limit
+        assert policy.decide(state, np.full(4, 1.0)) != decision
+        assert policy.conditional_decision(state) is None
+
+    def test_fault_policy_passes_the_certificate_only_while_no_fault_is_live(
+        self,
+    ):
+        room = _room(4)
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind="sensor_dropout",
+                    start_s=600.0,
+                    end_s=1200.0,
+                    magnitude=1.0,
+                ),
+            ),
+            name="live",
+        )
+        injector = FaultInjector(schedule)
+        state = TestStretchMachinery._state()
+        base = RoomTemperaturePolicy(room)
+        policy = FaultResponsePolicy(base, injector)
+        assert policy.conditional_decision(state) == base.conditional_decision(
+            state
+        )
+        injector.advance_to(600.0)
+        assert injector.current is not None
+        assert policy.conditional_decision(state) is None
+        injector.advance_to(1260.0)
+        assert policy.conditional_decision(state) is not None
+        # A base without a certificate gives none.
+        plain = FaultResponsePolicy(ThermalLimitPolicy(1000.0), injector)
+        assert plain.conditional_decision(state) is None
 
 
 class TestStretchMachinery:
-    def _state(self, servers=4, offsets=None):
+    @staticmethod
+    def _state(servers=4, offsets=None):
         from repro.dcsim.thermal_coupling import ClusterThermalState
 
         return ClusterThermalState(
@@ -495,7 +683,11 @@ class TestStretchMachinery:
             with_room=True,
         )
         assert batched["faults.ticks_active"] == 60
-        assert batched["dcsim.column_ticks"] == 360 - 60
+        # Outside the fault every tick is on the column: stretched under
+        # the released latch, or a scalar column tick.
+        on_column = batched.get("dcsim.column_ticks", 0)
+        on_column += batched.get("dcsim.fluid.stretch_ticks", 0)
+        assert on_column == 360 - 60
 
     def test_advancer_ineligible_with_nonuniform_state(self):
         # An outage concentrates load on the survivors: the per-server

@@ -1,5 +1,7 @@
 """Tests for flow-scaled convective conductances."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,40 @@ class TestFlowScaling:
             flow_scaled_conductance(2.0, -0.01, 0.01)
         with pytest.raises(ConfigurationError):
             flow_scaled_conductance(2.0, 0.01, 0.01, stagnant_fraction=2.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"reference_conductance_w_per_k": math.nan},
+            {"reference_conductance_w_per_k": math.inf},
+            {"reference_flow_m3_s": math.nan},
+            {"reference_flow_m3_s": math.inf},
+            {"flow_m3_s": math.nan},
+            {"flow_m3_s": math.inf},
+            {"exponent": math.nan},
+            {"exponent": math.inf},
+            {"exponent": -0.5},
+        ],
+        ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+    )
+    def test_nan_inf_and_negative_exponent_rejected(self, bad):
+        arguments = {
+            "reference_conductance_w_per_k": 2.0,
+            "flow_m3_s": 0.01,
+            "reference_flow_m3_s": 0.01,
+            **bad,
+        }
+        with pytest.raises(ConfigurationError):
+            flow_scaled_conductance(**arguments)
+        # The coupling validates through the function at construction.
+        if "flow_m3_s" not in bad:
+            with pytest.raises(ConfigurationError):
+                ConvectiveCoupling(
+                    "cpu",
+                    arguments["reference_conductance_w_per_k"],
+                    arguments["reference_flow_m3_s"],
+                    exponent=arguments.get("exponent", 0.8),
+                )
 
     @given(
         flow=st.floats(min_value=0.0, max_value=0.1),

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.server.chassis import constant_utilization
 from repro.sprinting import SprintChip, run_sprint, run_sprint_batch
 from repro.sprinting.model import _sprint_outcome
 from repro.thermal.solver import simulate_transient, simulate_transient_batch
+from tests.test_server_chassis import minimal_chassis
 
 CHIP = SprintChip()
 LIMIT = ("die", CHIP.junction_limit_c)
@@ -89,6 +91,22 @@ class TestStopAt:
         for ours, theirs in zip(stopped, full):
             assert len(ours.times_s) == len(theirs.times_s)
             assert_prefix(ours, theirs)
+
+    def test_a_node_comes_before_an_air_segment_of_its_name(self):
+        # minimal_chassis names its component and its zone "cpu". The stop
+        # watches the node, as TransientResult.temperature reads it; the
+        # air segment never gets near the limit.
+        network = minimal_chassis().build_network(constant_utilization(1.0))
+        full = simulate_transient(network, 3600.0, output_interval_s=60.0)
+        stopped = simulate_transient(
+            network, 3600.0, output_interval_s=60.0, stop_at=("cpu", 48.4)
+        )
+        assert len(stopped.times_s) < len(full.times_s)
+        assert_prefix(stopped, full)
+        cpu = stopped.temperature("cpu")
+        assert cpu[-1] >= 48.4
+        assert np.all(cpu[:-1] < 48.4)
+        assert np.all(full.air_temperatures_c["cpu"] < 48.4)
 
     def test_unknown_node_rejected(self):
         network = CHIP.build_network(16.0)

@@ -50,5 +50,4 @@ class ExperimentError(ReproError):
 
 
 class RunnerError(ReproError):
-    """A parallel sweep was misconfigured or a task exhausted its
-    attempts (failure or timeout)."""
+    """A parallel sweep was misconfigured or one of its tasks raised."""

@@ -112,12 +112,10 @@ def experiment_cache_spec(
 ) -> dict[str, object]:
     """Cache address of one ``(experiment, quick)`` point.
 
-    Shared by every invocation surface — :func:`run_experiment`,
-    :func:`run_all`, and the service control plane
-    (:mod:`repro.service`) — so a point computed through any of them
-    answers for all of them. ``jobs`` is deliberately absent:
-    parallelism must not change the result, so a point computed with
-    any worker count answers for all.
+    Shared by :func:`run_experiment` and :func:`run_all`, so a point
+    computed through either answers for both. ``jobs`` is deliberately
+    absent: parallelism must not change the result, so a point computed
+    with any worker count answers for all.
     """
     return {
         "kind": "experiment",

@@ -27,17 +27,13 @@ from repro.obs.registry import (
     timer,
 )
 from repro.obs.report import RunReport, TimerStat
-from repro.obs.trace import bind_trace, current_trace_id, new_trace_id
 
 __all__ = [
     "ENV_TOGGLE",
     "ObsRegistry",
     "RunReport",
     "TimerStat",
-    "bind_trace",
     "count",
-    "current_trace_id",
-    "new_trace_id",
     "disable",
     "enable",
     "get_registry",

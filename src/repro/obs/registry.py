@@ -209,20 +209,6 @@ class ObsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
-    def count_many(self, counts: dict[str, int]) -> None:
-        """Add a batch of counter increments under one lock acquisition.
-
-        Concurrency-heavy callers (the service request path) accumulate
-        per-request deltas locally and flush them here, so N increments
-        cost one contended lock round instead of N.
-        """
-        if not self._enabled or not counts:
-            return
-        with self._lock:
-            counters = self._counters
-            for name, n in counts.items():
-                counters[name] = counters.get(name, 0) + n
-
     def record(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         if not self._enabled:

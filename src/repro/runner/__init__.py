@@ -4,15 +4,15 @@ The substrate every sweep-shaped workload in the library runs on:
 
 * :func:`~repro.runner.pool.sweep` — fan independent evaluations
   (steady-state solves, two-day cluster simulations, TCO points) over a
-  process pool with deterministic result ordering, per-task timeout and
-  retry, and graceful fallback to serial execution.
+  process pool with deterministic result ordering and graceful fallback
+  to serial execution.
 * :class:`~repro.runner.cache.ResultCache` — a content-addressed
   on-disk store keyed by SHA-256 of the canonical scenario encoding
   plus a code-version salt. Off by default; enabled per-call, via
-  ``--cache`` on the CLIs, or the ``REPRO_CACHE_DIR`` environment
+  ``repro-experiments --cache``, or the ``REPRO_CACHE_DIR`` environment
   variable.
-* :mod:`~repro.runner.serialize` — the exact, array-aware codec both
-  of the above share.
+* :mod:`~repro.runner.serialize` — the exact, array-aware codec the
+  cache stores with.
 
 See ``docs/RUNNER.md`` for the full contract.
 """

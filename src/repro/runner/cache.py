@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for experiment and sweep results.
+"""Content-addressed on-disk cache for experiment results and arrival streams.
 
 A :class:`ResultCache` maps a *scenario specification* — any value the
 canonical codec accepts (see :mod:`repro.runner.serialize`) — to a
@@ -21,10 +21,7 @@ cache directory at the same time. Every write lands under a fresh
 so readers observe either the previous complete entry or the new
 complete entry — never a torn mix — and racing writers of the same key
 resolve last-writer-wins (both wrote the same content-addressed value,
-so which rename lands last is immaterial). Within one process,
-:meth:`ResultCache.get_or_compute` additionally single-flights
-concurrent misses of the same key so a thundering herd computes the
-payload once.
+so which rename lands last is immaterial).
 
 The cache is **off by default**: nothing in the library writes to disk
 unless the user passes ``--cache`` on a CLI, sets ``REPRO_CACHE_DIR``,
@@ -38,10 +35,9 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs import get_registry
 from repro.runner.serialize import (
@@ -90,10 +86,6 @@ class ResultCache:
     def __init__(self, directory: str | Path, salt: str | None = None) -> None:
         self.directory = Path(directory)
         self.salt = salt if salt is not None else default_salt()
-        # In-process single-flight state for get_or_compute: key -> the
-        # event its first computer will set once the entry is published.
-        self._inflight: dict[str, threading.Event] = {}
-        self._inflight_lock = threading.Lock()
 
     def key(self, spec: Any) -> str:
         """Address of ``spec`` under this cache's salt."""
@@ -111,13 +103,13 @@ class ResultCache:
         obs = get_registry()
         path = self._path(self.key(spec))
         try:
-            text = path.read_text(encoding="utf-8")
+            payload = loads_payload(path.read_text(encoding="utf-8"))
         except OSError:
             obs.count("runner.cache.miss")
             return MISS
-        try:
-            payload = loads_payload(text)
         except (ValueError, KeyError, TypeError, SerializationError):
+            # UnicodeDecodeError is a ValueError: an entry cut off inside
+            # a multi-byte character is corrupt like any other.
             obs.count("runner.cache.corrupt")
             obs.count("runner.cache.miss")
             return MISS
@@ -144,45 +136,6 @@ class ResultCache:
             raise
         get_registry().count("runner.cache.store")
         return path
-
-    def get_or_compute(
-        self, spec: Any, compute: Callable[[], Any]
-    ) -> Any:
-        """Payload for ``spec``, computing and storing it on a miss.
-
-        Concurrent callers within one process are single-flighted: the
-        first miss runs ``compute()`` while the rest block until the
-        entry is published, then read it from disk. If the computing
-        caller fails, one waiter is promoted to compute in its place.
-        Across processes the cache stays coordination-free: concurrent
-        writers both compute and the last ``os.replace`` wins, which is
-        harmless because the key addresses the content.
-        """
-        key = self.key(spec)
-        obs = get_registry()
-        while True:
-            payload = self.get(spec)
-            if payload is not MISS:
-                return payload
-            with self._inflight_lock:
-                event = self._inflight.get(key)
-                if event is None:
-                    event = self._inflight[key] = threading.Event()
-                    owner = True
-                else:
-                    owner = False
-            if not owner:
-                obs.count("runner.cache.flight_waits")
-                event.wait()
-                continue
-            try:
-                payload = compute()
-                self.put(spec, payload)
-                return payload
-            finally:
-                with self._inflight_lock:
-                    self._inflight.pop(key, None)
-                event.set()
 
     def purge_stale_tmp(self, max_age_s: float = 3600.0) -> int:
         """Delete orphaned ``*.tmp`` files left by crashed writers.

@@ -9,53 +9,45 @@ a serial run.
 
 Execution strategy, in order of preference:
 
-* ``jobs == 1`` (the default) or a single pending item — run serially
+* ``jobs == 1`` (the default) or a single item — run serially
   in-process. No pickling requirement, no worker processes, byte-
   identical behaviour to the pre-runner code.
-* ``jobs > 1`` — fan out over a ``ProcessPoolExecutor``. Each task gets
-  a per-attempt ``timeout_s`` and up to ``retries`` re-submissions; a
-  task that exhausts its attempts raises :class:`RunnerError` naming
-  the item index.
+* ``jobs > 1`` — fan out over a ``ProcessPoolExecutor``. A task that
+  raises fails the sweep with a :class:`RunnerError` naming the item
+  index.
 * **graceful degradation** — if the function cannot be pickled (a
   lambda, a closure) or the pool dies mid-sweep
   (``BrokenProcessPool``), the remaining items run serially in-process
   instead of failing the sweep. The fallback is counted under
   ``runner.pool_fallbacks`` so it is visible, not silent.
 
-When a :class:`~repro.runner.cache.ResultCache` is supplied, each item
-is addressed by the function's qualified name plus the item's canonical
-encoding (or ``key_fn(item)`` for items the codec cannot express); hits
-skip evaluation entirely and misses are stored after evaluation.
 Workers run in separate processes, so observability counters they
 increment stay in the worker — the sweep itself reports scheduling
-counters (``runner.tasks``, ``runner.retries``, ``runner.timeouts``,
-``runner.cache.*``) in the parent process.
+counters (``runner.sweeps``, ``runner.tasks``,
+``runner.parallel_tasks``) in the parent process.
 """
 
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from repro.errors import RunnerError
 from repro.obs import get_registry
-from repro.runner.cache import MISS, ResultCache
-from repro.runner.serialize import SerializationError
 
 
 def _abandon(executor: ProcessPoolExecutor) -> None:
-    """Discard an executor whose workers may be wedged in a call we gave
-    up on. ``shutdown(wait=False)`` alone leaves each such worker alive
-    until its hung call returns on its own, so a sweep with repeated
-    timeouts would accumulate orphaned processes without bound; kill the
-    workers outright instead. ``_processes`` is private executor state,
-    hence the defensive ``getattr``: if a future interpreter renames it,
-    we degrade to the old leak-until-done behaviour, not a crash. The
-    snapshot happens *before* shutdown, which drops the executor's own
-    reference to the process table."""
+    """Discard an executor on the error path. Its workers may still be
+    running tasks the failed sweep no longer needs, and
+    ``shutdown(wait=False)`` alone leaves each such worker alive until
+    its call returns on its own; kill the workers outright instead.
+    ``_processes`` is private executor state, hence the defensive
+    ``getattr``: if a future interpreter renames it, we degrade to the
+    leak-until-done behaviour, not a crash. The snapshot happens
+    *before* shutdown, which drops the executor's own reference to the
+    process table."""
     processes = list((getattr(executor, "_processes", None) or {}).values())
     executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
@@ -65,42 +57,18 @@ def _abandon(executor: ProcessPoolExecutor) -> None:
             pass
 
 
-def _task_spec(func: Callable, item: Any, key_fn: Callable | None) -> Any:
-    """Cache address of one task: function identity + item content."""
-    return {
-        "kind": "sweep-task",
-        "func": f"{func.__module__}.{func.__qualname__}",
-        "item": key_fn(item) if key_fn is not None else item,
-    }
-
-
-def _run_serial(
-    func: Callable,
-    item: Any,
-    index: int,
-    retries: int,
-) -> Any:
-    obs = get_registry()
-    last_error: BaseException | None = None
-    for _attempt in range(retries + 1):
-        try:
-            return func(item)
-        except Exception as error:  # noqa: BLE001 - reported via RunnerError
-            last_error = error
-            obs.count("runner.retries")
-    assert last_error is not None
-    raise RunnerError(
+def _failure(func: Callable, index: int, error: BaseException) -> RunnerError:
+    return RunnerError(
         f"sweep task {index} ({getattr(func, '__qualname__', func)!r}) "
-        f"failed after {retries + 1} attempt(s): {last_error!r}"
-    ) from last_error
+        f"failed: {error!r}"
+    )
 
 
-def _encode_payload(value: Any, encoder: Callable | None) -> Any:
-    return encoder(value) if encoder is not None else value
-
-
-def _decode_payload(value: Any, decoder: Callable | None) -> Any:
-    return decoder(value) if decoder is not None else value
+def _run_serial(func: Callable, item: Any, index: int) -> Any:
+    try:
+        return func(item)
+    except Exception as error:  # noqa: BLE001 - reported via RunnerError
+        raise _failure(func, index, error) from error
 
 
 def sweep(
@@ -108,12 +76,6 @@ def sweep(
     items: Sequence[Any],
     *,
     jobs: int = 1,
-    timeout_s: float | None = None,
-    retries: int = 0,
-    cache: ResultCache | None = None,
-    key_fn: Callable[[Any], Any] | None = None,
-    encoder: Callable[[Any], Any] | None = None,
-    decoder: Callable[[Any], Any] | None = None,
     label: str = "runner.sweep",
 ) -> list[Any]:
     """Evaluate ``func`` over ``items``; results in item order.
@@ -126,184 +88,57 @@ def sweep(
         back to serial execution.
     jobs:
         Worker processes. ``1`` runs serially in-process.
-    timeout_s:
-        Per-attempt wall-clock limit, enforced only in process-pool
-        mode (a serial in-process task cannot be interrupted safely).
-        A timed-out attempt counts against ``retries``. Because a
-        running process-pool call cannot be cancelled, a timeout
-        recycles the executor (counted under ``runner.pool_recycles``):
-        the abandoned pool's worker processes are killed — so orphans
-        cannot pile up across repeated timeouts — while the retry and
-        all later tasks run on fresh workers.
-    retries:
-        Extra attempts after a failure or timeout before the sweep
-        raises :class:`RunnerError`.
-    cache:
-        Optional :class:`ResultCache`. Items must be expressible by the
-        canonical codec, or ``key_fn`` must map them to something that
-        is; payloads likewise, or supply ``encoder``/``decoder``.
-    key_fn / encoder / decoder:
-        Cache adapters: ``key_fn`` derives the item's cache identity,
-        ``encoder``/``decoder`` convert results to/from the codec's
-        value space. All default to identity.
+    label:
+        Name of the timer that spans the sweep.
     """
     if jobs < 1:
         raise RunnerError(f"jobs must be >= 1, got {jobs}")
-    if retries < 0:
-        raise RunnerError(f"retries must be >= 0, got {retries}")
     items = list(items)
     obs = get_registry()
     obs.count("runner.sweeps")
     obs.count("runner.tasks", len(items))
-
-    results: list[Any] = [None] * len(items)
-    pending: list[int] = []
-
     with obs.timer(label):
-        if cache is not None:
-            for index, item in enumerate(items):
-                try:
-                    spec = _task_spec(func, item, key_fn)
-                    payload = cache.get(spec)
-                except SerializationError as error:
-                    raise RunnerError(
-                        f"sweep item {index} cannot address the cache "
-                        f"({error}); pass key_fn to derive a cacheable key"
-                    ) from error
-                if payload is MISS:
-                    pending.append(index)
-                else:
-                    results[index] = _decode_payload(payload, decoder)
-        else:
-            pending = list(range(len(items)))
-
-        computed = _execute(
-            func,
-            [items[index] for index in pending],
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            indices=pending,
-        )
-        for index, value in zip(pending, computed):
-            results[index] = value
-            if cache is not None:
-                try:
-                    cache.put(
-                        _task_spec(func, items[index], key_fn),
-                        _encode_payload(value, encoder),
-                    )
-                except SerializationError as error:
-                    raise RunnerError(
-                        f"sweep result for item {index} cannot be cached "
-                        f"({error}); pass encoder to convert it"
-                    ) from error
-    return results
+        return _execute(func, items, jobs)
 
 
-def _execute(
-    func: Callable[[Any], Any],
-    items: list[Any],
-    *,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    indices: list[int],
-) -> list[Any]:
-    """Run the pending tasks; returns values aligned with ``items``."""
+def _execute(func: Callable[[Any], Any], items: list[Any], jobs: int) -> list[Any]:
+    """Run every task; returns values aligned with ``items``."""
     obs = get_registry()
-    if not items:
-        return []
-    if jobs == 1 or len(items) == 1:
-        return [
-            _run_serial(func, item, index, retries)
-            for item, index in zip(items, indices)
-        ]
+    if jobs == 1 or len(items) <= 1:
+        return [_run_serial(func, item, index) for index, item in enumerate(items)]
 
     try:
         pickle.dumps(func)
     except Exception:  # noqa: BLE001 - any pickling failure means "can't ship"
         obs.count("runner.pool_fallbacks")
-        return [
-            _run_serial(func, item, index, retries)
-            for item, index in zip(items, indices)
-        ]
+        return [_run_serial(func, item, index) for index, item in enumerate(items)]
 
     results: list[Any] = [None] * len(items)
     obs.count("runner.parallel_tasks", len(items))
     executor = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
     clean_exit = False
     try:
-        futures = {
-            position: executor.submit(func, item)
-            for position, item in enumerate(items)
-        }
-        attempts = dict.fromkeys(futures, 1)
-        for position in range(len(items)):
-            while True:
-                future = futures[position]
-                try:
-                    results[position] = future.result(timeout=timeout_s)
-                    break
-                except BrokenProcessPool:
-                    # The pool died (OOM-killed worker, interpreter
-                    # crash): finish everything not yet collected
-                    # in-process rather than losing the sweep.
-                    obs.count("runner.pool_fallbacks")
-                    for tail in range(position, len(items)):
-                        results[tail] = _run_serial(
-                            func, items[tail], indices[tail], retries
-                        )
-                    return results
-                except FutureTimeoutError:
-                    obs.count("runner.timeouts")
-                    future.cancel()
-                    if attempts[position] > retries:
-                        raise RunnerError(
-                            f"sweep task {indices[position]} timed out after "
-                            f"{attempts[position]} attempt(s) of "
-                            f"{timeout_s}s each"
-                        ) from None
-                    attempts[position] += 1
-                    obs.count("runner.retries")
-                    # A ProcessPoolExecutor cannot interrupt a running
-                    # call: the worker owning the timed-out task stays
-                    # occupied until the task finishes on its own, so
-                    # resubmitting to the same pool permanently loses one
-                    # worker per timeout — enough timeouts and the retry
-                    # itself queues behind the very task it is retrying.
-                    # Recycle instead: move every uncollected task to a
-                    # fresh executor and kill the old pool's workers
-                    # (the hung call would otherwise keep its process
-                    # alive arbitrarily long, and repeated timeouts
-                    # would pile such orphans up). In-flight work for
-                    # later items is redone, which is safe (retries
-                    # already require the function to tolerate
-                    # re-execution).
-                    obs.count("runner.pool_recycles")
-                    _abandon(executor)
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(jobs, len(items) - position)
-                    )
-                    for tail in range(position, len(items)):
-                        futures[tail] = executor.submit(func, items[tail])
-                except Exception as error:  # noqa: BLE001
-                    if attempts[position] > retries:
-                        raise RunnerError(
-                            f"sweep task {indices[position]} "
-                            f"({getattr(func, '__qualname__', func)!r}) "
-                            f"failed after {attempts[position]} attempt(s): "
-                            f"{error!r}"
-                        ) from error
-                    attempts[position] += 1
-                    obs.count("runner.retries")
-                    futures[position] = executor.submit(func, items[position])
+        futures = [executor.submit(func, item) for item in items]
+        for index, future in enumerate(futures):
+            try:
+                results[index] = future.result()
+            except BrokenProcessPool:
+                # The pool died (OOM-killed worker, interpreter crash):
+                # finish everything not yet collected in-process rather
+                # than losing the sweep.
+                obs.count("runner.pool_fallbacks")
+                for tail in range(index, len(items)):
+                    results[tail] = _run_serial(func, items[tail], tail)
+                return results
+            except Exception as error:  # noqa: BLE001
+                raise _failure(func, index, error) from error
         clean_exit = True
         return results
     finally:
         if clean_exit:
             executor.shutdown(wait=True)
         else:
-            # Error path: workers may be stuck in a task we already
-            # gave up on; kill them rather than leaking processes.
+            # Error path: the other workers may still be running tasks
+            # the failed sweep no longer needs; kill them rather than
+            # leaking processes.
             _abandon(executor)

@@ -1208,7 +1208,6 @@ def simulate_transient_batch(
     max_step_s: float | None = None,
     step_safety: float = DEFAULT_STEP_SAFETY,
     commit_final_state: bool = False,
-    progress_cb: Callable[[int, int, float], None] | None = None,
     stop_at: tuple[str, float] | None = None,
 ) -> BatchTransientResult:
     """Advance N structurally-identical networks in one RK4 loop.
@@ -1223,13 +1222,6 @@ def simulate_transient_batch(
     from further updates while the rest of the batch continues. Member
     trajectories are returned in input order; diverged members yield
     ``None`` (see :class:`BatchTransientResult`).
-
-    ``progress_cb``, when given, is called once per committed output
-    sample as ``progress_cb(sample_index, n_samples, time_s)`` (including
-    the initial condition at index 0). It adds nothing to the hot step
-    loop when omitted. An exception raised by the callback aborts the
-    integration and propagates to the caller unchanged — long-running
-    service layers use this for cooperative cancellation.
 
     ``stop_at`` is :func:`simulate_transient`'s, met once every live
     member has reached the temperature at some sample.
@@ -1296,8 +1288,6 @@ def simulate_transient_batch(
                     buffers[member_index].record(
                         sample_index, state[member_index], target
                     )
-            if progress_cb is not None:
-                progress_cb(sample_index, n_outputs, float(target))
             if stop_at is not None:
                 reached |= [trace[sample_index] >= stop_at[1] for trace in watched]
                 if np.all(reached | ~active):

@@ -24,7 +24,6 @@ for module_name in registry._REGISTRY.values():
     importlib.import_module(module_name)
 import repro.control.tournament
 import repro.faults.chaos
-import repro.service
 from repro.server.characterization import characterize_platform
 from repro.server.configs import open_compute_blade, one_u_commodity, two_u_commodity
 

@@ -282,8 +282,7 @@ class TestExperimentPerf:
 
 class TestRegistryThreadSafety:
     """The registry's concurrency contract: counter increments from any
-    number of threads are exact — no lost updates — whether they arrive
-    one at a time (count) or batched (count_many)."""
+    number of threads are exact — no lost updates."""
 
     def test_threaded_hammer_loses_no_increments(self, registry):
         threads, per_thread = 8, 10_000
@@ -291,7 +290,8 @@ class TestRegistryThreadSafety:
         def hammer():
             for _ in range(per_thread):
                 registry.count("hot")
-                registry.count_many({"hot": 2, "warm": 1})
+                registry.count("hot", 2)
+                registry.count("warm")
 
         workers = [threading.Thread(target=hammer) for _ in range(threads)]
         for worker in workers:
@@ -302,72 +302,3 @@ class TestRegistryThreadSafety:
         counters = registry.snapshot().counters
         assert counters["hot"] == threads * per_thread * 3
         assert counters["warm"] == threads * per_thread
-
-    def test_count_many_is_one_shot_under_reset_races(self, registry):
-        """A batched increment observed at all is observed in full."""
-        stop = threading.Event()
-
-        def batcher():
-            while not stop.is_set():
-                registry.count_many({"a": 1, "b": 1})
-
-        worker = threading.Thread(target=batcher)
-        worker.start()
-        try:
-            for _ in range(200):
-                counters = registry.snapshot().counters
-                # Never a torn batch: both keys move together.
-                assert abs(counters.get("a", 0) - counters.get("b", 0)) <= 1
-        finally:
-            stop.set()
-            worker.join()
-
-
-class TestTraceIds:
-    def test_ids_are_fresh_and_well_formed(self):
-        from repro.obs import new_trace_id
-
-        ids = {new_trace_id() for _ in range(100)}
-        assert len(ids) == 100
-        assert all(len(t) == 16 and int(t, 16) >= 0 for t in ids)
-
-    def test_bind_trace_nests_and_restores(self):
-        from repro.obs import bind_trace, current_trace_id
-
-        assert current_trace_id() is None
-        with bind_trace("outer-trace"):
-            assert current_trace_id() == "outer-trace"
-            with bind_trace("inner-trace"):
-                assert current_trace_id() == "inner-trace"
-            assert current_trace_id() == "outer-trace"
-        assert current_trace_id() is None
-
-    def test_asyncio_tasks_inherit_spawners_trace(self):
-        import asyncio
-
-        from repro.obs import bind_trace, current_trace_id
-
-        async def child():
-            return current_trace_id()
-
-        async def parent():
-            with bind_trace("request-7"):
-                inherited = await asyncio.create_task(child())
-            clean = await asyncio.create_task(child())
-            return inherited, clean
-
-        inherited, clean = asyncio.run(parent())
-        assert inherited == "request-7"
-        assert clean is None
-
-    def test_threads_do_not_inherit_without_bind(self):
-        from repro.obs import bind_trace, current_trace_id
-
-        seen = []
-        with bind_trace("main-thread"):
-            worker = threading.Thread(
-                target=lambda: seen.append(current_trace_id())
-            )
-            worker.start()
-            worker.join()
-        assert seen == [None]  # explicit re-bind is the contract

@@ -7,9 +7,10 @@ slots, FIFO queueing under saturation, work-clock completions under DVFS):
 * ``reference`` — a lean per-event loop over a ``heapq`` of
   ``(work_time, server, service_work)`` tuples. This is the semantic
   ground truth; it is intentionally simple.
-* ``batched`` — the same per-event heap loop, with slot occupancy in a
-  Python list for the tick and a *bulk-queue stretch*: once the cluster
-  is full, every arrival before the next completion queues in one step.
+* ``batched`` — the same per-event heap loop, with the tick's arrivals
+  and slot occupancy in Python lists for the tick and a *bulk-queue
+  stretch*: once the cluster is full, every arrival before the next
+  completion queues in one step.
 
 Both engines are **bit-identical** by construction, not by accident. The
 key device is the per-tick *event log* (:class:`TickEventLog`): rather than
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import time as _time
+from bisect import bisect_left
 
 import numpy as np
 
@@ -135,12 +137,10 @@ class _CoreBase:
         load_balancer,
     ) -> None:
         self.arr_times = arr_times
-        # Python-float mirrors for the scalar hot path.
-        self.arr_times_list = arr_times.tolist()
-        self.arr_services_list = arr_services.tolist()
-        self.n_arrivals = len(arr_times)
+        self.arr_services = arr_services
         self.i = 0  # next arrival index
         self.busy = np.zeros(n_servers, dtype=np.int64)
+        self.heap: list[tuple[float, int, float]] = []
         self.queue: list[float] = []
         self.queue_head = 0
         self.balancer = load_balancer
@@ -173,7 +173,10 @@ class _ReferenceCore(_CoreBase):
 
     def __init__(self, arr_times, arr_services, n_servers, load_balancer):
         super().__init__(arr_times, arr_services, n_servers, load_balancer)
-        self.heap: list[tuple[float, int, float]] = []
+        # Python-float mirrors of the whole run for the scalar loop.
+        self.arr_times_list = arr_times.tolist()
+        self.arr_services_list = arr_services.tolist()
+        self.n_arrivals = len(arr_times)
 
     def process_until(
         self, tick_time: float, t0: float, w0: float, tf: float, slot_limit: int
@@ -228,19 +231,22 @@ class _ReferenceCore(_CoreBase):
                     log.add(t_a, index, +1, service)
 
 
-class _BatchedCore(_ReferenceCore):
-    """The reference heap loop with list occupancy and bulk queueing.
+class _BatchedCore(_CoreBase):
+    """The reference heap loop with tick-local lists and bulk queueing.
 
     It makes the reference loop's decisions event for event, so it logs
-    the same transition multiset. Two things make it cheaper:
+    the same transition multiset. Three things make it cheaper:
 
+    * only the tick's arrivals (those strictly before its end; one
+      ``searchsorted`` finds them) become Python floats, so memory holds
+      one tick of them, not the whole run;
     * slot occupancy is a Python list for the tick (the loop does
       per-event scalar reads and writes, where list indexing beats NumPy
       scalar indexing by ~2x), copied back to ``busy`` at the tick end;
     * an arrival that finds the cluster full starts a *bulk-queue
       stretch*: no dispatch can change occupancy before the next
       completion, so every arrival strictly before it (or before the tick
-      end) queues in one step. The ``side="left"`` cut leaves an arrival
+      end) queues in one step. The ``bisect_left`` cut leaves an arrival
       at exactly the completion time to the loop, because completions win
       ties.
     """
@@ -252,12 +258,14 @@ class _BatchedCore(_ReferenceCore):
         busy = self.busy.tolist()
         log = self.log
         balancer = self.balancer
-        arr_times = self.arr_times_list
-        arr_services = self.arr_services_list
+        start = self.i
+        end = int(np.searchsorted(self.arr_times, tick_time, side="left"))
+        arr_times = self.arr_times[start:end].tolist()
+        arr_services = self.arr_services[start:end].tolist()
+        n_arrivals = end - start
+        i = 0  # next arrival of the tick
         while True:
-            t_a = (
-                arr_times[self.i] if self.i < self.n_arrivals else np.inf
-            )
+            t_a = arr_times[i] if i < n_arrivals else np.inf
             if heap:
                 t_c = t0 + (heap[0][0] - w0) / tf
                 if t_c < t0:
@@ -287,8 +295,8 @@ class _BatchedCore(_ReferenceCore):
             else:
                 if t_a >= tick_time:
                     break
-                service = arr_services[self.i]
-                self.i += 1
+                service = arr_services[i]
+                i += 1
                 self.events += 1
                 index = balancer.choose(busy, slot_limit)
                 if index is None:
@@ -298,19 +306,18 @@ class _BatchedCore(_ReferenceCore):
                     # completion (no dispatches can change ``busy``): the
                     # whole stretch of arrivals up to it queues in bulk.
                     limit = t_c if t_c < tick_time else tick_time
-                    hi = int(np.searchsorted(
-                        self.arr_times, limit, side="left"
-                    ))
-                    if hi > self.i:
-                        self.queue.extend(arr_services[self.i:hi])
-                        self.events += hi - self.i
-                        self.i = hi
+                    hi = bisect_left(arr_times, limit, i)
+                    if hi > i:
+                        self.queue.extend(arr_services[i:hi])
+                        self.events += hi - i
+                        i = hi
                         self._note_queue_depth()
                 else:
                     w_a = w0 + (t_a - t0) * tf
                     busy[index] += 1
                     heapq.heappush(heap, (w_a + service, index, service))
                     log.add(t_a, index, +1, service)
+        self.i = start + i
         self.busy[:] = busy
 
 

@@ -24,7 +24,6 @@ from repro.experiments.registry import ExperimentResult
 from repro.control.tournament import (
     ControlScenario,
     build_scenario_simulator,
-    default_scenarios,
     pinned_cooling_loss,
     quick_chaos_config,
     run_tournament,

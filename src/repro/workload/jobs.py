@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ class ArrivalStream:
 
     The array form of ``list[Arrival]`` consumed by the event engine:
     parallel float64/int64 columns of arrival time, service work, and job
-    class index into ``job_classes``.
+    class index into ``job_classes``, 24 bytes per arrival.
     """
 
     times_s: np.ndarray
@@ -121,7 +122,9 @@ def arrival_stream(
     The loop runs on Python floats with the random draws and arithmetic of
     ``Generator.choice`` (its one-draw CDF lookup) and ``np.interp`` (its
     formula, on a cursor that only moves forward); see docs/EVENTSIM.md
-    for why candidates cannot be drawn in bulk.
+    for why candidates cannot be drawn in bulk. It appends to typed
+    ``array`` buffers, and the columns are zero-copy views of them, so no
+    Python float outlives the loop.
     """
     if server_count <= 0:
         raise WorkloadError(f"server count must be positive, got {server_count}")
@@ -152,7 +155,7 @@ def arrival_stream(
     rng = np.random.default_rng(seed)
     exponential, uniform = rng.exponential, rng.random
     gap = 1.0 / peak_rate
-    times, services, classes = [], [], []
+    times, services, classes = array("d"), array("d"), array("q")
     time_now = 0.0
     horizon = trace.duration_s
     while True:
@@ -176,9 +179,9 @@ def arrival_stream(
         mean = means[index]
         services.append(mean if deterministic_service else exponential(mean))
     return ArrivalStream(
-        times_s=np.array(times, dtype=np.float64),
-        service_s=np.array(services, dtype=np.float64),
-        class_index=np.array(classes, dtype=np.int64),
+        times_s=np.frombuffer(times, dtype=np.float64),
+        service_s=np.frombuffer(services, dtype=np.float64),
+        class_index=np.frombuffer(classes, dtype=np.int64),
         job_classes=tuple(job_classes),
     )
 
@@ -201,13 +204,22 @@ def generate_arrivals(
 def coerce_arrival_stream(arrivals) -> ArrivalStream:
     """Column-array view of a user-supplied arrival list or stream.
 
-    Both event engines consume arrivals in time order, so a stream whose
-    times decrease is rejected with :class:`WorkloadError` naming the
-    first arrival out of order.
+    Both event engines consume arrivals in time order and order
+    completions by work, so a time or a service that is not finite and
+    non-negative (NaN cannot be ordered), or a time that decreases, is
+    rejected with :class:`WorkloadError` naming the first bad arrival.
     """
     if not isinstance(arrivals, ArrivalStream):
         arrivals = _arrival_columns(arrivals)
     times = arrivals.times_s
+    for column, what in ((times, "time"), (arrivals.service_s, "service")):
+        bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0)))
+        if bad.size:
+            i = int(bad[0])
+            raise WorkloadError(
+                f"arrival {i} has {what} {float(column[i])}: arrival "
+                f"{what}s must be finite and non-negative"
+            )
     late = np.flatnonzero(np.diff(times) < 0)
     if late.size:
         i = int(late[0]) + 1
@@ -296,7 +308,8 @@ def cached_arrival_stream(
     memo, then an optional :class:`repro.runner.ResultCache` (``cache``
     accepts anything :func:`repro.runner.resolve_cache` does — by default
     the ``REPRO_CACHE_DIR`` environment toggle). Hits and misses are
-    counted under ``dcsim.arrival_cache.*``.
+    counted under ``dcsim.arrival_cache.*``. Every call with the same key
+    shares one stream, so its columns are read-only.
     """
     from repro.runner.cache import MISS, resolve_cache
 
@@ -351,6 +364,8 @@ def cached_arrival_stream(
 
 
 def _memoize(key: str, stream: ArrivalStream) -> None:
+    for column in (stream.times_s, stream.service_s, stream.class_index):
+        column.flags.writeable = False
     _STREAM_MEMO[key] = stream
     _STREAM_MEMO.move_to_end(key)
     while len(_STREAM_MEMO) > _STREAM_MEMO_LIMIT:

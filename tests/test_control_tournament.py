@@ -49,7 +49,6 @@ from repro.control.tournament import (
     default_scenarios,
     main,
     pinned_cooling_loss,
-    quick_chaos_config,
     read_bundle,
     recovery_time_s,
     replay_bundle,
@@ -59,7 +58,6 @@ from repro.control.tournament import (
     write_bundle,
 )
 from repro.errors import ControlError
-from repro.faults.chaos import ChaosConfig
 from repro.faults.schedule import COOLING_LOSS, Fault, FaultSchedule
 from repro.units import hours
 

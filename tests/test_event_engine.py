@@ -4,15 +4,16 @@ The batched engine's contract is *bit-identity*: for any workload,
 policy, balancer, and fault schedule, it must produce byte-identical
 result traces and final enthalpies to the per-event reference loop.
 These tests drive both engines over hypothesis-generated scenarios and
-hand-built arrivals at exact ties, and check the FIFO queue of saturated
-jobs against a deque.
+hand-built arrivals at exact ties and tick edges, check the FIFO queue of
+saturated jobs against a deque, and bound the memory a batched run holds.
 """
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.dcsim.event_engine as ee
@@ -26,8 +27,13 @@ from repro.faults.schedule import Fault, FaultSchedule
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.server.characterization import characterize_platform
 from repro.server.configs import one_u_commodity
-from repro.workload.jobs import DEFAULT_JOB_CLASSES, ArrivalStream
+from repro.workload.jobs import (
+    DEFAULT_JOB_CLASSES,
+    ArrivalStream,
+    cached_arrival_stream,
+)
 from repro.workload.trace import LoadTrace
+from tests.test_workload_jobs import traced_peak
 
 SPEC = one_u_commodity()
 CHARACTERIZATION = characterize_platform(SPEC)
@@ -40,7 +46,17 @@ def _trace(levels, duration_s):
     return LoadTrace(times, np.asarray(levels, dtype=float))
 
 
-def _run(engine, *, levels, duration_s, servers, seed, balancer, schedule):
+def _stream(times, services):
+    return ArrivalStream(
+        times_s=np.array(times, dtype=np.float64),
+        service_s=np.array(services, dtype=np.float64),
+        class_index=np.zeros(len(times), dtype=np.int64),
+        job_classes=DEFAULT_JOB_CLASSES[:1],
+    )
+
+
+def _run(engine, *, levels, duration_s, servers, seed, balancer, schedule,
+         slots=8, arrivals=None):
     simulator = DatacenterSimulator(
         CHARACTERIZATION,
         SPEC.power_model,
@@ -49,10 +65,11 @@ def _run(engine, *, levels, duration_s, servers, seed, balancer, schedule):
         topology=ClusterTopology(server_count=servers),
         load_balancer={"rr": RoundRobin, "ll": LeastLoaded}[balancer](),
         config=SimulationConfig(mode="event", wax_enabled=True, seed=seed,
-                                engine=engine),
+                                slots_per_server=slots, engine=engine),
         fault_injector=(
             FaultInjector(schedule) if schedule is not None else None
         ),
+        arrivals=arrivals,
     )
     result = simulator.run()
     return result, np.array(
@@ -144,12 +161,7 @@ class TestEngineEquivalence:
             (10.0, 5.0), (11.0, 1.0), (12.0, 2.0), (15.0, 3.0),
             (60.0, 4.0), (61.0, 1.0),
         )
-        arrivals = ArrivalStream(
-            times_s=np.array(times),
-            service_s=np.array(services),
-            class_index=np.zeros(len(times), dtype=np.int64),
-            job_classes=DEFAULT_JOB_CLASSES[:1],
-        )
+        arrivals = _stream(times, services)
         batched, reference = [
             DatacenterSimulator(
                 CHARACTERIZATION,
@@ -181,6 +193,126 @@ class TestEngineEquivalence:
             balancer="ll",
             schedule=None,
         )
+
+
+#: The default tick length; a tick ``k`` (from 1) ends at ``k * TICK_S``.
+TICK_S = 60.0
+
+#: One slot, held from t=0 past the run's end: every later arrival of a
+#: tick queues in one bulk stretch cut at the tick end, including the one
+#: an ulp below it; the arrival exactly on the first tick's end opens the
+#: second tick's stretch.
+SATURATED = (
+    3,
+    [0.0, 10.0, 20.0, math.nextafter(TICK_S, 0.0), TICK_S, 61.0,
+     math.nextafter(2 * TICK_S, 0.0)],
+    [4 * TICK_S, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+)
+
+
+@st.composite
+def tick_edge_arrivals(draw):
+    """(ticks, times, services) of arrivals crowding the tick edges.
+
+    Each tick draws up to six times (often none, which leaves it empty)
+    from its start, which is the previous tick's end, an ulp above it, an
+    ulp below its own end, and its interior. Some arrivals may sit on the
+    last tick's end, which no tick processes. Services include 0 and
+    whole fractions of a tick, so completions can land on tick ends too.
+    """
+    ticks = draw(st.integers(2, 5))
+    times = []
+    for k in range(ticks):
+        start, end = k * TICK_S, (k + 1) * TICK_S
+        edge = st.sampled_from(
+            [start, math.nextafter(start, math.inf), math.nextafter(end, 0.0)]
+        )
+        inside = st.floats(start, end, exclude_max=True)
+        times += sorted(draw(st.lists(st.one_of(edge, inside), max_size=6)))
+    times += [ticks * TICK_S] * draw(st.integers(0, 2))
+    services = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, TICK_S / 2, TICK_S, 3 * TICK_S]),
+                st.floats(0.5, 3 * TICK_S),
+            ),
+            min_size=len(times),
+            max_size=len(times),
+        )
+    )
+    return ticks, times, services
+
+
+class TestTickEdges:
+    """The batched core reads each tick's arrivals as a slice ending at
+    the first time not before the tick end; the reference core reads the
+    whole run. They must agree wherever arrivals meet a tick's edges."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        arrivals=tick_edge_arrivals(),
+        servers=st.integers(1, 3),
+        slots=st.integers(1, 2),
+        balancer=st.sampled_from(["rr", "ll"]),
+    )
+    @example(arrivals=SATURATED, servers=1, slots=1, balancer="rr")
+    def test_engines_agree_at_tick_edges(self, arrivals, servers, slots,
+                                         balancer):
+        ticks, times, services = arrivals
+        _assert_engines_agree(
+            levels=[0.5, 0.5],
+            duration_s=ticks * TICK_S,
+            servers=servers,
+            seed=0,
+            balancer=balancer,
+            schedule=None,
+            slots=slots,
+            arrivals=_stream(times, services),
+        )
+
+    def test_saturated_tick_queues_up_to_its_end(self):
+        ticks, times, services = SATURATED
+        result, _ = _run(
+            "batched",
+            levels=[0.5, 0.5],
+            duration_s=ticks * TICK_S,
+            servers=1,
+            seed=0,
+            balancer="rr",
+            schedule=None,
+            slots=1,
+            arrivals=_stream(times, services),
+        )
+        # 10, 20 and 60 - ulp queue in the first tick; 60, 61 and
+        # 120 - ulp in the second.
+        assert result.queue_length.tolist() == [3.0, 6.0, 6.0]
+
+
+class TestEngineMemory:
+    # Slow-marked: tracemalloc makes the 87k-event run take about 2 s.
+    @pytest.mark.slow
+    def test_batched_run_holds_one_tick_of_arrivals(self):
+        # With the stream memoized, a batched run converts only each
+        # tick's arrivals to Python floats (the reference core still
+        # mirrors the whole run as its oracle).
+        from repro.units import hours
+        from repro.workload.synthetic import diurnal_trace
+
+        trace = diurnal_trace(duration_s=hours(6.0))
+        stream = cached_arrival_stream(
+            trace, server_count=128, slots_per_server=8, seed=0, cache=False
+        )
+        simulator = DatacenterSimulator(
+            CHARACTERIZATION,
+            SPEC.power_model,
+            MATERIAL,
+            trace,
+            topology=ClusterTopology(server_count=128),
+            config=SimulationConfig(mode="event", engine="batched", seed=0),
+        )
+        _, peak = traced_peak(simulator.run)
+        assert len(stream) == 43_499
+        assert peak / len(stream) < 40
 
 
 class TestEngineKnob:

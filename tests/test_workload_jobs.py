@@ -1,6 +1,7 @@
 """Tests for job classes and arrival generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,22 +297,46 @@ class TestColumnGenerator:
         ]
 
 
+def _day_trace():
+    from repro.units import hours
+    from repro.workload.synthetic import diurnal_trace
+
+    return diurnal_trace(duration_s=hours(2.0))
+
+
+def _day_stream():
+    """The arrivals of a 2 h diurnal day on 16 servers with 8 slots."""
+    return arrival_stream(
+        _day_trace(), server_count=16, slots_per_server=8, seed=3
+    )
+
+
+def _simulate_day(engine, arrivals, characterization, spec):
+    """Run that day on an event engine with ``arrivals`` supplied."""
+    from repro.dcsim.cluster import ClusterTopology
+    from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
+    from repro.materials.library import commercial_paraffin_with_melting_point
+
+    return DatacenterSimulator(
+        characterization,
+        spec.power_model,
+        commercial_paraffin_with_melting_point(43.0),
+        _day_trace(),
+        topology=ClusterTopology(server_count=16),
+        config=SimulationConfig(mode="event", engine=engine, seed=3),
+        arrivals=arrivals,
+    ).run()
+
+
 class TestArrivalOrder:
     """User-supplied arrivals must come in time order."""
 
     @staticmethod
     def _reversed_day():
-        from repro.units import hours
-        from repro.workload.synthetic import diurnal_trace
-
-        trace = diurnal_trace(duration_s=hours(2.0))
-        arrivals = generate_arrivals(
-            trace, server_count=16, slots_per_server=8, seed=3
-        )
-        return trace, arrivals[::-1]
+        return _day_stream().to_arrivals()[::-1]
 
     def test_list_out_of_order_rejected(self):
-        _, arrivals = self._reversed_day()
+        arrivals = self._reversed_day()
         with pytest.raises(WorkloadError, match="arrival 1 at"):
             coerce_arrival_stream(arrivals)
 
@@ -326,9 +351,10 @@ class TestArrivalOrder:
             coerce_arrival_stream(stream)
 
     def test_ties_accepted(self):
+        # Zero is a valid time and a valid service.
         stream = ArrivalStream(
             times_s=np.array([0.0, 5.0, 5.0]),
-            service_s=np.ones(3),
+            service_s=np.array([1.0, 0.0, 1.0]),
             class_index=np.zeros(3, dtype=np.int64),
             job_classes=DEFAULT_JOB_CLASSES[:1],
         )
@@ -340,22 +366,106 @@ class TestArrivalOrder:
     ):
         # The reference engine used to return a near-zero throughput and
         # the batched engine a broadcast error.
-        from repro.dcsim.cluster import ClusterTopology
-        from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig
-        from repro.materials.library import commercial_paraffin_with_melting_point
-
-        trace, arrivals = self._reversed_day()
-        sim = DatacenterSimulator(
-            one_u_characterization,
-            one_u_spec.power_model,
-            commercial_paraffin_with_melting_point(43.0),
-            trace,
-            topology=ClusterTopology(server_count=16),
-            config=SimulationConfig(mode="event", engine=engine, seed=3),
-            arrivals=arrivals,
-        )
+        arrivals = self._reversed_day()
         with pytest.raises(WorkloadError, match="time order"):
-            sim.run()
+            _simulate_day(engine, arrivals, one_u_characterization, one_u_spec)
+
+
+class TestArrivalValues:
+    """User-supplied times and services must be finite and non-negative.
+
+    NaN cannot be ordered, either among arrivals or in the completion
+    heap, and a negative service completes before it starts.
+    """
+
+    @staticmethod
+    def _with(stream, column, index, value):
+        columns = {
+            "times_s": stream.times_s.copy(),
+            "service_s": stream.service_s.copy(),
+        }
+        columns[column][index] = value
+        return ArrivalStream(
+            class_index=stream.class_index,
+            job_classes=stream.job_classes,
+            **columns,
+        )
+
+    # Each bad time keeps the column in order, so only the value check
+    # can catch it: a NaN compares false with its neighbours, -1 s comes
+    # first and infinity last.
+    CASES = [
+        ("times_s", 5, math.nan, "time nan"),
+        ("times_s", 0, -1.0, "time -1.0"),
+        ("times_s", -1, math.inf, "time inf"),
+        ("service_s", 5, math.nan, "service nan"),
+        ("service_s", 5, -1.0, "service -1.0"),
+        ("service_s", 5, math.inf, "service inf"),
+    ]
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    @pytest.mark.parametrize(
+        "column, index, value, named", CASES, ids=[c[3] for c in CASES]
+    )
+    def test_both_event_engines_reject_bad_values(
+        self, engine, column, index, value, named,
+        one_u_characterization, one_u_spec,
+    ):
+        # Before the check, a NaN time failed later with a misleading
+        # ConfigurationError about utilization, and the other cases ran
+        # to the end without an error.
+        stream = _day_stream()
+        index %= len(stream)
+        arrivals = self._with(stream, column, index, value)
+        with pytest.raises(WorkloadError, match=f"arrival {index} has {named}:"):
+            _simulate_day(engine, arrivals, one_u_characterization, one_u_spec)
+
+    def test_first_bad_index_named_for_lists_and_streams(self):
+        stream = ArrivalStream(
+            times_s=np.array([0.0, 1.0, 2.0, 3.0]),
+            service_s=np.array([1.0, 1.0, -2.0, math.nan]),
+            class_index=np.zeros(4, dtype=np.int64),
+            job_classes=DEFAULT_JOB_CLASSES[:1],
+        )
+        for arrivals in (stream, stream.to_arrivals()):
+            with pytest.raises(WorkloadError, match="arrival 2 has service -2.0:"):
+                coerce_arrival_stream(arrivals)
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes it held above what was live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - before
+
+
+class TestGenerationMemory:
+    def test_columns_cost_about_24_bytes_per_arrival(self):
+        # The loop appends to typed buffers and the columns view them, so
+        # no list of Python floats (about 100 bytes an arrival, counting
+        # the final copy) is alive at the peak.
+        from repro.units import hours
+        from repro.workload.synthetic import diurnal_trace
+
+        trace = diurnal_trace(duration_s=hours(6.0))
+        stream, peak = traced_peak(
+            lambda: arrival_stream(
+                trace, server_count=128, slots_per_server=8, seed=0
+            )
+        )
+        assert len(stream) == 43_499
+        assert peak / len(stream) < 60
+        for column in (stream.times_s, stream.service_s, stream.class_index):
+            assert column.itemsize == 8
 
 
 class TestCachedArrivalStream:
@@ -433,6 +543,35 @@ class TestCachedArrivalStream:
         counters = self._counters()
         assert counters["dcsim.arrival_cache.hit"] == 1
         assert "dcsim.arrival_cache.memo_hit" not in counters
+
+    @staticmethod
+    def _column_bytes(stream):
+        return [
+            column.tobytes()
+            for column in (stream.times_s, stream.service_s, stream.class_index)
+        ]
+
+    @pytest.mark.parametrize("disk", [False, True], ids=["generated", "disk"])
+    def test_memoized_columns_are_read_only(self, disk, tmp_path):
+        import repro.workload.jobs as jobs
+        from repro.runner.cache import ResultCache
+
+        cache = ResultCache(tmp_path, salt="test") if disk else False
+        trace = flat_trace(0.4, duration=3600.0)
+        stream = jobs.cached_arrival_stream(trace, server_count=8, seed=3, cache=cache)
+        if disk:
+            jobs.clear_arrival_memo()
+            stream = jobs.cached_arrival_stream(
+                trace, server_count=8, seed=3, cache=cache
+            )
+            assert self._counters()["dcsim.arrival_cache.hit"] == 1
+        original = self._column_bytes(stream)
+        for column in (stream.times_s, stream.service_s, stream.class_index):
+            with pytest.raises(ValueError, match="read-only"):
+                column[5] = 10**9
+        again = jobs.cached_arrival_stream(trace, server_count=8, seed=3, cache=cache)
+        assert again is stream
+        assert self._column_bytes(again) == original
 
     def test_key_distinguishes_cluster_shape_and_seed(self):
         from repro.workload.jobs import arrival_stream_spec

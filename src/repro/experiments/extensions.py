@@ -202,8 +202,8 @@ def run(quick: bool = False) -> ExperimentResult:
 
     chip = SprintChip()
     bare = run_sprint(chip, sprint_power_w=16.0, horizon_s=1800.0)
-    # The PCM power sweep shares one package structure, so all three
-    # sprint levels advance as one batched RK4 integration.
+    # The PCM power sweep: each sprint level runs to its own junction
+    # limit, exactly as a run_sprint of that power would.
     sprint_powers = [12.0, 16.0, 20.0]
     sprint_sweep = run_sprint_batch(
         chip, sprint_powers, pcm_grams=10.0, horizon_s=1800.0

@@ -16,6 +16,7 @@ scale: joules instead of megajoules, seconds instead of hours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ class SprintChip:
     sustainable_power_w: float = 1.0
 
     def __post_init__(self) -> None:
+        # In-range comparisons that NaN fails.
         for name in (
             "die_heat_capacity_j_per_k",
             "spreader_heat_capacity_j_per_k",
@@ -55,8 +57,20 @@ class SprintChip:
             "spreader_to_ambient_w_per_k",
             "pcm_to_spreader_w_per_k",
         ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        for name in (
+            "ambient_c",
+            "junction_limit_c",
+            "idle_power_w",
+            "sustainable_power_w",
+        ):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.junction_limit_c <= self.ambient_c:
             raise ConfigurationError("junction limit must exceed ambient")
         if self.sustainable_power_w <= self.idle_power_w:
@@ -67,8 +81,10 @@ class SprintChip:
     def steady_junction_c(self, power_w: float) -> float:
         """Steady die temperature at a continuous power (no PCM effect —
         at steady state the wax is saturated)."""
-        if power_w < 0:
-            raise ConfigurationError("power must be non-negative")
+        if not 0 <= power_w < math.inf:
+            raise ConfigurationError(
+                f"power_w must be finite and non-negative, got {power_w}"
+            )
         spreader = self.ambient_c + power_w / self.spreader_to_ambient_w_per_k
         return spreader + power_w / self.die_to_spreader_w_per_k
 
@@ -80,10 +96,14 @@ class SprintChip:
         initial_temperature_c: float | None = None,
     ) -> ThermalNetwork:
         """Assemble the package network, optionally with on-package PCM."""
-        if sprint_power_w <= 0:
-            raise ConfigurationError("sprint power must be positive")
-        if pcm_grams < 0:
-            raise ConfigurationError("PCM mass must be non-negative")
+        if not 0 < sprint_power_w < math.inf:
+            raise ConfigurationError(
+                f"sprint_power_w must be positive and finite, got {sprint_power_w}"
+            )
+        if not 0 <= pcm_grams < math.inf:
+            raise ConfigurationError(
+                f"pcm_grams must be finite and non-negative, got {pcm_grams}"
+            )
         start = (
             initial_temperature_c
             if initial_temperature_c is not None
@@ -185,12 +205,12 @@ def run_sprint_batch(
     horizon_s: float = 600.0,
     output_interval_s: float = 0.05,
 ) -> list[SprintResult]:
-    """Sprint a whole power sweep in one batched transient run.
+    """Sprint a whole power sweep at one PCM loadout.
 
-    All members share the package structure (the PCM loadout must be the
-    same), so the sweep advances as one stacked RK4 integration via
-    :func:`repro.thermal.solver.simulate_transient_batch`, which stops
-    once every member has reached the junction limit.
+    Every network is built before any runs, and
+    :func:`repro.thermal.solver.simulate_transient_batch` runs each power
+    as :func:`run_sprint` would, to its own first sample at the junction
+    limit, so each outcome equals that power's :func:`run_sprint`.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon must be positive")

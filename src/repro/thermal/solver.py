@@ -16,11 +16,10 @@ single gather/scatter over all couplings with per-segment ``reduceat``
 sums, and the PCM enthalpy→temperature map a piecewise evaluation over
 all PCM nodes at once. Tests assert the paths agree.
 
-:func:`simulate_transient_batch` goes one step further and packs N
-structurally-identical networks into one ``(N, n_state)`` state array
-advanced by a single RK4 loop, with per-member divergence isolation.
-See ``docs/SOLVER.md`` for the three evaluation paths and measured
-speedups.
+:func:`simulate_transient_batch` runs a sweep's networks one by one
+through :func:`simulate_transient`, so each member's result is its solo
+run's, and records a diverging member instead of raising. See
+``docs/SOLVER.md`` for the two evaluation paths and measured speedups.
 """
 
 from __future__ import annotations
@@ -111,13 +110,13 @@ class TransientResult:
 
 @dataclass
 class BatchTransientResult:
-    """Trajectories of a batched transient simulation.
+    """Trajectories of the members of :func:`simulate_transient_batch`.
 
     ``results[i]`` is the :class:`TransientResult` of the i-th input
     network, or ``None`` if that member diverged; ``failures`` maps the
-    index of each diverged member to its error message. A diverging member
-    is frozen at its last finite state and excluded from further updates,
-    so one unstable network cannot poison the rest of the batch.
+    index of each diverged member to the message of the
+    :class:`SolverError` its solo run raised. Each member runs on its
+    own, so one unstable network cannot poison the rest of the batch.
     """
 
     results: list[TransientResult | None]
@@ -255,17 +254,10 @@ class _CompiledNetwork:
         # -- conductance edges as Laplacian + boundary-coupling matrices -------
         self.laplacian = np.zeros((self.n_state, self.n_state))
         self.boundary_matrix = np.zeros((self.n_state, self.n_boundary))
-        self.edge_struct: list[tuple[int, int]] = []
         for edge in network.conductances:
             g = edge.conductance_w_per_k
             ia = index.get(edge.node_a, -1)
             ib = index.get(edge.node_b, -1)
-            self.edge_struct.append(
-                (
-                    ia if ia >= 0 else -1 - boundary_index[edge.node_a],
-                    ib if ib >= 0 else -1 - boundary_index[edge.node_b],
-                )
-            )
             # heat = g * (T_a - T_b); flows[a] -= heat, flows[b] += heat.
             if ia >= 0:
                 self.laplacian[ia, ia] -= g
@@ -378,19 +370,6 @@ class _CompiledNetwork:
                 self.laplacian * self.inv_capacity_rows,
                 np.zeros(self.n_state),
             )
-
-    # -- structural signature (batched solves require identical structure) ----
-
-    def structure(self) -> tuple:
-        """Hashable description of everything a batch must share."""
-        return (
-            tuple(self.cap_names),
-            tuple(self.pcm_names),
-            tuple(self.boundary_names),
-            tuple(self.edge_struct),
-            tuple(tuple(idx.tolist()) for idx, _ in self.segments),
-            self.air_path is not None,
-        )
 
     # -- state expansion ---------------------------------------------------
 
@@ -651,7 +630,7 @@ class _CompiledNetwork:
 
 
 class _TraceBuffers:
-    """Preallocated output traces shared by the RK4, BDF, and batch paths."""
+    """Preallocated output traces shared by the RK4 and BDF paths."""
 
     def __init__(self, compiled: _CompiledNetwork, n_outputs: int) -> None:
         self.compiled = compiled
@@ -795,9 +774,9 @@ def _rk4_step(
 ) -> None:
     """One classical RK4 step from ``state`` into ``out``.
 
-    The single-network and batch loops share this routine. It performs
-    the IEEE operations of ``state + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)``
-    in that association order, with stage inputs ``state + (dt/2)*k1``,
+    ``_integrate_rk4`` steps with this routine. It performs the IEEE
+    operations of ``state + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)`` in that
+    association order, with stage inputs ``state + (dt/2)*k1``,
     ``state + (dt/2)*k2`` and ``state + dt*k3``, on the ``(scratch,
     stage, acc)`` buffers of ``work``, allocated once per run.
     ``rhs(y, t, temps)`` writes y's temperatures into ``temps``: a stage
@@ -989,14 +968,12 @@ def _integrate_rk4(
     return buffers.result(times)
 
 
-def _count_inputs(
-    obs: ObsRegistry, evaluator: _CompiledNetwork | _BatchCompiledNetwork
-) -> None:
+def _count_inputs(obs: ObsRegistry, compiled: _CompiledNetwork) -> None:
     """Record how many input evaluations rebuilt or reused the constants,
     and a run whose inputs were certified by their breakpoints."""
-    obs.count("solver.inputs.computed", evaluator.inputs_computed)
-    obs.count("solver.inputs.reused", evaluator.inputs_reused)
-    if evaluator.breakpoints is not None:
+    obs.count("solver.inputs.computed", compiled.inputs_computed)
+    obs.count("solver.inputs.reused", compiled.inputs_reused)
+    if compiled.breakpoints is not None:
         obs.count("solver.inputs.certified")
 
 
@@ -1055,152 +1032,6 @@ def _simulate_bdf(
     return buffers.result(times)
 
 
-class _BatchCompiledNetwork:
-    """Stacked evaluator advancing N structurally-identical networks at once.
-
-    Structure (node names and order, edge endpoints, air-segment coupling
-    layout) must match across members; *parameters* (conductance values,
-    powers, PCM masses and materials, fan curves) are free to differ —
-    they are stacked along a leading member axis and every kernel op
-    broadcasts over it.
-    """
-
-    #: No certificate (see :attr:`_CompiledNetwork.breakpoints`): the
-    #: batch evaluates its members' inputs at every new time.
-    breakpoints = None
-
-    def __init__(self, members: list[_CompiledNetwork]) -> None:
-        if not members:
-            raise ConfigurationError("batch must contain at least one network")
-        first = members[0]
-        for position, member in enumerate(members[1:], start=1):
-            if member.structure() != first.structure():
-                raise ConfigurationError(
-                    f"batch member {position} ({member.network.name!r}) is not "
-                    f"structurally identical to member 0 "
-                    f"({first.network.name!r}); batched simulation requires "
-                    f"matching node order, edges, and air-path layout"
-                )
-        self.members = members
-        self.n_members = len(members)
-        self.n_cap = first.n_cap
-        self.n_pcm = first.n_pcm
-        self.n_state = first.n_state
-
-        self.boundary_matrix = np.stack([m.boundary_matrix for m in members])
-        self.inv_capacity = np.stack([m.inv_capacity for m in members])
-        if self.n_pcm:
-            self.pcm_masses = np.stack([m.pcm_masses for m in members])
-            self.pcm_solidus = np.stack([m.pcm_solidus for m in members])
-            self.pcm_fusion = np.stack([m.pcm_fusion for m in members])
-            self.pcm_c_solid = np.stack([m.pcm_c_solid for m in members])
-            self.pcm_c_liquid = np.stack([m.pcm_c_liquid for m in members])
-            self.pcm_liquid_intercept = np.stack(
-                [m.pcm_liquid_intercept for m in members]
-            )
-            self.pcm_mushy_slope = np.stack([m.pcm_mushy_slope for m in members])
-
-        self.air = first.air_path is not None
-        self.inlet_index = first.inlet_index
-        self.static_boundary = all(
-            m.static_boundary_flows is not None for m in members
-        )
-        if self.static_boundary:
-            self.boundary_const = np.stack([m.boundary_const for m in members])
-            self.static_boundary_flows = np.stack(
-                [m.static_boundary_flows for m in members]
-            )
-
-        self._input_cache_time: float | None = None
-        self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._inputs_key: tuple | None = None
-        self.inputs_computed = 0
-        self.inputs_reused = 0
-        self._op_cache_key: bytes | None = None
-        self._op_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    def temperatures(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Stacked node temperatures into ``out`` (which may be ``state``);
-        same branch arithmetic as the single-network path, broadcast over
-        the member axis."""
-        if out is not state:
-            np.copyto(out, state)
-        if self.n_pcm:
-            specific = state[:, self.n_cap :] / self.pcm_masses
-            solid = self.pcm_solidus + specific / self.pcm_c_solid
-            liquid = self.pcm_liquid_intercept + specific / self.pcm_c_liquid
-            mushy = self.pcm_solidus + specific * self.pcm_mushy_slope
-            out[:, self.n_cap :] = np.where(
-                specific <= 0.0,
-                solid,
-                np.where(specific >= self.pcm_fusion, liquid, mushy),
-            )
-        return out
-
-    def _operators_for(self, flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked per-member (K, inlet vector) operators at member flows."""
-        key = flows.tobytes()
-        if key == self._op_cache_key and self._op_cache is not None:
-            return self._op_cache
-        pairs = [
-            member._operator_for_flow(float(flow))
-            for member, flow in zip(self.members, flows)
-        ]
-        operators = np.stack([pair[0] for pair in pairs])
-        inlet_vectors = np.stack([pair[1] for pair in pairs])
-        self._op_cache_key = key
-        self._op_cache = (operators, inlet_vectors)
-        return self._op_cache
-
-    def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (K, state-independent terms) at a time: cached per time,
-        and reused while the stacked inputs stay bit-equal, as in
-        :meth:`_CompiledNetwork._constants_at`."""
-        if time_s == self._input_cache_time and self._input_cache is not None:
-            return self._input_cache
-        if self.static_boundary:
-            boundary = self.boundary_const
-        else:
-            boundary = np.stack(
-                [m._boundaries_at(time_s) for m in self.members]
-            )
-        powers = np.stack([m._powers_at(time_s) for m in self.members])
-        if self.air:
-            flows = np.array(
-                [m.air_path.flow_at_time(time_s) for m in self.members]
-            )
-        else:
-            flows = np.zeros(self.n_members)
-        key = (flows.tobytes(), powers.tobytes(), boundary.tobytes())
-        if key == self._inputs_key:
-            self.inputs_reused += 1
-        else:
-            self.inputs_computed += 1
-            if self.static_boundary:
-                base = self.static_boundary_flows.copy()
-            else:
-                base = np.einsum("nij,nj->ni", self.boundary_matrix, boundary)
-            base[:, : self.n_cap] += powers
-            operators, inlet_vectors = self._operators_for(flows)
-            if self.air:
-                base += inlet_vectors * boundary[:, self.inlet_index, None]
-            base *= self.inv_capacity
-            self._inputs_key = key
-            self._input_cache = (operators, base)
-        self._input_cache_time = time_s
-        return self._input_cache
-
-    def rhs(self, state: np.ndarray, time_s: float, out: np.ndarray) -> np.ndarray:
-        """Stacked state derivative for all members; shape ``(N, n_state)``.
-        ``out`` receives the temperatures on the way."""
-        operators, constants = self._constants_at(time_s)
-        derivative = np.einsum(
-            "nij,nj->ni", operators, self.temperatures(state, out)
-        )
-        derivative += constants
-        return derivative
-
-
 def simulate_transient_batch(
     networks: list[ThermalNetwork],
     duration_s: float,
@@ -1210,21 +1041,16 @@ def simulate_transient_batch(
     commit_final_state: bool = False,
     stop_at: tuple[str, float] | None = None,
 ) -> BatchTransientResult:
-    """Advance N structurally-identical networks in one RK4 loop.
+    """Run each network through :func:`simulate_transient`, in order.
 
-    The networks are packed into a single ``(N, n_state)`` state array and
-    stepped together at the most conservative member's stability bound, so
-    a sweep over parameter variants (wax mass, blockage, sprint power)
-    costs one vectorized integration instead of N scalar ones.
-
-    A member whose state goes non-finite is *isolated*, not fatal: it is
-    frozen at its last finite state, recorded as a failure, and excluded
-    from further updates while the rest of the batch continues. Member
-    trajectories are returned in input order; diverged members yield
-    ``None`` (see :class:`BatchTransientResult`).
-
-    ``stop_at`` is :func:`simulate_transient`'s, met once every live
-    member has reached the temperature at some sample.
+    Each member's result is byte-equal to its solo RK4 run: it steps at
+    its own stability bound and, with ``stop_at``, ends at its own first
+    sample at the temperature. The networks need not share a structure.
+    The run arguments and every network are validated before any member
+    runs; a ``stop_at`` node that a member lacks raises when that member
+    runs. A member whose run raises :class:`SolverError` (its state went
+    non-finite) yields ``None`` and its message in ``failures``, and the
+    rest of the batch runs on; any other error propagates.
     """
     _validate_run_args(duration_s, output_interval_s, max_step_s, stop_at)
     if not networks:
@@ -1232,88 +1058,22 @@ def simulate_transient_batch(
     for network in networks:
         network.validate()
 
-    obs = get_registry()
-    with obs.timer("solver.transient_batch"):
-        members = [_CompiledNetwork(network) for network in networks]
-        batch = _BatchCompiledNetwork(members)
-        obs.count("solver.compiled_builds", len(members))
-        obs.count("solver.path.batched")
-
-        step = min(
-            _resolve_step(network, step_safety, max_step_s, output_interval_s)
-            for network in networks
-        )
-
-        times = _sample_times(duration_s, output_interval_s)
-        n_outputs = len(times)
-        n_members = len(networks)
-        n_cap = batch.n_cap
-
-        state = np.stack([network.initial_state() for network in networks])
-        advanced = np.empty_like(state)
-        work = (np.empty_like(state), np.empty_like(state), np.empty_like(state))
-        active = np.ones(n_members, dtype=bool)
-        failures: dict[int, str] = {}
-        buffers = [_TraceBuffers(member, n_outputs) for member in members]
-        if stop_at is not None:
-            watched = [member_buffers.watch(stop_at) for member_buffers in buffers]
-            reached = np.zeros(n_members, dtype=bool)
-
-        time_now = 0.0
-        steps_taken = 0
-        for sample_index in range(n_outputs):
-            target = times[sample_index]
-            while time_now < target - 1e-9:
-                dt = min(step, target - time_now)
-                _rk4_step(batch.rhs, state, time_now, dt, work, advanced)
-                time_now += dt
-                steps_taken += 1
-                if not math.isfinite(advanced.sum()):
-                    # Some row's sum is not finite: test each row exactly.
-                    finite = np.isfinite(advanced).all(axis=1)
-                    newly_diverged = active & ~finite
-                    if np.any(newly_diverged):
-                        for member_index in np.flatnonzero(newly_diverged):
-                            failures[int(member_index)] = (
-                                f"non-finite state at t={time_now:.1f}s in "
-                                f"network {networks[member_index].name!r}; "
-                                f"step {step:.3g}s may be unstable"
-                            )
-                        active &= finite
-                # Diverged members stay frozen at their last finite state
-                # (the selection of np.where(active, advanced, state)).
-                np.copyto(state, advanced, where=active[:, None])
-            for member_index in range(n_members):
-                if active[member_index]:
-                    buffers[member_index].record(
-                        sample_index, state[member_index], target
-                    )
-            if stop_at is not None:
-                reached |= [trace[sample_index] >= stop_at[1] for trace in watched]
-                if np.all(reached | ~active):
-                    times = times[: sample_index + 1]
-                    break
-
-        if obs.enabled:
-            obs.count("solver.runs")
-            obs.count("solver.method.rk4_batch")
-            obs.count("solver.batch_members", n_members)
-            obs.count("solver.rk4_steps", steps_taken)
-            obs.count("solver.rhs_evals", 4 * steps_taken * n_members)
-            _count_inputs(obs, batch)
-            obs.record("solver.step_s", step)
-
-        if commit_final_state:
-            for member_index, member in enumerate(members):
-                if not active[member_index]:
-                    continue
-                for i, name in enumerate(member.pcm_names):
-                    networks[member_index].pcm_node(name).sample.enthalpy_j = float(
-                        state[member_index, n_cap + i]
-                    )
-
-        results: list[TransientResult | None] = [
-            buffers[member_index].result(times) if active[member_index] else None
-            for member_index in range(n_members)
-        ]
-        return BatchTransientResult(results=results, failures=failures)
+    results: list[TransientResult | None] = []
+    failures: dict[int, str] = {}
+    for index, network in enumerate(networks):
+        try:
+            results.append(
+                simulate_transient(
+                    network,
+                    duration_s,
+                    output_interval_s=output_interval_s,
+                    max_step_s=max_step_s,
+                    step_safety=step_safety,
+                    commit_final_state=commit_final_state,
+                    stop_at=stop_at,
+                )
+            )
+        except SolverError as error:
+            results.append(None)
+            failures[index] = str(error)
+    return BatchTransientResult(results=results, failures=failures)

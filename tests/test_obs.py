@@ -219,8 +219,9 @@ class TestExperimentPerf:
     def test_solver_counters_flow_into_perf(self, global_obs_enabled):
         from repro.server.chassis import constant_utilization
         from repro.server.configs import one_u_commodity
-        from repro.thermal.solver import simulate_transient
+        from repro.thermal.solver import simulate_transient, simulate_transient_batch
         from repro.units import hours
+        from tests.test_thermal_solver import rc_network
 
         network = one_u_commodity().chassis.build_network(
             constant_utilization(0.5), with_wax=True
@@ -234,6 +235,17 @@ class TestExperimentPerf:
             - report.counters["solver.rk4_fixed_steps"]
         )
         assert "solver.transient" in report.timers
+
+        # Each batch member is an RK4 run of its own, and counts as one.
+        global_obs_enabled.reset()
+        members = [rc_network(capacity=20.0), rc_network(capacity=200.0)]
+        simulate_transient_batch(members, 150.0, output_interval_s=10.0)
+        counters = global_obs_enabled.snapshot().counters
+        assert counters["solver.runs"] == 2
+        assert counters["solver.rk4_steps"] == 30
+        assert counters["solver.rhs_evals"] == 4 * (
+            counters["solver.rk4_steps"] - counters["solver.rk4_fixed_steps"]
+        )
 
     def test_fixed_steps_are_counted(self, global_obs_enabled):
         """A 1U without wax at a constant load reaches a bit-exact fixed

@@ -1,15 +1,16 @@
-"""The RK4 loops against the allocating loops they replaced, byte for byte.
+"""The RK4 loop against the allocating loop it replaced, byte for byte.
 
-``simulate_transient`` and ``simulate_transient_batch`` step on buffers
-allocated once per run, rebuild the time-dependent constants only when
-the evaluated inputs change, and test finiteness by one sum.
-``simulate_transient`` also skips the steps of a bit-exact fixed point
+``simulate_transient`` steps on buffers allocated once per run, rebuilds
+the time-dependent constants only when the evaluated inputs change,
+tests finiteness by one sum, skips the steps of a bit-exact fixed point
 and, for inputs certified by their breakpoints, calls no schedule inside
-a breakpoint interval. The oracles below are the loops as they stood
-before those changes: a fresh array per stage, every step computed, the
+a breakpoint interval. The oracle below is the loop as it stood before
+those changes: a fresh array per stage, every step computed, the
 constants rebuilt at every evaluation, and an elementwise finiteness
 test. Every ``TransientResult`` field must be equal (``==``, compared as
-bytes), and a batch must report the same failures.
+bytes). ``simulate_transient_batch`` runs each member through
+``simulate_transient``, so each member must equal its solo run byte for
+byte, and a diverged member must carry the solo run's error text.
 """
 
 import math
@@ -31,7 +32,6 @@ from repro.thermal.solver import (
     DEFAULT_STEP_SAFETY,
     BatchTransientResult,
     TransientResult,
-    _BatchCompiledNetwork,
     _CompiledNetwork,
     _resolve_step,
     _sample_times,
@@ -42,9 +42,13 @@ from repro.thermal.solver import (
 from repro.validation.harness import LOAD_END_S, LOAD_START_S, TOTAL_S
 from repro.validation.reference import build_reference_server, validation_loadout
 from tests.test_server_chassis import minimal_chassis
-from tests.test_solver_equivalence import network_from, network_params
+from tests.test_solver_equivalence import (
+    assert_identical,
+    network_from,
+    network_params,
+)
 
-# -- the oracle: the allocating loops ----------------------------------------
+# -- the oracle: the allocating loop -----------------------------------------
 
 
 def oracle_constants(compiled: _CompiledNetwork, time_s: float):
@@ -115,117 +119,31 @@ def oracle_transient(
     return buffers.result(times)
 
 
-def oracle_batch(
-    networks: list[ThermalNetwork],
-    duration_s: float,
-    output_interval_s: float = 60.0,
-    stop_at: tuple[str, float] | None = None,
-) -> BatchTransientResult:
-    """``simulate_transient_batch``'s step loop as it stood."""
-    members = [_CompiledNetwork(network) for network in networks]
-    batch = _BatchCompiledNetwork(members)
-    step = min(
-        _resolve_step(network, DEFAULT_STEP_SAFETY, None, output_interval_s)
-        for network in networks
-    )
-    times = _sample_times(duration_s, output_interval_s)
-    n_outputs = len(times)
-    n_members = len(networks)
-
-    def rhs(y, t):
-        if batch.static_boundary:
-            boundary = batch.boundary_const
-            base = batch.static_boundary_flows.copy()
-        else:
-            boundary = np.stack([m._boundaries_at(t) for m in members])
-            base = np.einsum("nij,nj->ni", batch.boundary_matrix, boundary)
-        base[:, : batch.n_cap] += np.stack([m._powers_at(t) for m in members])
-        if batch.air:
-            flows = np.array([m.air_path.flow_at_time(t) for m in members])
-        else:
-            flows = np.zeros(n_members)
-        operators, inlet_vectors = batch._operators_for(flows)
-        if batch.air:
-            base += inlet_vectors * boundary[:, batch.inlet_index, None]
-        base *= batch.inv_capacity
-        temps = batch.temperatures(y, np.empty_like(y))
-        derivative = np.einsum("nij,nj->ni", operators, temps)
-        derivative += base
-        return derivative
-
-    state = np.stack([network.initial_state() for network in networks])
-    active = np.ones(n_members, dtype=bool)
-    failures: dict[int, str] = {}
-    buffers = [_TraceBuffers(member, n_outputs) for member in members]
-    if stop_at is not None:
-        watched = [member_buffers.watch(stop_at) for member_buffers in buffers]
-        reached = np.zeros(n_members, dtype=bool)
-
-    time_now = 0.0
-    for sample_index in range(n_outputs):
-        target = times[sample_index]
-        while time_now < target - 1e-9:
-            dt = min(step, target - time_now)
-            k1 = rhs(state, time_now)
-            k2 = rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
-            k3 = rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
-            k4 = rhs(state + dt * k3, time_now + dt)
-            advanced = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            time_now += dt
-            finite = np.all(np.isfinite(advanced), axis=1)
-            newly_diverged = active & ~finite
-            if np.any(newly_diverged):
-                for member_index in np.flatnonzero(newly_diverged):
-                    failures[int(member_index)] = (
-                        f"non-finite state at t={time_now:.1f}s in network "
-                        f"{networks[member_index].name!r}; step {step:.3g}s "
-                        f"may be unstable"
-                    )
-                active &= finite
-            state = np.where(active[:, None], advanced, state)
-        for member_index in range(n_members):
-            if active[member_index]:
-                buffers[member_index].record(sample_index, state[member_index], target)
-        if stop_at is not None:
-            reached |= [trace[sample_index] >= stop_at[1] for trace in watched]
-            if np.all(reached | ~active):
-                times = times[: sample_index + 1]
-                break
-    results = [
-        buffers[i].result(times) if active[i] else None for i in range(n_members)
-    ]
-    return BatchTransientResult(results=results, failures=failures)
-
-
 # -- comparison ----------------------------------------------------------------
 
 
-def assert_identical(actual: TransientResult, expected: TransientResult) -> None:
-    """Every field equal, compared as bytes (so -0.0 and NaN bits count)."""
-    assert actual.times_s.tobytes() == expected.times_s.tobytes()
-    for field in (
-        "temperatures_c",
-        "air_temperatures_c",
-        "melt_fractions",
-        "pcm_enthalpies_j",
-    ):
-        got, want = getattr(actual, field), getattr(expected, field)
-        assert list(got) == list(want), field
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes(), (field, name)
-    assert actual.flow_m3_s.tobytes() == expected.flow_m3_s.tobytes()
-    assert actual.power_w.tobytes() == expected.power_w.tobytes()
-
-
-def assert_batches_identical(
-    actual: BatchTransientResult, expected: BatchTransientResult
-) -> None:
-    assert actual.failures == expected.failures
-    assert len(actual) == len(expected)
-    for got, want in zip(actual.results, expected.results):
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert_identical(got, want)
+def batch_against_solo_runs(members, *args, **kwargs) -> BatchTransientResult:
+    """``simulate_transient_batch`` of ``members()``, checked member by
+    member against ``simulate_transient`` of a fresh ``members()[i]`` run
+    alone with the same arguments: byte-equal traces, or, where the solo
+    run raises ``SolverError``, ``None`` and that error's text in
+    ``failures``; and the same PCM enthalpies left in each network."""
+    networks = members()
+    batch = simulate_transient_batch(networks, *args, **kwargs)
+    assert len(batch) == len(networks)
+    for index, (network, alone) in enumerate(zip(networks, members())):
+        try:
+            solo = simulate_transient(alone, *args, **kwargs)
+        except SolverError as error:
+            assert batch[index] is None
+            assert batch.failures[index] == str(error)
+        else:
+            assert index not in batch.failures
+            assert_identical(batch[index], solo)
+        for name in alone.pcm_names:
+            left = network.pcm_node(name).sample.enthalpy_j
+            assert left == alone.pcm_node(name).sample.enthalpy_j, (index, name)
+    return batch
 
 
 # -- random networks -------------------------------------------------------------
@@ -290,9 +208,7 @@ class TestRandomNetworks:
                 for scale in (0.5, 1.0, 1.5)
             ]
 
-        result = simulate_transient_batch(members(), 420.0, output_interval_s=35.0)
-        expected = oracle_batch(members(), 420.0, output_interval_s=35.0)
-        assert_batches_identical(result, expected)
+        batch_against_solo_runs(members, 420.0, output_interval_s=35.0)
 
 
 # -- chassis platforms, stops, divergence ------------------------------------------
@@ -337,34 +253,39 @@ def test_batch_stop_at_matches_oracle():
     def members():
         return [chip.build_network(power, 2.0) for power in (10.0, 14.0)]
 
-    result = simulate_transient_batch(
-        members(), 120.0, output_interval_s=0.5, stop_at=stop
+    result = batch_against_solo_runs(
+        members, 120.0, output_interval_s=0.5, stop_at=stop, commit_final_state=True
     )
-    expected = oracle_batch(members(), 120.0, output_interval_s=0.5, stop_at=stop)
-    assert_batches_identical(result, expected)
+    # Each member stops at its own first sample at the limit, and commits
+    # the enthalpy of its own last step.
+    assert result[0].times_s[-1] > result[1].times_s[-1]
 
 
-def _node_network(name: str, power) -> ThermalNetwork:
+def _node_network(name: str, power, capacity: float = 200.0) -> ThermalNetwork:
     network = ThermalNetwork(name)
     network.add_boundary_node("ambient", 25.0)
-    network.add_capacitive_node("node", 200.0, 25.0, power_w=power)
+    network.add_capacitive_node("node", capacity, 25.0, power_w=power)
     network.add_conductance("node", "ambient", 0.5)
     return network
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_batch_with_diverging_member_matches_oracle():
+    """The step caps reach every member: the 200 J/K members step at
+    ``max_step_s`` (15 s, below their 20 s bound at this safety), the
+    20 J/K one at its own 2 s bound."""
+
     def members():
         return [
             _node_network("healthy", 10.0),
             _node_network("unstable", lambda t: np.inf if t >= 45.0 else 10.0),
-            _node_network("stepped", lambda t: 30.0 if t >= 60.0 else 5.0),
+            _node_network("stepped", lambda t: 30.0 if t >= 60.0 else 5.0, 20.0),
         ]
 
-    result = simulate_transient_batch(members(), 120.0, output_interval_s=30.0)
-    expected = oracle_batch(members(), 120.0, output_interval_s=30.0)
+    result = batch_against_solo_runs(
+        members, 120.0, output_interval_s=30.0, max_step_s=15.0, step_safety=0.05
+    )
     assert list(result.failures) == [1]
-    assert_batches_identical(result, expected)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

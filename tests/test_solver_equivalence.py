@@ -1,12 +1,13 @@
 """Equivalence suite across the solver's evaluation paths.
 
-The solver keeps three ways of evaluating the same physics: the readable
-dict-based reference (``ThermalNetwork.state_derivative``), the compiled
-vectorized kernel (``_CompiledNetwork.rhs``), and the stacked batch
-kernel (``_BatchCompiledNetwork`` behind ``simulate_transient_batch``).
-These property-based tests pin them together on randomly generated
-networks — with and without PCM and air paths — so a kernel optimization
-can never silently drift from the reference physics.
+The solver keeps two ways of evaluating the same physics: the readable
+dict-based reference (``ThermalNetwork.state_derivative``) and the
+compiled vectorized kernel (``_CompiledNetwork.rhs``). These
+property-based tests pin them together on randomly generated networks —
+with and without PCM and air paths — so a kernel optimization can never
+silently drift from the reference physics. ``simulate_transient_batch``
+runs each member through ``simulate_transient``, so every member must
+equal its solo run byte for byte, whatever its stability bound.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.thermal.airflow import (
 from repro.thermal.convection import ConvectiveCoupling
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver import (
+    TransientResult,
     _CompiledNetwork,
     simulate_transient,
     simulate_transient_batch,
@@ -113,6 +115,23 @@ def network_from(params: dict, name: str = "random") -> ThermalNetwork:
     )
 
 
+def assert_identical(actual: TransientResult, expected: TransientResult) -> None:
+    """Every field equal, compared as bytes (so -0.0 and NaN bits count)."""
+    assert actual.times_s.tobytes() == expected.times_s.tobytes()
+    for field in (
+        "temperatures_c",
+        "air_temperatures_c",
+        "melt_fractions",
+        "pcm_enthalpies_j",
+    ):
+        got, want = getattr(actual, field), getattr(expected, field)
+        assert list(got) == list(want), field
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), (field, name)
+    assert actual.flow_m3_s.tobytes() == expected.flow_m3_s.tobytes()
+    assert actual.power_w.tobytes() == expected.power_w.tobytes()
+
+
 class TestRHSEquivalence:
     @given(params=network_params, seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=60, deadline=None)
@@ -144,42 +163,37 @@ class TestTrajectoryEquivalence:
             [network_from(params)], 120.0, output_interval_s=30.0
         )
         (member,) = batch.require_all()
-        assert np.array_equal(single.times_s, member.times_s)
-        for node in single.temperatures_c:
-            scale = np.maximum(1.0, np.abs(single.temperatures_c[node]))
-            assert np.all(
-                np.abs(member.temperatures_c[node] - single.temperatures_c[node])
-                <= RTOL * scale
-            ), node
+        assert_identical(member, single)
 
     @given(params=network_params)
     @settings(max_examples=10, deadline=None)
     def test_heterogeneous_batch_matches_singles(self, params):
-        """Members with different powers each match their own solo run."""
-        power_scales = (0.5, 1.0, 1.7)
+        """Members with different powers and capacities each equal their
+        own solo run byte for byte. A tenth of the capacity gives a member
+        a smaller stability bound than the others', and it steps at its
+        own bound."""
+        variants = ((0.5, 1.0), (1.0, 0.1), (1.7, 1.0))
 
-        def variant(scale: float) -> ThermalNetwork:
-            varied = dict(params, power=params["power"] * scale)
-            return network_from(varied, name=f"variant-{scale}")
+        def variant(power_scale: float, capacity_scale: float) -> ThermalNetwork:
+            varied = dict(
+                params,
+                power=params["power"] * power_scale,
+                capacities=[c * capacity_scale for c in params["capacities"]],
+            )
+            return network_from(
+                varied, name=f"variant-{power_scale}-{capacity_scale}"
+            )
 
         batch = simulate_transient_batch(
-            [variant(scale) for scale in power_scales],
+            [variant(*scales) for scales in variants],
             120.0,
             output_interval_s=30.0,
         )
-        # Members differ only in power, so the stability-bound step (a
-        # function of capacities and conductances) is identical across the
-        # batch and the solo runs — trajectories compare beyond
-        # discretization error.
-        for scale, member in zip(power_scales, batch.require_all()):
+        for scales, member in zip(variants, batch.require_all()):
             solo = simulate_transient(
-                variant(scale), 120.0, output_interval_s=30.0
+                variant(*scales), 120.0, output_interval_s=30.0
             )
-            for node in solo.temperatures_c:
-                diff = np.abs(
-                    member.temperatures_c[node] - solo.temperatures_c[node]
-                )
-                assert np.max(diff) < 1e-6, (scale, node)
+            assert_identical(member, solo)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -222,16 +236,10 @@ class TestDivergenceIsolation:
         assert "non-finite" in batch.failures[1]
         assert batch[1] is None
         # The healthy member is unaffected by its diverged neighbor.
-        healthy = batch[0]
         solo = simulate_transient(
             self._healthy_network(), 120.0, output_interval_s=30.0
         )
-        assert np.allclose(
-            healthy.temperatures_c["node"],
-            solo.temperatures_c["node"],
-            rtol=0,
-            atol=1e-9,
-        )
+        assert_identical(batch[0], solo)
 
     def test_require_all_raises_on_failure(self):
         batch = simulate_transient_batch(

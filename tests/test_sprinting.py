@@ -1,5 +1,7 @@
 """Tests for the computational sprinting comparison model."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -38,6 +40,56 @@ class TestChip:
     def test_negative_pcm_rejected(self, chip):
         with pytest.raises(ConfigurationError):
             chip.build_network(16.0, pcm_grams=-1.0)
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite inputs fail with ConfigurationError naming the field.
+
+    They used to get through: ``pcm_grams=nan`` sprinted a bare chip (NaN
+    fails both ``< 0`` and ``> 0``), a NaN or infinite capacity,
+    conductance, temperature or power built a chip, a NaN sprint power
+    failed inside the solver with SolverError, and ``steady_junction_c``
+    returned NaN for a NaN power.
+    """
+
+    @pytest.mark.parametrize("pcm_grams", [math.nan, math.inf])
+    def test_pcm_grams(self, chip, pcm_grams):
+        with pytest.raises(ConfigurationError, match="pcm_grams"):
+            run_sprint(chip, 16.0, pcm_grams=pcm_grams, horizon_s=1800.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "die_heat_capacity_j_per_k",
+            "spreader_heat_capacity_j_per_k",
+            "die_to_spreader_w_per_k",
+            "spreader_to_ambient_w_per_k",
+            "pcm_to_spreader_w_per_k",
+        ],
+    )
+    def test_capacities_and_conductances(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SprintChip(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["ambient_c", "junction_limit_c", "idle_power_w", "sustainable_power_w"],
+    )
+    def test_temperatures_and_powers(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SprintChip(**{name: value})
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_sprint_power(self, chip, power):
+        with pytest.raises(ConfigurationError, match="sprint_power_w"):
+            run_sprint(chip, power)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_steady_power(self, chip, power):
+        with pytest.raises(ConfigurationError, match="power_w"):
+            chip.steady_junction_c(power)
 
 
 class TestSprints:
@@ -99,13 +151,10 @@ class TestBatchedSweep:
             chip, powers, pcm_grams=10.0, horizon_s=900.0
         )
         assert [outcome.sprint_power_w for outcome in batch] == powers
-        for power, outcome in zip(powers, batch):
-            solo = run_sprint(chip, power, pcm_grams=10.0, horizon_s=900.0)
-            assert outcome.duration_s == solo.duration_s
-            assert outcome.hit_limit == solo.hit_limit
-            assert outcome.final_melt_fraction == pytest.approx(
-                solo.final_melt_fraction, abs=1e-12
-            )
+        assert batch == [
+            run_sprint(chip, power, pcm_grams=10.0, horizon_s=900.0)
+            for power in powers
+        ]
 
     def test_batch_durations_decrease_with_power(self, chip):
         from repro.sprinting import run_sprint_batch

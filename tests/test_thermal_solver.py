@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.materials.pcm import PCMSample
 from repro.thermal.network import ThermalNetwork
@@ -159,6 +159,19 @@ class TestGuards:
     def test_stable_step_safety_validated(self):
         with pytest.raises(ConfigurationError):
             stable_step_s(rc_network(), safety=0.0)
+
+    def test_batch_validates_every_network_before_running_any(self):
+        network, sample = wax_network()
+        before = sample.enthalpy_j
+        isolated = ThermalNetwork("isolated")
+        isolated.add_capacitive_node("node", 100.0, 25.0)
+        with pytest.raises(NetworkError, match="isolated"):
+            simulate_transient_batch(
+                [network, isolated], 600.0, commit_final_state=True
+            )
+        assert sample.enthalpy_j == before
+        simulate_transient_batch([network], 600.0, commit_final_state=True)
+        assert sample.enthalpy_j > before
 
 
 #: Each way of running a transient, called with the run's keyword arguments.

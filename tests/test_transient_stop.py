@@ -10,6 +10,7 @@ from repro.sprinting import SprintChip, run_sprint, run_sprint_batch
 from repro.sprinting.model import _sprint_outcome
 from repro.thermal.solver import simulate_transient, simulate_transient_batch
 from tests.test_server_chassis import minimal_chassis
+from tests.test_solver_equivalence import assert_identical
 
 CHIP = SprintChip()
 LIMIT = ("die", CHIP.junction_limit_c)
@@ -66,31 +67,49 @@ class TestStopAt:
         assert len(stopped.times_s) == len(full.times_s)
         assert_prefix(stopped, full)
 
-    def test_batch_stops_when_every_member_has_reached(self):
-        networks = [CHIP.build_network(p, 10.0) for p in (12.0, 16.0, 20.0)]
+    def test_batch_members_stop_at_their_own_limit(self):
+        powers = (12.0, 16.0, 20.0)
+        networks = [CHIP.build_network(p, 10.0) for p in powers]
         full = simulate_transient_batch(
             networks, 400.0, output_interval_s=INTERVAL
         ).require_all()
         stopped = simulate_transient_batch(
             networks, 400.0, output_interval_s=INTERVAL, stop_at=LIMIT
         ).require_all()
-        # The 12 W member is the last to reach the limit, at 340.05 s.
-        assert stopped[0].times_s[-1] == pytest.approx(340.05)
-        for ours, theirs in zip(stopped, full):
-            assert len(ours.times_s) == len(stopped[0].times_s)
+        ends = [ours.times_s[-1] for ours in stopped]
+        assert ends == pytest.approx([340.05, 246.3, 191.6])
+        for power, ours, theirs in zip(powers, stopped, full):
             assert_prefix(ours, theirs)
+            solo = simulate_transient(
+                CHIP.build_network(power, 10.0),
+                400.0,
+                output_interval_s=INTERVAL,
+                stop_at=LIMIT,
+            )
+            assert_identical(ours, solo)
 
     def test_batch_member_below_the_limit_runs_to_the_horizon(self):
-        networks = [CHIP.build_network(p) for p in (0.5, 16.0)]
+        powers = (0.5, 16.0)
+        networks = [CHIP.build_network(p) for p in powers]
         full = simulate_transient_batch(
             networks, 60.0, output_interval_s=INTERVAL
         ).require_all()
         stopped = simulate_transient_batch(
             networks, 60.0, output_interval_s=INTERVAL, stop_at=LIMIT
         ).require_all()
-        for ours, theirs in zip(stopped, full):
-            assert len(ours.times_s) == len(theirs.times_s)
+        # The 0.5 W member never reaches the limit; 16 W stops at 29.15 s.
+        assert [len(ours.times_s) for ours in stopped] == [1201, 584]
+        assert stopped[0].times_s[-1] == 60.0
+        assert stopped[1].times_s[-1] == pytest.approx(29.15)
+        for power, ours, theirs in zip(powers, stopped, full):
             assert_prefix(ours, theirs)
+            solo = simulate_transient(
+                CHIP.build_network(power),
+                60.0,
+                output_interval_s=INTERVAL,
+                stop_at=LIMIT,
+            )
+            assert_identical(ours, solo)
 
     def test_a_node_comes_before_an_air_segment_of_its_name(self):
         # minimal_chassis names its component and its zone "cpu". The stop

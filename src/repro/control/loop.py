@@ -1,4 +1,4 @@
-"""The closed control loop: monitor -> plan -> execute.
+"""The closed control loop: monitor -> plan.
 
 :class:`ControlLoop` is *policy-shaped*: it implements the same
 ``decide(state, work_rate) -> ThrottleDecision`` / ``reset()`` protocol
@@ -15,9 +15,8 @@ Per tick:
    injector's sensor path; room readings off the — possibly fault-
    derated — room model);
 2. **plan** — ask the planner for a
-   :class:`~repro.dcsim.throttling.ThrottleDecision`;
-3. **execute** — clamp it through the
-   :class:`~repro.control.actions.Executor` into the DVFS envelope.
+   :class:`~repro.dcsim.throttling.ThrottleDecision`, which the loop
+   returns as planned.
 
 With a no-op planner and no faults the loop is a byte-transparent
 wrapper: it reads state, never writes it, and returns exactly the
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.actions import ActuatorLimits, Executor
 from repro.control.planners import Observation, Planner
 from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
@@ -56,9 +54,7 @@ class ControlLoop:
     Deterministic and seed-free: every decision is a pure function of
     the observed telemetry stream and the planner's internal state, so
     two engines fed bit-identical observations produce bit-identical
-    decision logs. The loop builds its executor on its first tick, from
-    the plant's power model
-    (:meth:`~repro.control.actions.ActuatorLimits.for_power_model`).
+    decision logs.
     """
 
     def __init__(self, planner: Planner, room: RoomModel, injector=None) -> None:
@@ -70,7 +66,6 @@ class ControlLoop:
         self.planner = planner
         self.room = room
         self.injector = injector
-        self.executor: Executor | None = None
         self.decision_log: list[DecisionRecord] = []
         self._time_s: float | None = None
         self._dt_s: float | None = None
@@ -78,8 +73,6 @@ class ControlLoop:
     def reset(self) -> None:
         """Fresh loop state between simulation runs."""
         self.planner.reset()
-        if self.executor is not None:
-            self.executor.reset()
         self.decision_log.clear()
         self._time_s = None
         self._dt_s = None
@@ -120,21 +113,13 @@ class ControlLoop:
     def decide(
         self, state: ClusterThermalState, work_rate: np.ndarray
     ) -> ThrottleDecision:
-        """Monitor, plan, execute; returns the clamped decision."""
+        """Monitor, then plan; returns the planner's decision itself."""
         obs_registry = get_registry()
         observation = self._observe(state, work_rate)
         planner = self.planner
 
         with obs_registry.timer(f"control.plan.{planner.name}"):
-            planned = planner.plan(observation)
-
-        if self.executor is None:
-            self.executor = Executor(
-                ActuatorLimits.for_power_model(state.power_model)
-            )
-        executor = self.executor
-        clamps_before = executor.clamp_count
-        decision = executor.apply(planned)
+            decision = planner.plan(observation)
 
         self.decision_log.append(
             DecisionRecord(
@@ -148,6 +133,4 @@ class ControlLoop:
         if obs_registry.enabled:
             obs_registry.count("control.ticks")
             obs_registry.count(f"control.planner.{planner.name}.plans")
-            if executor.clamp_count > clamps_before:
-                obs_registry.count("control.executor.clamps")
         return decision

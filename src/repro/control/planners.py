@@ -6,19 +6,14 @@ already passed through the fault injector's sensor path
 (:meth:`repro.faults.injector.FaultInjector.observe`), so a planner sees
 noisy or frozen readings during sensor faults, never ground truth — and
 asks the planner for a :class:`~repro.dcsim.throttling.ThrottleDecision`,
-which the loop's executor clamps into the DVFS envelope. Plant-side
-readings (room temperature, remaining plant capacity) come off the room
-model exactly as the policies of :mod:`repro.dcsim.throttling` read
-them; an active cooling fault derates the capacity the planner sees.
+which the loop hands to the plant as planned. Plant-side readings
+(room temperature, remaining plant capacity) come off the room model
+exactly as the policies of :mod:`repro.dcsim.throttling` read them; an
+active cooling fault derates the capacity the planner sees.
 
-Shipped planners:
+Shipped planners (the tournament's ``greedy`` is not one of them but the
+paper's policy stack itself, :func:`repro.faults.chaos.paper_policy`):
 
-* :class:`GreedyThrottlePolicy` — the paper's Section 5.2 reactive
-  mechanism as a planner: an adapter over the single implementation in
-  :mod:`repro.dcsim.throttling` (room-temperature hysteresis latch,
-  min-DVFS on sensor dropout, preemptive throttle on severe cooling
-  loss). Decision-identical to the
-  ``FaultResponsePolicy(RoomTemperaturePolicy(room))`` stack.
 * :class:`MPCPolicy` — receding-horizon search over candidate DVFS
   sequences, scored by forward rollouts of a clone of the observed
   state, one cluster per candidate: one server column per candidate on
@@ -47,8 +42,6 @@ from repro.dcsim.thermal_coupling import (
 from repro.dcsim.throttling import (
     ThrottleDecision,
     _shed_cap,
-    fault_override,
-    hysteresis_decision,
     projected_release_w,
 )
 from repro.errors import ControlError
@@ -114,7 +107,9 @@ class Planner(ABC):
 
     @abstractmethod
     def plan(self, obs: Observation) -> ThrottleDecision:
-        """Propose this tick's operating point (pre-clamping)."""
+        """Propose this tick's operating point, which the loop applies as
+        is: a frequency between the minimum and nominal DVFS bins, a cap
+        in [0, 1], marked limited when below nominal."""
 
 
 class NoOpPlanner(Planner):
@@ -131,70 +126,12 @@ class NoOpPlanner(Planner):
         return ThrottleDecision(frequency_ghz=obs.nominal_frequency_ghz)
 
 
-class GreedyThrottlePolicy(Planner):
-    """The Section 5.2 reactive throttle, as a :class:`Planner`.
-
-    An adapter over :mod:`repro.dcsim.throttling`: each tick runs
-    :func:`~repro.dcsim.throttling.fault_override` (sensor dropout, then
-    severe cooling loss) and, when no fault forces a decision,
-    :func:`~repro.dcsim.throttling.hysteresis_decision` on the observed
-    room temperature — the same helpers behind
-    ``FaultResponsePolicy(RoomTemperaturePolicy(room))``, so the two are
-    decision-identical. The helpers' decision is returned as is. On
-    override ticks the latch is not updated, matching the wrapper (which
-    never consults its base policy then).
-    """
-
-    name = "greedy"
-
-    def __init__(
-        self,
-        deadband_c: float = 1.0,
-        emergency_capacity_factor: float = 0.5,
-    ) -> None:
-        if not deadband_c >= 0:
-            raise ControlError("deadband must be non-negative")
-        if not 0.0 <= emergency_capacity_factor <= 1.0:
-            raise ControlError(
-                "emergency capacity factor must be in [0, 1], got "
-                f"{emergency_capacity_factor}"
-            )
-        self.deadband_c = deadband_c
-        self.emergency_capacity_factor = emergency_capacity_factor
-        self._throttled = False
-
-    def reset(self) -> None:
-        self._throttled = False
-
-    def plan(self, obs: Observation) -> ThrottleDecision:
-        decision = None
-        if obs.fault_effects is not None:
-            decision = fault_override(
-                obs.fault_effects,
-                obs.state,
-                obs.work_rate,
-                self.emergency_capacity_factor,
-                obs.cooling_capacity_w,
-            )
-        if decision is None:
-            self._throttled, decision = hysteresis_decision(
-                self._throttled,
-                obs.state,
-                obs.work_rate,
-                obs.room_temperature_c,
-                obs.room_max_temperature_c,
-                self.deadband_c,
-                obs.cooling_capacity_w,
-            )
-        return decision
-
-
 class ScheduledPolicy(Planner):
     """Open-loop time-of-day curtailment, blind to the thermal state.
 
     Models the clock-based maintenance windows real operations teams
-    schedule: inside the daily window the cluster runs at the throttle
-    frequency regardless of load or temperature; outside it, nominal.
+    schedule: inside the daily window the cluster runs at its minimum
+    DVFS bin regardless of load or temperature; outside it, nominal.
     Wrap-around windows (e.g. 22 -> 6) are supported. The tournament's
     point of comparison: a wall-clock schedule cannot see the thermal
     peak, so it curtails the wrong hours.
@@ -206,7 +143,6 @@ class ScheduledPolicy(Planner):
         self,
         throttle_start_hour: float = 22.0,
         throttle_end_hour: float = 6.0,
-        throttle_frequency_ghz: float | None = None,
     ) -> None:
         for label, hour in (
             ("start", throttle_start_hour),
@@ -218,7 +154,6 @@ class ScheduledPolicy(Planner):
                 )
         self.throttle_start_hour = throttle_start_hour
         self.throttle_end_hour = throttle_end_hour
-        self.throttle_frequency_ghz = throttle_frequency_ghz
 
     def _in_window(self, hour: float) -> bool:
         start, end = self.throttle_start_hour, self.throttle_end_hour
@@ -228,12 +163,9 @@ class ScheduledPolicy(Planner):
 
     def plan(self, obs: Observation) -> ThrottleDecision:
         if self._in_window(obs.hour_of_day):
-            frequency = (
-                self.throttle_frequency_ghz
-                if self.throttle_frequency_ghz is not None
-                else obs.min_frequency_ghz
+            return ThrottleDecision(
+                frequency_ghz=obs.min_frequency_ghz, limited=True
             )
-            return ThrottleDecision(frequency_ghz=frequency, limited=True)
         return ThrottleDecision(frequency_ghz=obs.nominal_frequency_ghz)
 
 

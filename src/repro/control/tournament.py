@@ -1,6 +1,6 @@
 """Policy tournament: every planner, same scenarios, one scoreboard.
 
-The tournament races each registered planner over a shared scenario
+The tournament races each registered policy over a shared scenario
 suite — the chaos harness's diurnal plant (optionally swapped for the
 synthetic workloads in :mod:`repro.workload.synthetic`), seeded chaos
 fault schedules, and hand-pinned fault scenarios — and scores three
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.control.loop import ControlLoop
 from repro.control.planners import (
-    GreedyThrottlePolicy,
     MPCPolicy,
     NoOpPlanner,
     Planner,
@@ -54,6 +53,7 @@ from repro.errors import ControlError
 from repro.faults.chaos import (
     ChaosConfig,
     build_simulator,
+    paper_policy,
     random_schedule,
     result_fingerprint,
 )
@@ -79,30 +79,35 @@ RECOVERY_MARGIN_C = 0.5
 
 # -- planner registry --------------------------------------------------------
 
-PLANNERS: dict[str, Callable[[], Planner]] = {
-    "greedy": GreedyThrottlePolicy,
-    "mpc": MPCPolicy,
-    "scheduled": ScheduledPolicy,
-    "noop": NoOpPlanner,
+
+def _loop(planner: Callable[[], Planner]) -> Callable:
+    """``factory(room, injector)``: a fresh ``planner()`` in a control loop."""
+
+    def factory(room, injector) -> ControlLoop:
+        return ControlLoop(planner(), room, injector=injector)
+
+    return factory
+
+
+#: Each entry's ``build_simulator`` policy factory, ``factory(room,
+#: injector)``: the paper's throttle stack itself for ``greedy``, a
+#: control loop around a planner for the others.
+PLANNERS: dict[str, Callable] = {
+    "greedy": paper_policy,
+    "mpc": _loop(MPCPolicy),
+    "scheduled": _loop(ScheduledPolicy),
+    "noop": _loop(NoOpPlanner),
 }
 
 
 def control_policy_factory(planner_name: str) -> Callable:
-    """A ``build_simulator``-compatible factory wrapping one planner.
-
-    Returns ``factory(room, injector) -> ControlLoop``. The loop clamps
-    into the DVFS ladder of the plant's own power model.
-    """
+    """The ``build_simulator`` policy factory of one registered entry."""
     if planner_name not in PLANNERS:
         raise ControlError(
             f"unknown planner {planner_name!r}; choose from "
             f"{sorted(PLANNERS)}"
         )
-
-    def factory(room, injector) -> ControlLoop:
-        return ControlLoop(PLANNERS[planner_name](), room, injector=injector)
-
-    return factory
+    return PLANNERS[planner_name]
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -263,7 +268,7 @@ def default_scenarios(
 def build_scenario_simulator(
     scenario: ControlScenario, planner_name: str
 ) -> DatacenterSimulator:
-    """The scenario's plant wired to one planner's control loop."""
+    """The scenario's plant wired to one registered entry's policy."""
     schedule = scenario.schedule()
     injector = FaultInjector(schedule) if len(schedule) else None
     return build_simulator(
@@ -326,9 +331,16 @@ class PlannerScore:
 
 @dataclass
 class Scoreboard:
-    """All (planner, scenario) scores from one tournament."""
+    """All (planner, scenario) scores from one tournament.
+
+    ``results`` keeps each cell's scored run by ``(planner, scenario)``;
+    :meth:`to_dict` and :meth:`fingerprint` do not read it.
+    """
 
     scores: list[PlannerScore] = field(default_factory=list)
+    results: dict[tuple[str, str], SimulationResult] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def cell(self, planner: str, scenario: str) -> PlannerScore:
         for score in self.scores:
@@ -430,6 +442,9 @@ def run_tournament(
             )
     if not scenarios or not planners:
         raise ControlError("a tournament needs >= 1 scenario and planner")
+    names = [scenario.name for scenario in scenarios]
+    if len(set(names)) < len(names) or len(set(planners)) < len(planners):
+        raise ControlError("a cell's planner and scenario names must be unique")
 
     registry = get_registry()
     board = Scoreboard()
@@ -443,6 +458,7 @@ def run_tournament(
                     name, scenario, result, sim.room.max_temperature_c
                 )
             )
+            board.results[(name, scenario.name)] = result
             registry.count("control.tournament.cells")
     return board
 

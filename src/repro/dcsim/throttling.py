@@ -233,59 +233,6 @@ def throttled_decision(
     )
 
 
-def hysteresis_decision(
-    throttled: bool,
-    state: ClusterThermalState,
-    work_rate: np.ndarray,
-    room_temperature_c: float,
-    room_max_temperature_c: float,
-    deadband_c: float,
-    capacity_w: float,
-) -> tuple[bool, ThrottleDecision]:
-    """One tick of the room-temperature latch: (next latch, decision).
-
-    The latch sets once the room reaches its limit and releases only
-    once the room has cooled by ``deadband_c`` AND full clocks would fit
-    the plant again. While set, the cluster runs :func:`throttled_decision`.
-    """
-    nominal = state.power_model.nominal_frequency_ghz
-    if not throttled:
-        throttled = room_temperature_c >= room_max_temperature_c
-    elif (
-        room_temperature_c <= room_max_temperature_c - deadband_c
-        and projected_release_w(state, work_rate, nominal) <= capacity_w
-    ):
-        throttled = False
-    if not throttled:
-        return False, ThrottleDecision(frequency_ghz=nominal)
-    return True, throttled_decision(state, work_rate, capacity_w)
-
-
-def fault_override(
-    effects,
-    state: ClusterThermalState,
-    work_rate: np.ndarray,
-    emergency_capacity_factor: float,
-    capacity_w: float | None,
-) -> ThrottleDecision | None:
-    """The decision a live fault forces, or ``None`` to defer to the latch.
-
-    ``effects`` is a fault injector's active composite effects (duck-typed:
-    ``sensor_dropout`` and ``cooling_capacity_factor``). Sensor dropout
-    forces minimum DVFS; a cooling loss below ``emergency_capacity_factor``
-    forces :func:`throttled_decision` against the derated ``capacity_w``
-    (plain minimum DVFS when the plant capacity is unknown).
-    """
-    minimum = state.power_model.min_frequency_ghz
-    if effects.sensor_dropout:
-        return ThrottleDecision(frequency_ghz=minimum, limited=True)
-    if effects.cooling_capacity_factor < emergency_capacity_factor:
-        if capacity_w is None:
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
-        return throttled_decision(state, work_rate, capacity_w)
-    return None
-
-
 class NoThermalLimit:
     """Unconstrained datacenter: always nominal frequency, no cap."""
 
@@ -364,18 +311,16 @@ class FaultResponsePolicy:
       ``1 - emergency_capacity_factor`` of its capacity. Do not wait for
       the room to drift over its limit: throttle to minimum frequency
       immediately, shedding work if even that exceeds what is left of
-      the plant.
+      the plant (plain minimum DVFS when the base knows no capacity).
 
     Everything else (including mild cooling derates, which the base
     policy sees through the already-derated room capacity) delegates to
     the base policy unchanged, so a run with no active fault is
     decision-identical to running the base policy alone.
 
-    The overrides live in :func:`fault_override` and the latch in
-    :func:`hysteresis_decision`, which
-    :class:`repro.control.GreedyThrottlePolicy` also calls: the planner
-    is the :class:`repro.control.Planner` adapter over this wrapper
-    around :class:`RoomTemperaturePolicy` (see ``docs/CONTROL.md``).
+    This wrapper around :class:`RoomTemperaturePolicy` is the paper's
+    reactive stack, which the control tournament races as ``greedy``
+    (:func:`repro.faults.chaos.paper_policy`; see ``docs/CONTROL.md``).
     """
 
     def __init__(
@@ -412,15 +357,14 @@ class FaultResponsePolicy:
         """Override on dropout or severe cooling loss; else delegate."""
         effects = self.injector.current
         if effects is not None:
-            override = fault_override(
-                effects,
-                state,
-                work_rate,
-                self.emergency_capacity_factor,
-                self._capacity_w(),
-            )
-            if override is not None:
-                return override
+            minimum = state.power_model.min_frequency_ghz
+            if effects.sensor_dropout:
+                return ThrottleDecision(frequency_ghz=minimum, limited=True)
+            if effects.cooling_capacity_factor < self.emergency_capacity_factor:
+                capacity_w = self._capacity_w()
+                if capacity_w is None:
+                    return ThrottleDecision(frequency_ghz=minimum, limited=True)
+                return throttled_decision(state, work_rate, capacity_w)
         return self.base.decide(state, work_rate)
 
     def conditional_decision(self, state: ClusterThermalState):
@@ -473,16 +417,19 @@ class RoomTemperaturePolicy:
         """Nominal clocks until the room hits its limit; then downclock
         (and shed if the plant still cannot keep up)."""
         room = self.room
-        self._throttled, decision = hysteresis_decision(
-            self._throttled,
-            state,
-            work_rate,
-            room.temperature_c,
-            room.max_temperature_c,
-            self.deadband_c,
-            room.cooling_capacity_w,
-        )
-        return decision
+        temperature_c, limit_c = room.temperature_c, room.max_temperature_c
+        capacity_w = room.cooling_capacity_w
+        nominal = state.power_model.nominal_frequency_ghz
+        if not self._throttled:
+            self._throttled = temperature_c >= limit_c
+        elif (
+            temperature_c <= limit_c - self.deadband_c
+            and projected_release_w(state, work_rate, nominal) <= capacity_w
+        ):
+            self._throttled = False
+        if not self._throttled:
+            return ThrottleDecision(frequency_ghz=nominal)
+        return throttled_decision(state, work_rate, capacity_w)
 
     def conditional_decision(self, state: ClusterThermalState):
         """A conditional certificate for the fluid engine, or ``None``.

@@ -1,11 +1,11 @@
 """Control-policy tournament: closed-loop planners racing on one plant.
 
 Not a paper figure — the control-subsystem extension study. Every
-registered planner (greedy hysteresis throttle, receding-horizon MPC,
-time-of-day schedule) drives the chaos harness's oversubscribed plant
-through the shared scenario suite, and the scoreboard compares cooling
-energy, SLO violations (throttled or shed ticks), and post-fault
-recovery time.
+registered entry (the paper's own hysteresis throttle as ``greedy``,
+receding-horizon MPC, time-of-day schedule) drives the chaos harness's
+oversubscribed plant through the shared scenario suite, and the
+scoreboard compares cooling energy, SLO violations (throttled or shed
+ticks), and post-fault recovery time.
 
 The headline cells reproduce the control claim: on the pinned
 cooling-loss scenario (45% of plant capacity lost for the four hours
@@ -21,28 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.registry import ExperimentResult
-from repro.control.tournament import (
-    ControlScenario,
-    build_scenario_simulator,
-    pinned_cooling_loss,
-    quick_chaos_config,
-    run_tournament,
-)
-from repro.faults.chaos import ChaosConfig
+from repro.control.tournament import run_tournament
 
 #: The scenario the acceptance orderings are asserted on.
 PINNED_SCENARIO = "pinned_cooling_loss"
 
 
-def _pinned_scenario(quick: bool) -> ControlScenario:
-    config = quick_chaos_config() if quick else ChaosConfig()
-    return ControlScenario(
-        name=PINNED_SCENARIO, chaos=config, pinned=pinned_cooling_loss(config)
-    )
-
-
 def run(quick: bool = False) -> ExperimentResult:
-    """Run the tournament and the pinned-scenario trace comparison."""
+    """Run the tournament and compare its pinned-scenario room traces."""
     board = run_tournament(quick=quick, chaos_seeds=1)
 
     headers = [
@@ -70,11 +56,10 @@ def run(quick: bool = False) -> ExperimentResult:
     ]
 
     # Room-temperature traces on the acceptance scenario, one per
-    # planner (deterministic re-runs of the scored cells).
-    scenario = _pinned_scenario(quick)
+    # planner, read off the scored runs.
     series: dict[str, np.ndarray] = {}
     for name in ("greedy", "mpc", "scheduled"):
-        result = build_scenario_simulator(scenario, name).run()
+        result = board.results[(name, PINNED_SCENARIO)]
         series[f"pinned_room_{name}_c"] = result.room_temperature_c
         if "times_h" not in series:
             series["times_h"] = result.times_s / 3600.0

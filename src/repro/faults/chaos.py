@@ -26,7 +26,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -110,16 +112,22 @@ class ChaosConfig:
                 f"unknown platform {self.platform!r}; choose from "
                 f"{sorted(PLATFORM_BUILDERS)}"
             )
-        if self.server_count < 2:
-            raise FaultError("chaos cluster needs at least 2 servers")
+        # In-range tests, so that NaN (every comparison false) fails them.
+        for name in ("duration_s", "tick_interval_s"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise FaultError(f"{name} must be positive and finite")
+        if not 0.0 <= self.relax_s < math.inf:
+            raise FaultError("relax_s must be finite and non-negative")
+        for name, least in (("server_count", 2), ("max_faults", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise FaultError(f"{name} must be an integer of at least {least}")
         if self.engine not in ("batched", "reference"):
             raise FaultError(
                 f"engine must be 'batched' or 'reference', got {self.engine!r}"
             )
         if not 0.0 < self.oversubscription <= 1.0:
             raise FaultError("oversubscription must be in (0, 1]")
-        if self.max_faults < 1:
-            raise FaultError("max faults must be at least 1")
         if not 0.0 <= self.fault_start_s < self.fault_end_s:
             raise FaultError("fault window must satisfy 0 <= start < end")
         if not 0.0 < self.min_fault_s <= self.max_fault_s:
@@ -273,11 +281,21 @@ def _plant_capacity_w(config: ChaosConfig) -> float:
     return _CAPACITY_CACHE[config]
 
 
+def paper_policy(room: RoomModel, injector: FaultInjector | None):
+    """The paper's Section 5.2 throttle: the room latch, wrapped in the
+    fault overrides when an injector is attached. The harness's default
+    stack, and the control tournament's ``greedy`` entry."""
+    policy = RoomTemperaturePolicy(room)
+    if injector is not None:
+        policy = FaultResponsePolicy(policy, injector)
+    return policy
+
+
 def build_simulator(
     config: ChaosConfig,
     injector: FaultInjector | None = None,
     wax_enabled: bool = True,
-    policy_factory=None,
+    policy_factory=paper_policy,
     trace: LoadTrace | None = None,
 ) -> DatacenterSimulator:
     """The harness's constrained simulator, with or without an injector.
@@ -288,22 +306,16 @@ def build_simulator(
     ``wax_enabled=False`` gives the no-PCM baseline arm of the
     ``fig11_faults`` experiment under the same plant and schedule.
 
-    ``policy_factory``, if given, is called as ``policy_factory(room,
-    injector)`` and replaces the default throttling stack — the seam the
-    control tournament uses to drop a ``repro.control.ControlLoop`` into
-    the harness plant. ``trace`` swaps in an alternative workload (the
-    plant stays sized against the chaos nominal peak).
+    ``policy_factory(room, injector)`` builds the policy (default
+    :func:`paper_policy`); the control tournament passes one per entry.
+    ``trace`` swaps in an alternative workload (the plant stays sized
+    against the chaos nominal peak).
     """
     spec = PLATFORM_BUILDERS[config.platform]()
     room = RoomModel.sized_for_cluster(
         _plant_capacity_w(config), config.server_count
     )
-    if policy_factory is not None:
-        policy = policy_factory(room, injector)
-    else:
-        policy = RoomTemperaturePolicy(room)
-        if injector is not None:
-            policy = FaultResponsePolicy(policy, injector)
+    policy = policy_factory(room, injector)
     return DatacenterSimulator(
         cached_characterization(spec),
         spec.power_model,
@@ -415,7 +427,7 @@ def check_transparency(config: ChaosConfig | None = None) -> bool:
 def check_engine_agreement(
     config: ChaosConfig | None = None,
     seed: int = 0,
-    policy_factory=None,
+    policy_factory=paper_policy,
 ) -> bool:
     """Whether both engines of the config's mode produce bit-identical
     faulted runs.

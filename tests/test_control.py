@@ -1,18 +1,16 @@
-"""Control-loop unit and oracle tests: actuators, loop wiring, planners.
+"""Control-loop unit and oracle tests: loop wiring, planners.
 
-The two structural guarantees the subsystem rests on are proven here:
+The structural guarantee the subsystem rests on is proven here:
 
 * **Transparency** — a :class:`~repro.control.ControlLoop` wrapping the
   no-op planner, with no faults scheduled, is *byte-identical* to the
   uninstrumented simulator on the fluid engine and on both event
   engines (the controller reads state, never invents actions).
-* **Port fidelity** — :class:`~repro.control.GreedyThrottlePolicy` is
-  decision-identical to the legacy
-  ``FaultResponsePolicy(RoomTemperaturePolicy(room))`` stack it
-  replaces, across chaos fault schedules.
 
-Plus the cross-engine equivalence satellite: each shipped planner makes
-bit-identical decision traces on ``reference`` and ``batched`` engines.
+Plus cross-engine equivalence: each shipped planner makes bit-identical
+decision traces on ``reference`` and ``batched`` engines. The
+tournament's ``greedy`` entry is the paper's policy stack itself, whose
+engine agreement ``tests/test_faults_chaos.py`` covers.
 """
 
 from __future__ import annotations
@@ -28,19 +26,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import (
-    ActuatorLimits,
     ControlLoop,
-    Executor,
-    GreedyThrottlePolicy,
     MPCPolicy,
     NoOpPlanner,
     Observation,
+    Planner,
     ScheduledPolicy,
 )
 from repro.control.tournament import control_policy_factory
 from repro.dcsim.room import RoomModel
 from repro.dcsim.thermal_coupling import ClusterThermalState
-from repro.dcsim.throttling import ThrottleDecision
+from repro.dcsim.throttling import (
+    FaultResponsePolicy,
+    RoomTemperaturePolicy,
+    ThrottleDecision,
+)
 from repro.errors import ConfigurationError, ControlError
 from repro.faults.chaos import (
     ChaosConfig,
@@ -50,12 +50,7 @@ from repro.faults.chaos import (
     random_schedule,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.schedule import (
-    COOLING_LOSS,
-    SENSOR_DROPOUT,
-    Fault,
-    FaultSchedule,
-)
+from repro.faults.schedule import FaultSchedule
 from repro.materials.library import commercial_paraffin_with_melting_point
 from repro.obs import get_registry
 from repro.units import hours
@@ -86,52 +81,6 @@ def loop_factory(planner_factory):
     return factory
 
 
-# -- actuator layer ----------------------------------------------------------
-
-
-class TestActuatorLimits:
-    def test_rejects_bad_envelopes(self):
-        with pytest.raises(ControlError):
-            ActuatorLimits(min_frequency_ghz=2.0, max_frequency_ghz=1.0)
-
-    def test_for_power_model_pins_dvfs_ladder(self, one_u_spec):
-        limits = ActuatorLimits.for_power_model(one_u_spec.power_model)
-        assert limits.min_frequency_ghz == one_u_spec.power_model.min_frequency_ghz
-        assert (
-            limits.max_frequency_ghz
-            == one_u_spec.power_model.nominal_frequency_ghz
-        )
-
-
-class TestExecutor:
-    @pytest.fixture
-    def limits(self):
-        return ActuatorLimits(min_frequency_ghz=1.6, max_frequency_ghz=2.4)
-
-    def test_clamps_into_envelope(self, limits):
-        executor = Executor(limits)
-        decision = executor.apply(
-            ThrottleDecision(frequency_ghz=3.5, utilization_cap=1.7)
-        )
-        assert decision.frequency_ghz == 2.4
-        assert decision.utilization_cap == 1.0
-        assert executor.clamp_count == 1
-
-        decision = executor.apply(
-            ThrottleDecision(frequency_ghz=0.5, utilization_cap=-0.2)
-        )
-        assert decision.frequency_ghz == 1.6
-        assert decision.utilization_cap == 0.0
-        assert decision.limited
-
-    def test_nominal_passes_through_exactly(self, limits):
-        executor = Executor(limits)
-        decision = executor.apply(ThrottleDecision(frequency_ghz=2.4))
-        assert decision.frequency_ghz == 2.4
-        assert not decision.limited
-        assert executor.clamp_count == 0
-
-
 # -- loop wiring -------------------------------------------------------------
 
 
@@ -143,6 +92,41 @@ class TestControlLoopWiring:
     def test_unknown_tournament_planner_rejected(self):
         with pytest.raises(ControlError):
             control_policy_factory("nonexistent")
+
+    def test_greedy_is_the_paper_stack(self):
+        """The tournament's greedy entry builds the paper's own policies."""
+        room = RoomModel(cooling_capacity_w=1e5)
+        injector = FaultInjector(FaultSchedule.empty())
+        factory = control_policy_factory("greedy")
+
+        stack = factory(room, injector)
+        assert type(stack) is FaultResponsePolicy
+        assert stack.injector is injector
+        assert type(stack.base) is RoomTemperaturePolicy
+        assert stack.base.room is room
+
+        bare = factory(room, None)
+        assert type(bare) is RoomTemperaturePolicy
+        assert bare.room is room
+
+    def test_decide_returns_the_planned_decision(self):
+        """The loop hands the plant the planner's own decision object."""
+        planned = ThrottleDecision(
+            frequency_ghz=1.6, utilization_cap=0.5, limited=True
+        )
+
+        class Fixed(Planner):
+            name = "fixed"
+
+            def plan(self, obs):
+                return planned
+
+        loop = ControlLoop(Fixed(), RoomModel(cooling_capacity_w=1e5))
+        config = small_config()
+        state = build_simulator(config)._make_state()
+        loop.begin_tick(hours(1.0), config.tick_interval_s)
+        assert loop.decide(state, np.full(config.server_count, 0.5)) is planned
+        assert loop.decision_log[-1].utilization_cap == 0.5
 
     def test_decision_log_and_obs_counters(self):
         config = small_config()
@@ -207,54 +191,10 @@ class TestTransparencyOracle:
         assert identical_results(plain, controlled)
 
 
-# -- greedy port fidelity ----------------------------------------------------
-
-
-class TestGreedyPortFidelity:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_byte_identical_to_legacy_stack_under_chaos(self, seed):
-        config = small_config()
-        schedule = random_schedule(seed, config)
-        legacy = build_simulator(config, FaultInjector(schedule)).run()
-        ported = build_simulator(
-            config,
-            FaultInjector(schedule),
-            policy_factory=loop_factory(GreedyThrottlePolicy),
-        ).run()
-        assert identical_results(legacy, ported)
-
-    def test_byte_identical_on_override_branches(self):
-        """Pinned dropout + severe cooling loss hit the folded-in paths."""
-        config = small_config()
-        schedule = FaultSchedule(
-            (
-                Fault(SENSOR_DROPOUT, hours(1.0), hours(2.0)),
-                Fault(COOLING_LOSS, hours(2.5), hours(4.5), 0.7),
-            ),
-            name="overrides",
-        )
-        legacy = build_simulator(config, FaultInjector(schedule)).run()
-        ported = build_simulator(
-            config,
-            FaultInjector(schedule),
-            policy_factory=loop_factory(GreedyThrottlePolicy),
-        ).run()
-        assert identical_results(legacy, ported)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ControlError):
-            GreedyThrottlePolicy(deadband_c=-1.0)
-        with pytest.raises(ControlError):
-            GreedyThrottlePolicy(deadband_c=math.nan)
-        with pytest.raises(ControlError):
-            GreedyThrottlePolicy(emergency_capacity_factor=1.5)
-
-
 # -- cross-engine control equivalence (satellite) ----------------------------
 
 
 PLANNER_FACTORIES = {
-    "greedy": GreedyThrottlePolicy,
     "scheduled": ScheduledPolicy,
     "mpc": lambda: MPCPolicy(horizon_ticks=4),
 }

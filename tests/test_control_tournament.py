@@ -58,7 +58,13 @@ from repro.control.tournament import (
     write_bundle,
 )
 from repro.errors import ControlError
+from repro.faults.chaos import (
+    build_simulator,
+    identical_results,
+    result_fingerprint,
+)
 from repro.faults.schedule import COOLING_LOSS, Fault, FaultSchedule
+from repro.obs import get_registry
 from repro.units import hours
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "control"
@@ -171,12 +177,24 @@ class TestScoring:
         with pytest.raises(ControlError):
             run_tournament(planners=["nonexistent"], quick=True)
 
+    def test_repeated_names_rejected(self):
+        """Cells are keyed by (planner, scenario name), so a repeat would
+        score two runs under one key."""
+        config = smoke_chaos_config()
+        clean = ControlScenario(name="clean", chaos=config)
+        seeded = ControlScenario(name="clean", chaos=config, fault_seed=1)
+        with pytest.raises(ControlError):
+            run_tournament(scenarios=[clean, seeded], planners=["greedy"])
+        with pytest.raises(ControlError):
+            run_tournament(scenarios=[clean], planners=["greedy", "greedy"])
+
 
 # -- fast-lane tournament smoke (satellite: 2 planners x 2 scenarios) -------
 
 
 class TestTournamentSmoke:
-    def test_two_planner_two_scenario_smoke(self):
+    @pytest.fixture(scope="class")
+    def smoke_board(self):
         config = smoke_chaos_config()
         scenarios = [
             ControlScenario(name="clean", chaos=config),
@@ -186,9 +204,10 @@ class TestTournamentSmoke:
                 pinned=pinned_cooling_loss(config),
             ),
         ]
-        board = run_tournament(
-            scenarios=scenarios, planners=["greedy", "mpc"]
-        )
+        return run_tournament(scenarios=scenarios, planners=["greedy", "mpc"])
+
+    def test_two_planner_two_scenario_smoke(self, smoke_board):
+        board = smoke_board
         assert len(board.scores) == 4
         assert board.planners() == ["greedy", "mpc"]
         assert board.scenarios() == ["clean", "pinned"]
@@ -196,6 +215,34 @@ class TestTournamentSmoke:
             assert np.isfinite(score.energy_kwh) and score.energy_kwh > 0
             assert score.recovery_time_s >= 0.0
             assert len(score.fingerprint) == 64
+
+    def test_kept_results_are_the_scored_runs(self, smoke_board):
+        assert len(smoke_board.results) == len(smoke_board.scores)
+        for score in smoke_board.scores:
+            result = smoke_board.results[(score.planner, score.scenario)]
+            assert result_fingerprint(result) == score.fingerprint
+
+    def test_greedy_cell_stretches_and_equals_the_harness_default(self):
+        """Greedy is the harness's own stack, with no clock hook, so the
+        batched fluid engine stretches its released latch."""
+        config = smoke_chaos_config()
+        sim = build_scenario_simulator(
+            ControlScenario(name="clean", chaos=config), "greedy"
+        )
+        # After the build, so that the plant-sizing run is not counted.
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        registry.reset()
+        try:
+            result = sim.run()
+            counters = registry.snapshot().counters
+        finally:
+            registry.reset()
+            if not was_enabled:
+                registry.disable()
+        assert counters.get("dcsim.fluid.stretch_ticks", 0) > 0
+        assert identical_results(result, build_simulator(config).run())
 
     def test_tournament_is_deterministic(self):
         config = smoke_chaos_config()

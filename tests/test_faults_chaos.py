@@ -21,6 +21,7 @@ physics change breaks them, regenerate with::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,32 @@ FIXTURE_CONFIG = ChaosConfig(
 
 def fixture_bundles() -> list[Path]:
     return sorted(FIXTURE_DIR.glob("*.json"))
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", math.nan),
+            ("duration_s", math.inf),
+            ("tick_interval_s", math.nan),
+            ("tick_interval_s", math.inf),
+            ("tick_interval_s", -60.0),
+            ("tick_interval_s", 0.0),
+            ("relax_s", math.nan),
+            ("relax_s", -3600.0),
+            ("server_count", math.nan),
+            ("server_count", 4.5),
+            ("max_faults", math.nan),
+            ("max_faults", 2.5),
+        ],
+    )
+    def test_rejects_nan_infinite_negative_and_fractional(self, field, value):
+        """Bundles and scenarios build configs from JSON: a NaN relax_s
+        would empty the monotone-recovery window, the others fail deep
+        inside the run."""
+        with pytest.raises(FaultError, match=field):
+            ChaosConfig(**{field: value})
 
 
 class TestFixtureReplay:

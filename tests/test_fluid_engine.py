@@ -20,11 +20,7 @@ from hypothesis import strategies as st
 
 import repro.dcsim.fluid_engine as fe
 from repro.control import ControlLoop
-from repro.control.planners import (
-    GreedyThrottlePolicy,
-    NoOpPlanner,
-    ScheduledPolicy,
-)
+from repro.control.planners import NoOpPlanner, ScheduledPolicy
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.room import RoomModel
 from repro.dcsim.simulator import DatacenterSimulator, SimulationConfig, _Plant
@@ -74,11 +70,7 @@ def _policy(planner, room, injector):
         return ThermalLimitPolicy(room.cooling_capacity_w)
     if planner == "fault":
         return FaultResponsePolicy(RoomTemperaturePolicy(room), injector)
-    planners = {
-        "noop": NoOpPlanner,
-        "greedy": GreedyThrottlePolicy,
-        "scheduled": ScheduledPolicy,
-    }
+    planners = {"noop": NoOpPlanner, "scheduled": ScheduledPolicy}
     return ControlLoop(planners[planner](), room, injector=injector)
 
 
@@ -218,7 +210,7 @@ class TestEngineEquivalence:
             st.floats(min_value=0.0, max_value=1.2), min_size=2, max_size=6
         ),
         servers=st.integers(min_value=2, max_value=12),
-        planner=st.sampled_from(["plain", "noop", "greedy", "scheduled"]),
+        planner=st.sampled_from(["plain", "noop", "scheduled"]),
         schedule=_schedules(),
         with_room=st.booleans(),
         hours=st.floats(min_value=1.0, max_value=10.0),
@@ -293,7 +285,7 @@ class TestEngineEquivalence:
                 levels=[0.2, 0.9, 0.4],
                 duration_s=3600.0,
                 servers=4,
-                planner="greedy",
+                planner="scheduled",
                 schedule=None,
                 with_room=True,
             )
@@ -389,7 +381,7 @@ class TestColumnEquivalence:
     # to 128 with eight accumulators (9), and splits longer rows in
     # halves (129, and 1008, the paper's cluster).
     @pytest.mark.parametrize("servers", [1, 7, 9, 129, 1008])
-    @pytest.mark.parametrize("planner", ["room", "limit", "fault", "greedy"])
+    @pytest.mark.parametrize("planner", ["room", "limit", "fault", "scheduled"])
     def test_every_tick_on_the_column(self, servers, planner):
         batched = _engine_counters(
             levels=[0.3, 1.0, 1.0, 0.6, 0.2],

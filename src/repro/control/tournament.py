@@ -49,7 +49,7 @@ from repro.control.planners import (
     ScheduledPolicy,
 )
 from repro.dcsim.simulator import DatacenterSimulator, SimulationResult
-from repro.errors import ControlError
+from repro.errors import ControlError, FaultError
 from repro.faults.chaos import (
     ChaosConfig,
     build_simulator,
@@ -191,7 +191,7 @@ class ControlScenario:
                     Fault.from_dict(f) for f in data["pinned"]
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, FaultError) as exc:
             raise ControlError(
                 f"malformed scenario payload: {exc}"
             ) from exc
@@ -522,6 +522,8 @@ def read_bundle(path: Path | str) -> dict[str, object]:
     for key in ("scenario", "planners", "fingerprint"):
         if key not in payload:
             raise ControlError(f"bundle {path} is missing {key!r}")
+    if not isinstance(payload["planners"], list):
+        raise ControlError(f"bundle {path} has no 'planners' list")
     return payload
 
 

@@ -55,33 +55,6 @@ def _simulate_arm(task: tuple) -> SimulationResult:
     ).run()
 
 
-def _simulate_constrained_arm(task: tuple) -> SimulationResult:
-    """One capacity-limited arm of the throughput study (sweep worker).
-
-    The room model is constructed inside the worker so each arm gets a
-    fresh instance whether the sweep runs in-process or in a pool.
-    """
-    (
-        characterization,
-        power_model,
-        material,
-        trace,
-        topology,
-        config,
-        capacity_w,
-    ) = task
-    room = RoomModel.sized_for_cluster(capacity_w, topology.server_count)
-    return DatacenterSimulator(
-        characterization,
-        power_model,
-        material,
-        trace,
-        topology=topology,
-        policy=RoomTemperaturePolicy(room),
-        room=room,
-        config=config,
-    ).run()
-
 #: Characterizations are pure functions of the platform geometry; cache
 #: them so sweeps across materials and scenarios pay the detailed-model
 #: cost once per platform. The key covers the wax geometry as well as the
@@ -337,9 +310,6 @@ class ThroughputStudy:
         peak demand and the thermal-limit policy must intervene.
     material:
         Wax blend; defaults to the platform's configured material.
-    jobs:
-        Worker processes for the two constrained arms (they share the
-        ideal arm's capacity but are independent of each other).
     """
 
     def __init__(
@@ -350,7 +320,6 @@ class ThroughputStudy:
         topology: ClusterTopology | None = None,
         material: PCMMaterial | None = None,
         config: SimulationConfig | None = None,
-        jobs: int = 1,
     ) -> None:
         if spec.wax_loadout is None:
             raise ConfigurationError(
@@ -368,7 +337,6 @@ class ThroughputStudy:
         )
         self.material = material or spec.wax_loadout.material
         self.config = config or SimulationConfig(mode="fluid")
-        self.jobs = jobs
 
     def _config(self, wax_enabled: bool) -> SimulationConfig:
         return replace(self.config, wax_enabled=wax_enabled)
@@ -394,23 +362,25 @@ class ThroughputStudy:
             )
         )
         capacity = self.oversubscription * ideal_result.peak_cooling_load_w
-        no_wax_result, with_wax_result = sweep(
-            _simulate_constrained_arm,
-            [
-                (
-                    characterization,
-                    power_model,
-                    self.material,
-                    self.trace,
-                    self.topology,
-                    self._config(wax_enabled),
-                    capacity,
-                )
-                for wax_enabled in (False, True)
-            ],
-            jobs=self.jobs,
-            label="runner.throughput_arms",
-        )
+
+        def constrained_arm(wax_enabled: bool) -> SimulationResult:
+            # Each arm gets a fresh room sized for the plant capacity.
+            room = RoomModel.sized_for_cluster(
+                capacity, self.topology.server_count
+            )
+            return DatacenterSimulator(
+                characterization,
+                power_model,
+                self.material,
+                self.trace,
+                topology=self.topology,
+                policy=RoomTemperaturePolicy(room),
+                room=room,
+                config=self._config(wax_enabled),
+            ).run()
+
+        no_wax_result = constrained_arm(wax_enabled=False)
+        with_wax_result = constrained_arm(wax_enabled=True)
 
         # Normalize to the no-wax arm's peak, matching the paper's Figure
         # 12 where the No Wax curve tops out at exactly 1.0 (its peak is

@@ -380,7 +380,7 @@ def run_event_mode(sim):
             tick_time, tick_time - t0, busy_start
         )
         if completed:
-            plant.records.add_completed(tick_index, completed)
+            plant.result.completed_work_s[tick_index] += completed
         w0 = w0 + (tick_time - t0) * tf
         t0 = tick_time
 
@@ -408,9 +408,9 @@ def run_event_mode(sim):
             # discrete completions are recorded separately as a
             # conservation cross-check.
             throughput=float(np.mean(np.clip(utilization, 0, 1))) * tf,
-            queue=float(core.queue_depth()),
+            queue_length=float(core.queue_depth()),
             # Event mode queues saturated work rather than shedding it.
-            shed=0.0,
+            shed_work=0.0,
         )
 
     elapsed = _time.perf_counter() - start

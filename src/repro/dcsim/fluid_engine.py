@@ -22,17 +22,17 @@ engines:
 A stretch of ticks is eligible only when every per-tick hook is provably
 inert for its whole span:
 
-* the policy has no ``begin_tick`` clock hook and publishes a
-  certificate: a **constant-decision certificate** (``constant_decision``;
-  see :class:`repro.dcsim.throttling.NoThermalLimit`), asked once per
-  run, so ``decide`` cannot depend on the observed work rate or mutate
-  policy state; or a **conditional certificate**
-  (``conditional_decision``; see
-  :meth:`repro.dcsim.throttling.RoomTemperaturePolicy.conditional_decision`),
-  asked again at every stretch start because scalar ticks move the state
-  it depends on. It holds while the plant's room reads below its limit:
-  the stretch ends before the first tick whose reading is not below it,
-  and that tick runs scalar;
+* the policy has no ``begin_tick`` clock hook and its **certificate**
+  (``conditional_decision(state)``; see
+  :meth:`repro.dcsim.throttling.RoomTemperaturePolicy.conditional_decision`)
+  returns ``(decision, room, limit)``, asked again at every stretch
+  start because scalar ticks move the state it depends on. ``decide``
+  returns exactly ``decision``, makes no preview and changes no policy
+  state on every tick whose room reads below ``limit``; the stretch
+  ends before the first tick whose reading is not below it, and that
+  tick runs scalar. A certificate with a limit is used only when its
+  ``room`` is the plant's own. ``limit`` ``None`` holds at any room
+  temperature (:class:`repro.dcsim.throttling.NoThermalLimit`);
 * the fault injector is **dormant** (no active effects, no restoration
   pending) and its next fault boundary lies beyond the stretch
   (:meth:`repro.faults.injector.FaultInjector.next_boundary`) — so
@@ -126,47 +126,30 @@ class _FluidLoop(_Plant):
         n_ticks = len(self.ticks)
         stretch_ticks = 0
         scalar_ticks = 0
-        decision = self._constant_decision()
-        conditional = (
-            decision is None
-            and self.begin_tick is None
-            and hasattr(self.policy, "conditional_decision")
-        )
+        certificate = self._certificate()
         # Full-horizon demand series, bit-identical to the reference
         # loop's per-tick lookups; scalar ticks take their element.
         demand_all = self.demand_series()
         demand_l = demand_all.tolist()
-        if decision is None and not conditional:
-            # No certificate: the whole run is boundary. Identical to the
-            # reference engine by construction (same tick body).
-            for i, t in enumerate(self.ticks):
-                self.scalar_tick(i, t, demand_l[i])
-            scalar_ticks = n_ticks
-        else:
-            i = 0
-            while i < n_ticks:
-                # Scalar ticks move a conditional certificate's latch, so
-                # it is asked again at every possible stretch start.
-                certified = (
-                    (decision, None)
-                    if decision is not None
-                    else self._conditional_decision()
-                )
-                end = i if certified is None else self._stretch_end(i)
-                advancer = self.column() if end - i >= _MIN_STRETCH else None
-                if advancer is not None:
-                    done = self._run_stretch(
-                        i, end, *certified, demand_all, advancer
-                    )
-                    stretch_ticks += done
-                    i += done
-                    if i == end:
-                        continue
-                    # The room reached the certificate's limit: this tick
-                    # runs the scalar body, which consults the policy.
-                self.scalar_tick(i, self.ticks[i], demand_l[i])
-                scalar_ticks += 1
-                i += 1
+        i = 0
+        while i < n_ticks:
+            # Scalar ticks move the state a certificate may depend on (a
+            # room latch), so it is asked again at every possible stretch
+            # start. Without one, every tick runs the scalar body.
+            certified = self._certified(certificate) if certificate else None
+            end = i if certified is None else self._stretch_end(i)
+            advancer = self.column() if end - i >= _MIN_STRETCH else None
+            if advancer is not None:
+                done = self._run_stretch(i, end, *certified, demand_all, advancer)
+                stretch_ticks += done
+                i += done
+                if i == end:
+                    continue
+                # The room reached the certificate's limit: this tick
+                # runs the scalar body, which consults the policy.
+            self.scalar_tick(i, self.ticks[i], demand_l[i])
+            scalar_ticks += 1
+            i += 1
         obs = get_registry()
         if obs.enabled:
             obs.count("dcsim.fluid.stretch_ticks", stretch_ticks)
@@ -218,38 +201,36 @@ class _FluidLoop(_Plant):
             demand=demand,
             utilization=mean_utilization,
             throughput=served,
-            queue=0.0,
-            shed=shed * n_servers,
+            queue_length=0.0,
+            shed_work=shed * n_servers,
         )
 
     # -- stretch machinery ---------------------------------------------------
 
-    def _constant_decision(self):
-        """The policy's constant-decision certificate, or ``None``.
+    def _certificate(self):
+        """The policy's ``conditional_decision`` certificate, or ``None``.
 
         A policy with a ``begin_tick`` clock hook is never stretched:
         the hook itself is per-tick state the stretch would skip.
         """
         if self.begin_tick is not None:
             return None
-        certificate = getattr(self.policy, "constant_decision", None)
-        if certificate is None:
-            return None
-        return certificate(self.state)
+        return getattr(self.policy, "conditional_decision", None)
 
-    def _conditional_decision(self):
-        """``(decision, limit)`` from the policy's conditional certificate
-        right now, or ``None``.
+    def _certified(self, certificate):
+        """``(decision, limit)`` from ``certificate`` right now, or
+        ``None``.
 
         The certificate holds while the plant's room reads below
-        ``limit``, so it is used only when the room it names is the
-        plant's room, the one the stretch steps and reads.
+        ``limit``, so one with a limit is used only when the room it
+        names is the plant's room, the one the stretch steps and reads.
+        One without a limit (``None``) holds at any room temperature.
         """
-        certified = self.policy.conditional_decision(self.state)
+        certified = certificate(self.state)
         if certified is None:
             return None
         decision, room, limit = certified
-        if room is None or room is not self.room:
+        if limit is not None and (room is None or room is not self.room):
             return None
         return decision, limit
 
@@ -291,9 +272,9 @@ class _FluidLoop(_Plant):
         """Advance ticks ``[i0, i1)`` in one pass under ``decision``;
         returns how many ticks it advanced.
 
-        With a ``limit`` (a conditional certificate), the stretch ends
-        before the first tick whose room temperature is not below it;
-        only the ticks before that one are recorded and committed.
+        With a certificate's ``limit``, the stretch ends before the
+        first tick whose room temperature is not below it; only the
+        ticks before that one are recorded and committed.
         """
         sim = self.sim
         n_servers = self.n_servers
@@ -375,20 +356,20 @@ class _FluidLoop(_Plant):
 
         advancer.commit()
 
-        records = self.records
+        result = self.result
         sl = slice(i0, i0 + done)
-        records.times[sl] = self.ticks[sl]
-        records.demand[sl] = demand[:done]
-        records.utilization[sl] = utilization[:done]
-        records.frequency[sl] = decision.frequency_ghz
-        records.power[sl] = self._reduce(np.array(power_l[:done]), "sum")
-        records.release[sl] = release_total
-        records.wax[sl] = self._reduce(np.array(wax_l[:done]), "sum")
-        records.melt[sl] = self._reduce(np.array(melt_l[:done]), "mean")
-        records.throughput[sl] = served[:done]
-        records.queue[sl] = 0.0
-        records.shed[sl] = shed[:done] * n_servers
-        records.room[sl] = room_series
+        result.times_s[sl] = self.ticks[sl]
+        result.demand[sl] = demand[:done]
+        result.utilization[sl] = utilization[:done]
+        result.frequency_ghz[sl] = decision.frequency_ghz
+        result.power_w[sl] = self._reduce(np.array(power_l[:done]), "sum")
+        result.cooling_load_w[sl] = release_total
+        result.wax_heat_w[sl] = self._reduce(np.array(wax_l[:done]), "sum")
+        result.melt_fraction[sl] = self._reduce(np.array(melt_l[:done]), "mean")
+        result.throughput[sl] = served[:done]
+        result.queue_length[sl] = 0.0
+        result.shed_work[sl] = shed[:done] * n_servers
+        result.room_temperature_c[sl] = room_series
         if decision.limited:
             self.throttle_ticks += done
 

@@ -335,8 +335,8 @@ class GeoPair:
                     demand=demand,
                     utilization=busy_total,
                     throughput=served,
-                    queue=0.0,
-                    shed=0.0,
+                    queue_length=0.0,
+                    shed_work=0.0,
                 )
                 accepted[k, i] = taken_in
                 relocated[k, i] = moved_out

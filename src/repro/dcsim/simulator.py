@@ -79,6 +79,28 @@ class SimulationConfig:
             raise ConfigurationError("slots per server must be positive")
 
 
+#: Every per-tick trace of a :class:`SimulationResult`, in the order
+#: :func:`repro.faults.chaos.result_fingerprint` hashes them (stored
+#: fingerprints depend on it). ``room_temperature_c`` and
+#: ``completed_work_s`` may be ``None`` on a result built by hand; a
+#: simulator run records all of them.
+RESULT_TRACES: tuple[str, ...] = (
+    "times_s",
+    "demand",
+    "utilization",
+    "frequency_ghz",
+    "power_w",
+    "cooling_load_w",
+    "wax_heat_w",
+    "melt_fraction",
+    "throughput",
+    "queue_length",
+    "shed_work",
+    "room_temperature_c",
+    "completed_work_s",
+)
+
+
 @dataclass
 class SimulationResult:
     """Per-tick traces of one simulation run.
@@ -246,91 +268,17 @@ class DatacenterSimulator:
         return result
 
 
-class _Recorder:
-    """Accumulates per-tick traces for a simulation run."""
-
-    def __init__(self, n_ticks: int) -> None:
-        self.times = np.zeros(n_ticks)
-        self.demand = np.zeros(n_ticks)
-        self.utilization = np.zeros(n_ticks)
-        self.frequency = np.zeros(n_ticks)
-        self.power = np.zeros(n_ticks)
-        self.release = np.zeros(n_ticks)
-        self.wax = np.zeros(n_ticks)
-        self.melt = np.zeros(n_ticks)
-        self.throughput = np.zeros(n_ticks)
-        self.queue = np.zeros(n_ticks)
-        self.shed = np.zeros(n_ticks)
-        self.room = np.zeros(n_ticks)
-        self._completed = np.zeros(n_ticks)
-
-    def add_completed(self, tick_index: int, work: float) -> None:
-        self._completed[tick_index] += work
-
-    def store(
-        self,
-        i: int,
-        time_s: float,
-        demand: float,
-        utilization: float,
-        frequency: float,
-        power: float,
-        release: float,
-        wax: float,
-        melt: float,
-        throughput: float,
-        queue: float,
-        shed: float,
-        room: float,
-    ) -> None:
-        self.times[i] = time_s
-        self.demand[i] = demand
-        self.utilization[i] = utilization
-        self.frequency[i] = frequency
-        self.power[i] = power
-        self.release[i] = release
-        self.wax[i] = wax
-        self.melt[i] = melt
-        self.throughput[i] = throughput
-        self.queue[i] = queue
-        self.shed[i] = shed
-        self.room[i] = room
-
-    def result(
-        self,
-        server_count: int,
-        nominal_frequency_ghz: float | None = None,
-        initial_power_w: float | None = None,
-    ) -> SimulationResult:
-        return SimulationResult(
-            times_s=self.times,
-            demand=self.demand,
-            utilization=self.utilization,
-            frequency_ghz=self.frequency,
-            power_w=self.power,
-            cooling_load_w=self.release,
-            wax_heat_w=self.wax,
-            melt_fraction=self.melt,
-            throughput=self.throughput,
-            queue_length=self.queue,
-            shed_work=self.shed,
-            room_temperature_c=self.room,
-            completed_work_s=self._completed,
-            server_count=server_count,
-            nominal_frequency_ghz=nominal_frequency_ghz,
-            initial_power_w=initial_power_w,
-        )
-
-
 class _Plant:
     """One run of the per-tick plant protocol, shared by every tick loop.
 
-    Owns the run's thermal state, recorder and throttle-tick count, and
-    drives the simulator's room, policy and fault hooks. A tick loop
-    calls :meth:`decide` and then :meth:`step` once per tick: room
-    temperature to the inlets, fault hooks, policy decision, thermal
-    step, room step, record. The fluid engine, the event engine and
-    :class:`repro.dcsim.geo.GeoPair` all drive this one body.
+    Owns the run's thermal state, its :class:`SimulationResult` and
+    throttle-tick count, and drives the simulator's room, policy and
+    fault hooks. A tick loop calls :meth:`decide` and then :meth:`step`
+    once per tick: room temperature to the inlets, fault hooks, policy
+    decision, thermal step, room step, record. The fluid engine, the
+    event engine and :class:`repro.dcsim.geo.GeoPair` all drive this one
+    body, and write their own traces into :attr:`result` by its field
+    names.
     """
 
     def __init__(self, sim: DatacenterSimulator) -> None:
@@ -357,7 +305,12 @@ class _Plant:
         self.dt = sim.config.tick_interval_s
         self.ticks = sim._tick_times()
         self.throttle_ticks = 0
-        self.records = _Recorder(len(self.ticks))
+        # The run's traces, allocated up front and written tick by tick.
+        self.result = SimulationResult(
+            **{name: np.zeros(len(self.ticks)) for name in RESULT_TRACES},
+            server_count=self.n_servers,
+            nominal_frequency_ghz=sim.power_model.nominal_frequency_ghz,
+        )
         # True while every server provably shares one zone temperature and
         # one wax enthalpy. A fresh batched state without inlet offsets
         # starts from one inlet and one utilization, and float ticks keep
@@ -429,14 +382,18 @@ class _Plant:
         t: float,
         busy: float | np.ndarray,
         frequency: float,
-        **record: float,
+        *,
+        demand: float,
+        utilization: float,
+        throughput: float,
+        queue_length: float,
+        shed_work: float,
     ) -> None:
         """Advance the servers and the room one tick and record it.
 
         ``busy`` is one busy fraction every server runs (a float), or a
-        per-server array. ``record`` carries the loop's own fields:
-        ``demand``, ``utilization``, ``throughput``, ``queue`` and
-        ``shed``.
+        per-server array. The keywords are the loop's own traces of the
+        tick, named as :class:`SimulationResult` names them.
         """
         column = self.column() if isinstance(busy, float) else None
         if column is not None:
@@ -453,17 +410,19 @@ class _Plant:
         power_w, release_w, wax_w, melt = map(float, totals)
         if self.room is not None:
             self.room.step(self.dt, max(release_w, 0.0))
-        self.records.store(
-            i,
-            time_s=t,
-            frequency=frequency,
-            power=power_w,
-            release=release_w,
-            wax=wax_w,
-            melt=melt,
-            room=self._room_c(),
-            **record,
-        )
+        result = self.result
+        result.times_s[i] = t
+        result.demand[i] = demand
+        result.utilization[i] = utilization
+        result.frequency_ghz[i] = frequency
+        result.power_w[i] = power_w
+        result.cooling_load_w[i] = release_w
+        result.wax_heat_w[i] = wax_w
+        result.melt_fraction[i] = melt
+        result.throughput[i] = throughput
+        result.queue_length[i] = queue_length
+        result.shed_work[i] = shed_work
+        result.room_temperature_c[i] = self._room_c()
 
     def _column_step(
         self, column: UniformStretchAdvancer, busy: float, frequency: float
@@ -490,8 +449,5 @@ class _Plant:
         obs.count("dcsim.throttle_ticks", self.throttle_ticks)
         obs.count("dcsim.column_ticks", self.column_ticks)
         self.sim.final_state = self.state
-        return self.records.result(
-            self.n_servers,
-            self.sim.power_model.nominal_frequency_ghz,
-            initial_power_w=initial_power_w,
-        )
+        self.result.initial_power_w = initial_power_w
+        return self.result

@@ -774,19 +774,27 @@ class ClusterThermalState:
             utilization = np.asarray(utilization, dtype=float).reshape(1, -1)
         return self._batched.is_uniform(utilization)
 
+    def _row(self, utilization: np.ndarray) -> np.ndarray:
+        """A ``(servers,)`` utilization as the batched state's one row."""
+        utilization = np.asarray(utilization, dtype=float)
+        if utilization.shape != (self.server_count,):
+            raise ConfigurationError(
+                f"expected utilization shape ({self.server_count},), got "
+                f"{utilization.shape}"
+            )
+        return utilization[None, :]
+
     def effective_utilization(
         self, utilization: np.ndarray, frequency_ghz: float
     ) -> np.ndarray:
         """Power-equivalent utilization (folds in DVFS)."""
-        factor = self.power_model.frequency_factor(frequency_ghz)
-        return np.asarray(utilization) * factor
+        return self._batched.effective_utilization(
+            self._row(utilization), frequency_ghz
+        )[0]
 
     def power_w(self, utilization: np.ndarray, frequency_ghz: float) -> np.ndarray:
         """Per-server wall power at an operating point."""
-        u_eff = self.effective_utilization(utilization, frequency_ghz)
-        return self.power_model.idle_power_w + (
-            self.power_model.dynamic_range_w * u_eff
-        )
+        return self._batched.power_w(self._row(utilization), frequency_ghz)[0]
 
     def wax_exchange_w(
         self, utilization: np.ndarray, frequency_ghz: float
@@ -794,10 +802,8 @@ class ClusterThermalState:
         """Instantaneous air-to-wax heat flow at the *current* state,
         without advancing it (used by throttling policies to preview what
         the wax could absorb this tick)."""
-        if not self.wax_enabled:
-            return np.zeros(self.server_count)
         return self._batched.wax_exchange_w(
-            np.asarray(utilization, dtype=float)[None, :], frequency_ghz
+            self._row(utilization), frequency_ghz
         )[0]
 
     # -- dynamics ------------------------------------------------------------
@@ -813,13 +819,7 @@ class ClusterThermalState:
         ``utilization`` is per-server busy fraction in [0, 1];
         ``frequency_ghz`` is the cluster-wide DVFS state this tick.
         """
-        utilization = np.asarray(utilization, dtype=float)
-        if utilization.shape != (self.server_count,):
-            raise ConfigurationError(
-                f"expected utilization shape ({self.server_count},), got "
-                f"{utilization.shape}"
-            )
         power, release, wax_heat = self._batched.step(
-            dt_s, utilization[None, :], frequency_ghz
+            dt_s, self._row(utilization), frequency_ghz
         )
         return power[0], release[0], wax_heat[0]

@@ -244,22 +244,18 @@ class NoThermalLimit:
             frequency_ghz=state.power_model.nominal_frequency_ghz
         )
 
-    def constant_decision(
-        self, state: ClusterThermalState
-    ) -> ThrottleDecision:
-        """Constant-decision certificate for the fluid engine.
+    def conditional_decision(self, state: ClusterThermalState):
+        """The fluid engine's certificate (see
+        :meth:`RoomTemperaturePolicy.conditional_decision`): nominal
+        clocks with no room and no limit.
 
-        A policy may implement this protocol to promise that, for the
-        rest of the run, :meth:`decide` returns a decision with exactly
-        these fields no matter what state or observation it is shown —
-        licensing the batched fluid engine to advance whole stretches
-        without consulting the policy per tick. Stateful or
-        state-dependent policies must return ``None`` (or simply not
-        implement the method). This policy is memoryless and ignores its
-        inputs entirely, so the certificate is unconditional.
+        This policy is memoryless and ignores its inputs, so
+        :meth:`decide` returns that decision at any room temperature.
         """
-        return ThrottleDecision(
-            frequency_ghz=state.power_model.nominal_frequency_ghz
+        return (
+            ThrottleDecision(frequency_ghz=state.power_model.nominal_frequency_ghz),
+            None,
+            None,
         )
 
 
@@ -368,8 +364,8 @@ class FaultResponsePolicy:
         return self.base.decide(state, work_rate)
 
     def conditional_decision(self, state: ClusterThermalState):
-        """The base policy's conditional certificate while no fault is
-        live (see :meth:`RoomTemperaturePolicy.conditional_decision`).
+        """The base policy's certificate while no fault is live (see
+        :meth:`RoomTemperaturePolicy.conditional_decision`).
 
         With ``injector.current`` at ``None``, :meth:`decide` delegates
         to the base unchanged; a dormant injector keeps it there for the
@@ -432,17 +428,20 @@ class RoomTemperaturePolicy:
         return throttled_decision(state, work_rate, capacity_w)
 
     def conditional_decision(self, state: ClusterThermalState):
-        """A conditional certificate for the fluid engine, or ``None``.
+        """The fluid engine's certificate, or ``None``.
 
-        While the latch is released this returns ``(decision, room,
-        limit)``: nominal clocks, the room the policy watches and its
-        ``max_temperature_c``. For every tick whose room temperature is
+        A policy publishes this one protocol to let the batched fluid
+        engine advance ticks without consulting it. The certificate is
+        ``(decision, room, limit)``: for every tick whose ``room`` reads
         below ``limit``, :meth:`decide` returns exactly ``decision``,
-        makes no preview and leaves the latch released, so the batched
-        fluid engine may advance such ticks without consulting the
-        policy. The engine ends the stretch before the first tick whose
-        room reading is not below the limit (NaN included), and that tick
-        runs :meth:`decide`, which latches. While the latch is set the
+        makes no preview and changes no policy state. The engine ends a
+        stretch before the first tick whose room reading is not below
+        the limit (NaN included), and that tick runs :meth:`decide`. A
+        limit of ``None`` holds at any room temperature.
+
+        While the latch is released this returns nominal clocks, the
+        room the policy watches and its ``max_temperature_c``; the tick
+        that reaches the limit latches. While the latch is set the
         decision depends on the state, so there is no certificate.
         """
         if self._throttled:

@@ -37,6 +37,7 @@ from repro.core.scenarios import cached_characterization
 from repro.dcsim.cluster import ClusterTopology
 from repro.dcsim.room import RoomModel
 from repro.dcsim.simulator import (
+    RESULT_TRACES,
     DatacenterSimulator,
     SimulationConfig,
     SimulationResult,
@@ -45,7 +46,6 @@ from repro.dcsim.throttling import FaultResponsePolicy, RoomTemperaturePolicy
 from repro.errors import FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
-    RESULT_TRACES,
     Violation,
     check_monotone_recovery,
     check_run,
@@ -494,8 +494,11 @@ def replay_bundle(path: Path | str) -> ChaosRun:
         raise FaultError(
             f"not a {BUNDLE_SCHEMA} bundle: {path}"
         )
-    config = ChaosConfig(**data["config"])
-    schedule = FaultSchedule.from_dict(data["schedule"])
+    try:
+        config = ChaosConfig(**data["config"])
+        schedule = FaultSchedule.from_dict(data["schedule"])
+    except (KeyError, TypeError, FaultError) as exc:
+        raise FaultError(f"malformed failure bundle {path}: {exc!r}") from exc
     return run_schedule(schedule, config)
 
 

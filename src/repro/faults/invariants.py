@@ -24,30 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dcsim.simulator import SimulationResult
+from repro.dcsim.simulator import RESULT_TRACES, SimulationResult
 from repro.faults.schedule import PCM_DEGRADATION
 from repro.units import hours
-
-
-#: Every per-tick trace of a :class:`SimulationResult`, in the order
-#: :func:`repro.faults.chaos.result_fingerprint` hashes them (stored
-#: fingerprints depend on it). ``room_temperature_c`` and
-#: ``completed_work_s`` may be ``None``.
-RESULT_TRACES: tuple[str, ...] = (
-    "times_s",
-    "demand",
-    "utilization",
-    "frequency_ghz",
-    "power_w",
-    "cooling_load_w",
-    "wax_heat_w",
-    "melt_fraction",
-    "throughput",
-    "queue_length",
-    "shed_work",
-    "room_temperature_c",
-    "completed_work_s",
-)
 
 
 @dataclass(frozen=True)

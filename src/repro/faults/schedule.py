@@ -366,6 +366,8 @@ class FaultSchedule:
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "FaultSchedule":
         """Inverse of :meth:`to_dict`."""
+        if not isinstance(data, dict):
+            raise FaultError("a fault schedule must be a JSON object")
         schema = data.get("schema")
         if schema != SCHEDULE_SCHEMA:
             raise FaultError(
@@ -389,8 +391,6 @@ class FaultSchedule:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FaultError(f"schedule JSON is invalid: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FaultError("schedule JSON must be an object")
         return cls.from_dict(data)
 
 

@@ -6,9 +6,9 @@ stored payload. The address is ``SHA-256(canonical_json(spec) + salt)``:
 
 * the canonical encoding makes the key invariant to dict insertion
   order and sensitive to any value change;
-* the salt carries a cache schema tag plus the package version, so a
-  release that changes the physics silently invalidates every entry
-  rather than replaying stale results.
+* the salt carries a cache schema tag, the package version and a
+  digest of the package's own sources, so any code edit silently
+  invalidates every entry rather than replaying stale results.
 
 Entries are sharded two-level (``ab/ab12....json``) and written
 atomically (temp file + ``os.replace``), so a crashed writer can never
@@ -32,6 +32,7 @@ collection is enabled.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import tempfile
@@ -57,17 +58,40 @@ CACHE_SCHEMA = "repro.runner.cache/1"
 MISS = object()
 
 
-def default_salt() -> str:
-    """The key salt: cache schema + code version.
+def source_digest(root: str | Path) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``: each file's path
+    relative to ``root``, its length and its bytes, in path order."""
+    root = Path(root)
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
-    The version import is deferred: :mod:`repro.runner` is imported by
-    layers that ``repro/__init__`` itself imports, so a module-level
+
+@functools.cache
+def _package_digest() -> str:
+    """:func:`source_digest` of the ``repro`` package, once per process."""
+    return source_digest(Path(__file__).resolve().parent.parent)
+
+
+def default_salt() -> str:
+    """The key salt: cache schema + code version + source digest.
+
+    The source digest changes with any edit to the package, so a cache
+    never replays results computed by another tree. The version import
+    is deferred: :mod:`repro.runner` is imported by layers that
+    ``repro/__init__`` itself imports, so a module-level
     ``from repro import __version__`` would run against the partially
     initialized package.
     """
     from repro import __version__
 
-    return f"{CACHE_SCHEMA}+repro-{__version__}"
+    return f"{CACHE_SCHEMA}+repro-{__version__}+src-{_package_digest()}"
 
 
 def cache_key(spec: Any, salt: str | None = None) -> str:

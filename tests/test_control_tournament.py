@@ -35,6 +35,7 @@ scoring change with::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,36 @@ class TestBundles:
         truncated.write_text(json.dumps(payload))
         with pytest.raises(ControlError):
             read_bundle(truncated)
+
+    @pytest.mark.parametrize(
+        ("edit", "match"),
+        [
+            pytest.param(
+                lambda d: d["scenario"]["chaos"].update(relax_s=math.nan),
+                "malformed scenario.*relax_s",
+                id="nan-relax-window",
+            ),
+            pytest.param(
+                lambda d: d["scenario"]["pinned"][0].update(end_s=0.0),
+                "malformed scenario",
+                id="pinned-fault-ends-before-it-starts",
+            ),
+            pytest.param(
+                lambda d: d.update(planners=5),
+                "'planners' list",
+                id="planners-not-a-list",
+            ),
+        ],
+    )
+    def test_malformed_bundle_raises_control_error(self, tmp_path, edit, match):
+        payload = json.loads(
+            (FIXTURE_DIR / "pinned_cooling_loss_smoke.json").read_text()
+        )
+        edit(payload)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ControlError, match=match):
+            replay_bundle(path)
 
     def test_tampered_scenario_changes_fingerprint(self, tmp_path):
         """A bundle whose scenario was edited no longer verifies."""

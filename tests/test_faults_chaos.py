@@ -306,6 +306,35 @@ class TestBundles:
         with pytest.raises(FaultError):
             replay_bundle(path)
 
+    @pytest.mark.parametrize(
+        ("edit", "match"),
+        [
+            pytest.param(lambda d: d.pop("config"), "'config'", id="missing-key"),
+            pytest.param(
+                lambda d: d["config"].update(warp_factor=9),
+                "warp_factor",
+                id="unknown-config-field",
+            ),
+            pytest.param(
+                lambda d: d["config"].update(relax_s=math.nan),
+                "relax_s",
+                id="invalid-config-value",
+            ),
+            pytest.param(
+                lambda d: d.update(schedule=[]),
+                "JSON object",
+                id="schedule-not-an-object",
+            ),
+        ],
+    )
+    def test_malformed_bundle_names_the_bundle(self, tmp_path, edit, match):
+        path = tmp_path / "malformed.json"
+        data = json.loads(fixture_bundles()[0].read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(FaultError, match=f"malformed\\.json.*{match}"):
+            replay_bundle(path)
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "wrong.json"
         source = fixture_bundles()[0]

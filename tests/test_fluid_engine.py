@@ -7,8 +7,8 @@ enthalpies to the per-tick reference loop. These tests drive both
 engines over hypothesis-generated scenarios (random traces × fault
 schedules × planners and throttling policies), and pin the stretch
 machinery's edges: when the plant may compute one server column, the
-constant-decision certificate protocol, the injector's dormancy/boundary
-queries, and the stretch/scalar/column observability counters.
+policy certificate protocol, the injector's dormancy/boundary queries,
+and the stretch/scalar/column observability counters.
 """
 
 import math
@@ -70,6 +70,8 @@ def _policy(planner, room, injector):
         return ThermalLimitPolicy(room.cooling_capacity_w)
     if planner == "fault":
         return FaultResponsePolicy(RoomTemperaturePolicy(room), injector)
+    if planner == "plain_fault":
+        return FaultResponsePolicy(NoThermalLimit(), injector)
     planners = {"noop": NoOpPlanner, "scheduled": ScheduledPolicy}
     return ControlLoop(planners[planner](), room, injector=injector)
 
@@ -86,7 +88,7 @@ def _simulator(
     offsets=None,
     capacity_per_server_w=260.0,
 ):
-    if schedule is None and planner == "fault":
+    if schedule is None and planner in ("fault", "plain_fault"):
         # The fault-response policy reads a live injector.
         schedule = FaultSchedule.empty()
     injector = FaultInjector(schedule) if schedule is not None else None
@@ -210,7 +212,7 @@ class TestEngineEquivalence:
             st.floats(min_value=0.0, max_value=1.2), min_size=2, max_size=6
         ),
         servers=st.integers(min_value=2, max_value=12),
-        planner=st.sampled_from(["plain", "noop", "scheduled"]),
+        planner=st.sampled_from(["plain", "plain_fault", "noop", "scheduled"]),
         schedule=_schedules(),
         with_room=st.booleans(),
         hours=st.floats(min_value=1.0, max_value=10.0),
@@ -240,7 +242,7 @@ class TestEngineEquivalence:
     ):
         # The control loop needs a plant to read; force the room on for
         # planner-wrapped runs.
-        if planner != "plain":
+        if planner in ("noop", "scheduled"):
             with_room = True
         _assert_engines_agree(
             levels=levels,
@@ -273,6 +275,34 @@ class TestEngineEquivalence:
                 registry.disable()
         assert counters["dcsim.fluid.stretch_ticks"] == 360
         assert counters.get("dcsim.fluid.scalar_ticks", 0) == 0
+
+    def test_fault_response_over_no_limit_stretches(self):
+        # The wrapper passes the unconditional certificate on while no
+        # fault is live: the quiet prefix and suffix stretch.
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind="cooling_loss",
+                    start_s=7200.0,
+                    end_s=10800.0,
+                    magnitude=0.8,
+                ),
+            ),
+            name="split",
+        )
+        for with_room in (False, True):
+            counters = _engine_counters(
+                levels=[0.3, 0.8],
+                duration_s=6 * 3600.0,
+                servers=4,
+                planner="plain_fault",
+                schedule=schedule,
+                with_room=with_room,
+            )
+            stretch = counters.get("dcsim.fluid.stretch_ticks", 0)
+            assert stretch > 0
+            assert stretch + counters["dcsim.fluid.scalar_ticks"] == 360
+            assert counters["faults.ticks_active"] == 60
 
     def test_stateful_policy_runs_fully_scalar(self):
         registry = get_registry()
@@ -711,7 +741,11 @@ class TestStretchMachinery:
     def test_column_tick_checks_the_busy_fraction(self):
         nominal = SPEC.power_model.nominal_frequency_ghz
         record = dict(
-            demand=0.5, utilization=0.5, throughput=0.5, queue=0.0, shed=0.0
+            demand=0.5,
+            utilization=0.5,
+            throughput=0.5,
+            queue_length=0.0,
+            shed_work=0.0,
         )
         for engine in ("batched", "reference"):
             plant = self._plant(engine)
@@ -721,12 +755,78 @@ class TestStretchMachinery:
             plant.step(0, TICK_S, 1.0 + 5e-10, nominal, **record)
             assert plant.column_ticks == (engine == "batched")
 
-    def test_constant_decision_certificate_matches_decide(self):
-        state = self._state()
-        policy = NoThermalLimit()
-        certified = policy.constant_decision(state)
-        decided = policy.decide(state, np.full(4, 0.6))
-        assert certified == decided
+    @pytest.mark.parametrize(
+        ("planner", "with_room", "latched", "fault"),
+        [
+            pytest.param("plain", False, False, None, id="none"),
+            pytest.param("plain", True, False, None, id="none-room"),
+            pytest.param("plain_fault", False, False, "quiet", id="fault(none)"),
+            pytest.param("plain_fault", False, False, "live", id="fault(none)-live"),
+            pytest.param("plain_fault", True, False, "quiet", id="fault(none)-room"),
+            pytest.param(
+                "plain_fault", True, False, "live", id="fault(none)-room-live"
+            ),
+            pytest.param("room", True, False, None, id="released"),
+            pytest.param("room", True, True, None, id="latched"),
+            pytest.param("fault", True, False, "quiet", id="fault(released)"),
+            pytest.param("fault", True, False, "live", id="fault(released)-live"),
+            pytest.param("fault", True, True, "quiet", id="fault(latched)"),
+            pytest.param("fault", True, True, "live", id="fault(latched)-live"),
+        ],
+    )
+    def test_certificate_matches_decide(self, planner, with_room, latched, fault):
+        """Below its limit, the certificate the engine accepts is what
+        ``decide`` returns, and neither moves the room latch."""
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind="sensor_dropout",
+                    start_s=600.0,
+                    end_s=1200.0,
+                    magnitude=1.0,
+                ),
+            ),
+            name="live",
+        )
+        loop = fe._FluidLoop(
+            _simulator(
+                "batched",
+                levels=[0.2, 0.9, 0.4],
+                duration_s=6 * 3600.0,
+                servers=4,
+                planner=planner,
+                schedule=schedule if fault else None,
+                with_room=with_room,
+            )
+        )
+        work = np.full(4, 0.6)
+        room = loop.room
+        policy = getattr(loop.policy, "base", loop.policy)
+        if latched:
+            room.temperature_c = room.max_temperature_c
+            policy.decide(loop.state, work)
+        if fault == "live":
+            loop.injector.advance_to(600.0)
+            assert loop.injector.current is not None
+        latch = getattr(policy, "_throttled", None)
+        assert latch is (None if planner.startswith("plain") else latched)
+
+        certified = loop._certified(loop._certificate())
+        assert getattr(policy, "_throttled", None) is latch
+        if latched or fault == "live":
+            assert certified is None
+            return
+        decision, limit = certified
+        if planner.startswith("plain"):
+            # No limit: it holds at any room temperature.
+            assert limit is None
+            if room is not None:
+                room.temperature_c = room.max_temperature_c + 5.0
+        else:
+            assert limit == room.max_temperature_c
+            room.temperature_c = math.nextafter(limit, -math.inf)
+        assert loop.policy.decide(loop.state, work) == decision
+        assert getattr(policy, "_throttled", None) is latch
 
     def test_control_loop_has_no_certificate(self):
         """The loop's begin_tick clock hook keeps every tick scalar."""
@@ -742,7 +842,7 @@ class TestStretchMachinery:
             )
         )
         assert isinstance(plant.policy, ControlLoop)
-        assert plant._constant_decision() is None
+        assert plant._certificate() is None
 
     def test_injector_boundary_and_dormancy(self):
         schedule = FaultSchedule(

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro
 from repro.errors import RunnerError
 from repro.obs import disable, enable, reset, snapshot
 from repro.runner import (
@@ -33,11 +35,13 @@ from repro.runner import (
     canonical_json,
     decode,
     decode_experiment_result,
+    default_salt,
     encode,
     encode_experiment_result,
     resolve_cache,
     sweep,
 )
+from repro.runner.cache import source_digest
 from repro.runner.cache import ENV_CACHE_DIR
 
 
@@ -219,6 +223,30 @@ class TestCacheKey:
 
     def test_key_sensitive_to_salt(self):
         assert cache_key({"a": 1}, salt="s1") != cache_key({"a": 1}, salt="s2")
+
+    def test_source_digest_sees_one_changed_byte(self, tmp_path):
+        """The default salt folds in the package's sources, so an edited
+        tree never reads another tree's entries."""
+        package = tmp_path / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_bytes(b"x = 1\n")
+        (package / "sub" / "b.py").write_bytes(b"y = 2\n")
+        (package / "notes.txt").write_bytes(b"not source")
+        before = source_digest(package)
+        assert source_digest(package) == before
+        (package / "notes.txt").write_bytes(b"still not source")
+        assert source_digest(package) == before
+        (package / "sub" / "b.py").write_bytes(b"y = 3\n")
+        assert source_digest(package) != before
+        # The relative path counts too, not only the bytes.
+        (package / "sub" / "b.py").write_bytes(b"y = 2\n")
+        assert source_digest(package) == before
+        (package / "sub" / "b.py").rename(package / "b.py")
+        assert source_digest(package) != before
+
+    def test_default_salt_carries_the_package_digest(self):
+        package = Path(repro.__file__).parent
+        assert default_salt().endswith(f"+src-{source_digest(package)}")
 
 
 # --- cache behaviour ---------------------------------------------------------
